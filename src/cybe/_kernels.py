@@ -28,7 +28,7 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but be safe
+except ImportError:  # numba is the optional `numba` extra
     HAS_NUMBA = False
 
     def njit(*args, **kwargs):

@@ -21,8 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .solve import UncoveredRegime, is_cybe_solution, recognize_table
-from .tensor import Tensor2, Tensor3, cycle_xi, is_skew_symmetric
+from .solve import (
+    UncoveredRegime,
+    is_cybe_solution,
+    is_skew_symmetric,
+    recognize_table,
+)
+from .tensor import Tensor2, Tensor3, cycle_xi
 
 
 def _ad_matrix(L, x_coords):

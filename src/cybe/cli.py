@@ -19,7 +19,12 @@ import argparse
 import sys
 
 from .bialgebra import bialgebra_check, coboundary_predicate, triangular_predicate
-from .exhaustive import BudgetExceeded, DEFAULT_BUDGET, verify_classification
+from .exhaustive import (
+    BudgetExceeded,
+    DEFAULT_BUDGET,
+    decode_tensor,
+    verify_classification,
+)
 from .liealg import check_jacobi
 from .problems import (
     ProblemError,
@@ -32,14 +37,17 @@ from .problems import (
 from .scalars import FieldError, scalar_str
 from .solve import (
     GENERATOR_CASES,
+    GENERATORS,
     UncoveredRegime,
     classify_solution,
     cybe_residual,
     generate_solution,
     is_cybe_solution,
+    is_skew_symmetric,
     recognize_table,
+    symmetry_flags,
+    table_params,
 )
-from .tensor import is_skew_symmetric, symmetry_flags
 
 RESIDUAL_WITNESS_CAP = 100
 
@@ -57,12 +65,8 @@ def _jacobi_section(L, report):
 
 
 def _symmetry_section(L, r):
-    reg = recognize_table(L)
-    if reg is not None and reg[0] == "ii":
-        flags = symmetry_flags(r, reg[1], reg[2])
-    else:
-        flags = symmetry_flags(r)
-    return {k: v for k, v in flags.items()}
+    alpha, beta, _ = table_params(recognize_table(L))
+    return symmetry_flags(r, alpha, beta)
 
 
 def cmd_check(problem):
@@ -182,6 +186,11 @@ def cmd_enumerate(problem, args):
         "budget", DEFAULT_BUDGET)
     workers = args.workers if args.workers is not None else opts.get(
         "workers", 1)
+    for key, val in (("budget", budget), ("workers", workers)):
+        # JSON true is an int to Python, and null would lift the budget
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            raise ProblemError(
+                f"{key} (options.{key} or --{key}) must be an integer >= 1")
     timing = args.timing or bool(opts.get("timing", False))
     report = {
         "command": "enumerate",
@@ -214,10 +223,9 @@ def cmd_enumerate(problem, args):
         "wall_time_ms": enum.wall_time_ms,
     })
     if opts.get("list_solutions") or args.list_solutions:
-        from .exhaustive import enumerate_solutions
         report["solutions"] = [
-            tensor_obj(t) for t in enumerate_solutions(
-                L, workers=workers, budget=budget)
+            tensor_obj(decode_tensor(int(i), L.n, L.field))
+            for i in enum.solution_ids
         ]
     report["ok"] = enum.confirmed
     return report, 0 if enum.confirmed else 1
@@ -279,35 +287,9 @@ def cmd_families():
          "bracket": "the II table at alpha=4, beta=-4"},
     ]
     cases = [
-        {"name": "strong-z", "algebra": "any dim-3", "params": ["s", "u", "z"],
-         "conditions": "z != 0"},
-        {"name": "strong-x", "algebra": "any dim-2/3", "params": ["p", "x"],
-         "conditions": "x != 0"},
-        {"name": "strong-y", "algebra": "any dim-2/3", "params": ["y"],
-         "conditions": "none"},
-        {"name": "alpha-beta-skew", "algebra": "II table",
-         "params": ["z", "s", "u", "p"],
-         "conditions": "alpha*beta*z^2 + beta*s^2 + alpha*u^2 + p^2 = 0"},
-        {"name": "heisenberg-1", "algebra": "III",
-         "params": ["p", "x", "y", "s", "t", "u", "v", "z"],
-         "conditions": "p != 0, p^2 = xy, xu = sp, xv = tp, tu = vs"},
-        {"name": "heisenberg-2", "algebra": "III",
-         "params": ["x", "y", "s", "t", "u", "v", "z"],
-         "conditions": "xy = xu = xv = ys = yt = 0, tu = vs"},
-        {"name": "iv-diagonal-2", "algebra": "IV with beta=0",
-         "params": ["p", "q", "s", "u", "x", "y"],
-         "conditions": "xu = xs = ys = yu = (1-delta)us = "
-                       "(1+delta)s(q+p) = (1+delta)u(q+p) = 0"},
-        {"name": "iv-jordan-2", "algebra": "IV with beta!=0, delta=1",
-         "params": ["p", "q", "u", "x", "y"],
-         "conditions": "xu = yu = u(q+p) = 0"},
-        {"name": "v-1", "algebra": "V", "params": ["s", "u", "v", "y", "z"],
-         "conditions": "z != 0 (p, q, x derived)"},
-        {"name": "v-2", "algebra": "V",
-         "params": ["p", "q", "s", "u", "v", "x", "y"],
-         "conditions": "us = vs = xs = xu = xv = 0, up = qv, s(p+q) = 0"},
-        {"name": "skew", "algebra": "VI", "params": ["p"],
-         "conditions": "none"},
+        {"name": name, "algebra": gen.algebra, "params": list(gen.params),
+         "conditions": gen.text}
+        for name, gen in GENERATORS.items()
     ]
     report = {
         "command": "families",

@@ -3,9 +3,11 @@
 The oracle (`scan_solution_ids`) walks every candidate tensor over GF(p) and
 keeps the ones whose CYBE residual vanishes, by direct evaluation through the
 structure constants: it knows nothing about the classification.
-`verify_classification` then replays the classified regime's closed-form
-predicates over the same candidate space (vectorized, independent of the
-scalar predicates in `solve`) and compares the two sets exactly.
+`verify_classification` then runs the regime's label records
+(`solve.regime_records`, the very conditions `classify_solution` evaluates
+on exact scalars) over the same candidate space, batched on int64 residues,
+and compares the two sets exactly.  The check is independent because the
+oracle never sees a label, not because the predicates are written twice.
 
 Candidate ids are base-p integers, entry (0, 0) most significant (see
 `_kernels`).  Scans are split into p*p equal blocks on the two leading
@@ -17,13 +19,21 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from ._kernels import constants_arrays, decode_grids, pick_backend, scan_range
 from .scalars import PrimeField
-from .solve import SolutionLabel, UncoveredRegime, recognize_table
+from .solve import (
+    Coefficients,
+    UncoveredRegime,
+    recognize_table,
+    regime_records,
+    strong_record,
+    table_params,
+)
 from .tensor import Tensor2
 
 DEFAULT_BUDGET = 100_000_000
@@ -107,141 +117,6 @@ def enumerate_solutions(L, workers=1, budget=DEFAULT_BUDGET, backend=None):
     return [decode_tensor(int(i), L.n, L.field) for i in ids]
 
 
-# ---------------------------------------------------------------------------
-# vectorized closed-form predicates
-#
-# These mirror the scalar predicates in `solve` but are written directly on
-# residue arrays; the test suite checks the two agree pointwise.
-
-def _cols3(g):
-    return (g[:, 0, 0], g[:, 1, 1], g[:, 2, 2],
-            g[:, 0, 1], g[:, 1, 0], g[:, 0, 2],
-            g[:, 2, 0], g[:, 1, 2], g[:, 2, 1])
-
-
-def _strong3(g, P):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    return ((cp - cq) % P == 0) & ((cs - ct) % P == 0) & ((cu - cv) % P == 0) \
-        & ((cx * cy - cp * cp) % P == 0) & ((cx * cz - cs * cs) % P == 0) \
-        & ((cy * cz - cu * cu) % P == 0) & ((cx * cu - cs * cp) % P == 0)
-
-
-def _strong2(g, P):
-    cx, cp, cq, cy = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
-    return ((cp - cq) % P == 0) & ((cx * cy - cp * cp) % P == 0)
-
-
-def _skew2(g, P):
-    cx, cp, cq, cy = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
-    return (cx == 0) & (cy == 0) & ((cp + cq) % P == 0)
-
-
-def _ab_skew(g, P, a, b):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    quad = a * b * cz * cz + b * cs * cs + a * cu * cu + cp * cp
-    return ((cp + cq) % P == 0) & ((cs + ct) % P == 0) & ((cu + cv) % P == 0) \
-        & ((cx - a * cz) % P == 0) & ((cy - b * cz) % P == 0) \
-        & (quad % P == 0)
-
-
-def _heis1(g, P):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    return (cp != 0) & (cp == cq) & ((cp * cp - cx * cy) % P == 0) \
-        & ((cx * cu - cs * cp) % P == 0) & ((cx * cv - ct * cp) % P == 0) \
-        & ((ct * cu - cv * cs) % P == 0)
-
-
-def _heis2(g, P):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    return (cp == 0) & (cq == 0) & ((cx * cy) % P == 0) \
-        & ((cx * cu) % P == 0) & ((cx * cv) % P == 0) \
-        & ((cy * cs) % P == 0) & ((cy * ct) % P == 0) \
-        & ((ct * cu - cv * cs) % P == 0)
-
-
-def _diag2(g, P, d):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    qp = cq + cp
-    return (cz == 0) & ((ct + cs) % P == 0) & ((cv + cu) % P == 0) \
-        & ((cx * cu) % P == 0) & ((cx * cs) % P == 0) \
-        & ((cy * cs) % P == 0) & ((cy * cu) % P == 0) \
-        & (((1 - d) * cu * cs) % P == 0) \
-        & (((1 + d) * cs * qp) % P == 0) & (((1 + d) * cu * qp) % P == 0)
-
-
-def _jordan2(g, P):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    return (cz == 0) & (cs == 0) & (ct == 0) & ((cv + cu) % P == 0) \
-        & ((cx * cu) % P == 0) & ((cy * cu) % P == 0) \
-        & ((cu * (cq + cp)) % P == 0)
-
-
-def _v1(g, P):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    return (cz != 0) & ((cs - ct) % P == 0) & ((cz * cp - cv * cs) % P == 0) \
-        & ((cz * cq - cu * cs) % P == 0) & ((cz * cx - cs * cs) % P == 0)
-
-
-def _v2(g, P):
-    cx, cy, cz, cp, cq, cs, ct, cu, cv = _cols3(g)
-    return (cz == 0) & ((ct + cs) % P == 0) & ((cu * cs) % P == 0) \
-        & ((cv * cs) % P == 0) & ((cx * cs) % P == 0) \
-        & ((cx * cu) % P == 0) & ((cx * cv) % P == 0) \
-        & ((cu * cp - cq * cv) % P == 0) & ((cs * (cp + cq)) % P == 0)
-
-
-def regime_mask_functions(L):
-    """(label, mask_fn) pairs for L's regime; raises UncoveredRegime.
-
-    mask_fn takes (grids, p) with grids an int64 (N, n, n) residue array and
-    returns a boolean mask: which grids the label's conditions accept.
-    """
-    reg = recognize_table(L)
-    if reg is None:
-        raise UncoveredRegime(f"unrecognized table for {L!r}")
-    kind = reg[0]
-    if kind == "abelian":
-        return [(SolutionLabel.ABELIAN,
-                 lambda g, P: np.ones(g.shape[0], dtype=bool))]
-    if kind == "vi":
-        return [(SolutionLabel.STRONGLY_SYMMETRIC, _strong2),
-                (SolutionLabel.SKEW_SYMMETRIC, _skew2)]
-    if kind == "ii":
-        a, b = int(reg[1]), int(reg[2])
-        if a and b:
-            return [(SolutionLabel.STRONGLY_SYMMETRIC, _strong3),
-                    (SolutionLabel.ALPHA_BETA_SKEW,
-                     lambda g, P: _ab_skew(g, P, a, b))]
-        if not a and not b:
-            return [(SolutionLabel.HEISENBERG_CASE1, _heis1),
-                    (SolutionLabel.HEISENBERG_CASE2, _heis2)]
-        raise UncoveredRegime(
-            "II table with exactly one of alpha, beta zero is unclassified")
-    if kind == "solvable":
-        b, d = int(reg[1]), int(reg[2])
-        if not b and d:
-            return [(SolutionLabel.STRONGLY_SYMMETRIC, _strong3),
-                    (SolutionLabel.IV_DIAGONAL_CASE2,
-                     lambda g, P: _diag2(g, P, d))]
-        if b and d == 1:
-            return [(SolutionLabel.STRONGLY_SYMMETRIC, _strong3),
-                    (SolutionLabel.IV_JORDAN_CASE2, _jordan2)]
-        if not b and not d:
-            return [(SolutionLabel.V_CASE1, _v1),
-                    (SolutionLabel.V_CASE2, _v2)]
-        raise UncoveredRegime(
-            f"solvable table with beta={b}, delta={d} is unclassified")
-    raise UncoveredRegime(f"table {kind!r} not classified")
-
-
-def _sufficient_mask_functions(L):
-    """Fallback for uncovered regimes: conditions known to be sufficient
-    (strong symmetry solves the CYBE on every Lie algebra here)."""
-    if L.n == 2:
-        return [(SolutionLabel.STRONGLY_SYMMETRIC, _strong2)]
-    return [(SolutionLabel.STRONGLY_SYMMETRIC, _strong3)]
-
-
 @dataclass(frozen=True)
 class EnumerationReport:
     p: int
@@ -258,6 +133,7 @@ class EnumerationReport:
     false_positives: tuple      # label-accepted non-solutions
     confirmed: bool
     empirical_only: bool
+    solution_ids: np.ndarray = field(repr=False, compare=False)
     wall_time_ms: object = None
 
 
@@ -267,6 +143,20 @@ WITNESS_CAP = 100
 def _witness(idx, n, p):
     g = decode_grids(np.array([idx], dtype=np.int64), n, p)[0]
     return {"id": int(idx), "grid": [[str(int(v)) for v in row] for row in g]}
+
+
+def _accepted(record, cols, ids, p, params):
+    """The ids whose grids meet every condition of record.
+
+    cols holds the grids as an (n, n, N) int64 residue array, so that
+    cols[i][j] is the column of entry (i, j); a row is dropped as soon as it
+    fails a condition.
+    """
+    n = cols.shape[0]
+    for cond in chain(record.shape, record.side):
+        keep = cond.holds_mod(Coefficients(n, cols, None, params), p)
+        cols, ids = cols[:, :, keep], ids[keep]
+    return ids
 
 
 def verify_classification(L, workers=1, budget=DEFAULT_BUDGET, backend=None,
@@ -283,27 +173,29 @@ def verify_classification(L, workers=1, budget=DEFAULT_BUDGET, backend=None,
     total = candidate_count(L.n, p)
     ids, used_backend = scan_solution_ids(L, workers=workers, budget=budget,
                                           backend=backend)
+    reg = recognize_table(L)
     try:
-        mask_fns = regime_mask_functions(L)
+        records = regime_records(L, reg)
         empirical_only = False
     except UncoveredRegime:
-        mask_fns = _sufficient_mask_functions(L)
+        # strong symmetry is sufficient on every table: a partial check
+        records = (strong_record(L.n),)
         empirical_only = True
+    params = tuple(None if v is None else int(v) for v in table_params(reg))
 
     sol_mask = np.zeros(total, dtype=bool)
     sol_mask[ids] = True
-    label_counts = {}
+    label_counts = {rec.label.value: 0 for rec in records}
     pred_mask = np.zeros(total, dtype=bool)
     chunk = 1 << 16
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        g = decode_grids(np.arange(start, stop, dtype=np.int64), L.n, p)
-        for label, fn in mask_fns:
-            m = fn(g, p)
-            pred_mask[start:stop] |= m
-            label_counts[label.value] = (
-                label_counts.get(label.value, 0)
-                + int(np.count_nonzero(m & sol_mask[start:stop])))
+        chunk_ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        cols = decode_grids(chunk_ids, L.n, p).transpose(1, 2, 0)
+        for rec in records:
+            hit = _accepted(rec, cols, chunk_ids, p, params)
+            pred_mask[hit] = True
+            label_counts[rec.label.value] += int(
+                np.count_nonzero(sol_mask[hit]))
 
     missed = np.flatnonzero(sol_mask & ~pred_mask)
     extra = np.flatnonzero(pred_mask & ~sol_mask)
@@ -326,6 +218,7 @@ def verify_classification(L, workers=1, budget=DEFAULT_BUDGET, backend=None,
         confirmed=(not empirical_only and missed.size == 0
                    and extra.size == 0),
         empirical_only=empirical_only,
+        solution_ids=ids,
         wall_time_ms=(round((time.perf_counter() - t0) * 1000.0, 3)
                       if timing else None),
     )

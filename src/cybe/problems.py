@@ -27,14 +27,7 @@ from dataclasses import dataclass
 
 from .liealg import LieAlgebra, from_constants, make_family
 from .scalars import FieldError, make_field, parse_scalar, scalar_str
-from .tensor import Tensor2
-
-NAMED_CELLS = {
-    "x": (1, 1), "y": (2, 2), "z": (3, 3),
-    "p": (1, 2), "q": (2, 1),
-    "s": (1, 3), "t": (3, 1),
-    "u": (2, 3), "v": (3, 2),
-}
+from .tensor import NAMED_CELLS, Tensor2
 
 
 class ProblemError(ValueError):

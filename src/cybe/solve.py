@@ -31,16 +31,15 @@ other (b, d)) raises UncoveredRegime rather than guessing.
 from __future__ import annotations
 
 import enum
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 from .liealg import LieAlgebra, family_ii, family_vi, solvable_table
-from .tensor import (
-    Tensor2,
-    Tensor3,
-    is_alpha_beta_skew,
-    is_skew_symmetric,
-    is_strongly_symmetric,
-)
+from .tensor import NAMED_CELLS, Tensor2, Tensor3
 
 
 class UncoveredRegime(ValueError):
@@ -243,7 +242,20 @@ def solvable_zero_cells():
 
 
 # ---------------------------------------------------------------------------
-# solution labels and case predicates
+# solution labels
+#
+# Each label of the classification is written once, as a LabelRecord whose
+# conditions are text in the paper's notation ("p != 0, p^2 = xy",
+# "xu = yu = u(q+p) = 0") over the named coefficients x..v and the table's
+# parameters alpha, beta, delta; the strong and skew symmetry of a grid of
+# any dimension are generated over its entries k[i][j] instead.  The text is
+# compiled into functions of a Coefficients view, and those functions give
+# the scalar check (classify_solution, the symmetry predicates), the batch
+# filter over GF(p) (exhaustive.verify_classification) and the generators'
+# side checks, while `cybe families` prints the text itself.  What checks
+# the records stays independent of them: the enumeration oracle and the
+# naive residual in the tests evaluate the CYBE through the structure
+# constants alone.
 
 class SolutionLabel(str, enum.Enum):
     ABELIAN = "abelian"
@@ -256,155 +268,255 @@ class SolutionLabel(str, enum.Enum):
     IV_JORDAN_CASE2 = "family-iv-jordan-case-2"
     V_CASE1 = "family-v-case-1"
     V_CASE2 = "family-v-case-2"
-    UNCLASSIFIED = "unclassified"
 
     def __str__(self):
         return self.value
 
 
-def heisenberg_case1(r):
-    """q = p != 0, p^2 = xy, xu = sp, xv = tp, tu = vs (z free)."""
-    p = r.p
-    return (
-        bool(p)
-        and r.q == p
-        and p * p == r.x * r.y
-        and r.x * r.u == r.s * p
-        and r.x * r.v == r.t * p
-        and r.t * r.u == r.v * r.s
-    )
+class Coefficients(Tensor2):
+    """What conditions read: a grid k with the parameters of its table.
 
-
-def heisenberg_case2(r):
-    """p = q = 0 with xy = xu = xv = ys = yt = 0 and tu = vs."""
-    zero_products = (
-        r.x * r.y, r.x * r.u, r.x * r.v, r.y * r.s, r.y * r.t,
-    )
-    return (
-        not r.p
-        and not r.q
-        and not any(zero_products)
-        and r.t * r.u == r.v * r.s
-    )
-
-
-def iv_diagonal_case2(r, delta):
-    """z = 0, t = -s, v = -u with
-    xu = xs = ys = yu = (1-d)us = (1+d)s(q+p) = (1+d)u(q+p) = 0."""
-    one = r.field.one()
-    qp = r.q + r.p
-    conds = (
-        r.x * r.u, r.x * r.s, r.y * r.s, r.y * r.u,
-        (one - delta) * r.u * r.s,
-        (one + delta) * r.s * qp,
-        (one + delta) * r.u * qp,
-    )
-    return (
-        not r.z
-        and r.t == -r.s
-        and r.v == -r.u
-        and not any(conds)
-    )
-
-
-def iv_jordan_case2(r):
-    """z = s = t = 0, v = -u with xu = yu = u(q+p) = 0."""
-    conds = (r.x * r.u, r.y * r.u, r.u * (r.q + r.p))
-    return (
-        not r.z
-        and not r.s
-        and not r.t
-        and r.v == -r.u
-        and not any(conds)
-    )
-
-
-def v_case1(r):
-    """z != 0, s = t, zp = vs, zq = us, zx = s^2 (y, u, v free)."""
-    return (
-        bool(r.z)
-        and r.s == r.t
-        and r.z * r.p == r.v * r.s
-        and r.z * r.q == r.u * r.s
-        and r.z * r.x == r.s * r.s
-    )
-
-
-def v_case2(r):
-    """z = 0, t = -s with us = vs = xs = xu = xv = 0, up = qv, s(p+q) = 0."""
-    conds = (
-        r.u * r.s, r.v * r.s, r.x * r.s, r.x * r.u, r.x * r.v,
-        r.s * (r.p + r.q),
-    )
-    return (
-        not r.z
-        and r.t == -r.s
-        and not any(conds)
-        and r.u * r.p == r.q * r.v
-    )
-
-
-def covered_label_predicates(L):
-    """Label -> predicate(r) for L's regime; raises UncoveredRegime.
-
-    The returned predicates define the classification: on a covered regime
-    the union of their truth sets is exactly the CYBE solution set (that is
-    the content of the classification theorems; the enumeration oracle
-    verifies it over finite fields).
+    k holds exact scalars, or for a batch of grids over GF(p) one int64
+    array per entry (k[i][j] is a column), so x..v read either.
     """
-    reg = recognize_table(L)
+
+    __slots__ = ("alpha", "beta", "delta")
+
+    def __init__(self, n, k, field, params):
+        super().__init__(n, k, field)
+        self.alpha, self.beta, self.delta = params
+
+
+def table_params(reg):
+    """(alpha, beta, delta) of a recognized table, None where it has none."""
+    kind = reg[0] if reg else None
+    if kind == "ii":
+        return reg[1], reg[2], None
+    if kind == "solvable":
+        return None, reg[1], reg[2]
+    return None, None, None
+
+
+_TOKEN = re.compile(r"alpha|beta|delta|\d+|[a-z]|[-+*/^()]")
+
+
+def _compile(expr):
+    """expr as a function of a Coefficients view.
+
+    expr is paper notation from the tables in this module (never input):
+    single-letter coefficients, alpha, beta, delta, integers, + - * / ( )
+    and ^ for a power, with juxtaposition multiplying, as in
+    "(1+delta)s(q+p)".
+    """
+    tokens = _TOKEN.findall(expr)
+    if "".join(tokens) != expr.replace(" ", ""):
+        raise ValueError(f"cannot read {expr!r}")
+    out, after_atom = [], False
+    for tok in tokens:
+        if after_atom and (tok[0].isalnum() or tok == "("):
+            out.append("*")
+        if tok[0].isalpha():
+            out.append("c." + tok)
+        else:
+            out.append("**" if tok == "^" else tok)
+        after_atom = tok[0].isalnum() or tok == ")"
+    return eval("lambda c: " + " ".join(out))
+
+
+class Condition(NamedTuple):
+    """lhs = rhs; lhs = 0 when rhs is None; lhs != 0 when nonzero is set.
+
+    Equations compare the two sides rather than subtracting them, so exact
+    scalars are compared, not reduced.
+    """
+
+    text: str
+    lhs: Callable
+    rhs: Callable = None
+    nonzero: bool = False
+
+    def holds(self, c):
+        val = self.lhs(c)
+        if self.rhs is not None:
+            return val == self.rhs(c)
+        return bool(val) == self.nonzero
+
+    def holds_mod(self, c, p):
+        """Boolean mask over a batch view whose entries are int64 columns."""
+        val = self.lhs(c)
+        if self.rhs is not None:
+            val = val - self.rhs(c)
+        zero = val % p == 0
+        return ~zero if self.nonzero else zero
+
+
+def _conditions(text):
+    """The conditions of a text like "p != 0, a = b, c = d = 0", in order;
+    a chain "c = d = 0" is c = 0 and d = 0."""
+    conds = []
+    for part in filter(None, text.split(", ")):
+        if part.endswith(" != 0"):
+            conds.append(Condition(part, _compile(part[:-5]), nonzero=True))
+            continue
+        *sides, last = part.split(" = ")
+        rhs = None if last == "0" else _compile(last)
+        conds += [Condition(f"{side} = {last}", _compile(side), rhs)
+                  for side in sides]
+    return tuple(conds)
+
+
+class LabelRecord(NamedTuple):
+    """One solution label: a tensor carries it iff it meets every condition.
+
+    A generator's grid meets the `shape` conditions by construction and
+    leaves the `side` ones (written `text`) to its free coefficients.  Shape
+    comes first, which also lets the batch filter drop most rows early.
+    """
+
+    label: SolutionLabel
+    shape: tuple
+    side: tuple
+    text: str
+
+    def holds(self, c):
+        return (all(cond.holds(c) for cond in self.shape)
+                and all(cond.holds(c) for cond in self.side))
+
+
+def _record(label, shape, side=""):
+    return LabelRecord(label, _conditions(shape), _conditions(side), side)
+
+
+class _Generated:
+    """Conditions made afresh on each pass over them."""
+
+    def __init__(self, make, n):
+        self.make, self.n = make, n
+
+    def __iter__(self):
+        return self.make(self.n)
+
+
+@lru_cache(maxsize=8)
+def _grid_record(label, make, n):
+    """The record of a grid condition in dim n.  It has O(n^4) conditions:
+    up to dim 4 (27 of them) they are made once and kept, which keeps the
+    dim-3 checks as fast as a hand-written loop; above, they are made on
+    each pass, since a large abelian table would not fit them in memory
+    and a check mostly stops at the first."""
+    conds = tuple(make(n)) if n <= 4 else _Generated(make, n)
+    return LabelRecord(label, conds, (), "")
+
+
+def _entry(i, j):
+    return lambda c: c.k[i][j]
+
+
+def _negated(i, j):
+    return lambda c: -c.k[i][j]
+
+
+def _product(i, j, l, m):
+    return lambda c: c.k[i][j] * c.k[l][m]
+
+
+def _strong_conditions(n):
+    pairs = list(combinations(range(n), 2))
+    for i, j in pairs:
+        yield Condition("k[i][j] = k[j][i]", _entry(i, j), _entry(j, i))
+    for (i, l), (j, m) in combinations_with_replacement(pairs, 2):
+        yield Condition("k[i][j] k[l][m] = k[i][m] k[l][j]",
+                        _product(i, j, l, m), _product(i, m, l, j))
+
+
+def _skew_conditions(n):
+    for i in range(n):
+        for j in range(i, n):
+            yield Condition("k[i][j] = -k[j][i]", _entry(i, j), _negated(j, i))
+
+
+def strong_record(n):
+    """Strong symmetry in dim n: k[i][j]k[l][m] = k[i][l]k[j][m] for all
+    index quadruples.
+
+    That says exactly: the grid is symmetric and of rank <= 1, i.e. every
+    2x2 minor k[i][j]k[l][m] - k[i][m]k[l][j] with i<l, j<m vanishes.
+    Symmetry makes the minor on rows (i, l) and columns (j, m) equal to the
+    one on rows (j, m) and columns (i, l), so only pairs (i, l) <= (j, m)
+    are kept: 6 minors for n = 3.  The quadruple form itself is the oracle
+    strongly_symmetric_by_definition in tests/conftest.py.
+    """
+    return _grid_record(SolutionLabel.STRONGLY_SYMMETRIC,
+                        _strong_conditions, n)
+
+
+def skew_record(n):
+    """Skew symmetry in dim n: k[i][j] = -k[j][i] everywhere."""
+    return _grid_record(SolutionLabel.SKEW_SYMMETRIC, _skew_conditions, n)
+
+
+ABELIAN = _record(SolutionLabel.ABELIAN, "")
+ALPHA_BETA_SKEW = _record(
+    SolutionLabel.ALPHA_BETA_SKEW,
+    "p = -q, s = -t, u = -v, x = alpha z, y = beta z",
+    "alpha*beta*z^2 + beta*s^2 + alpha*u^2 + p^2 = 0")
+HEISENBERG_CASE1 = _record(
+    SolutionLabel.HEISENBERG_CASE1,
+    "q = p", "p != 0, p^2 = xy, xu = sp, xv = tp, tu = vs")
+HEISENBERG_CASE2 = _record(
+    SolutionLabel.HEISENBERG_CASE2,
+    "p = q = 0", "xy = xu = xv = ys = yt = 0, tu = vs")
+IV_DIAGONAL_CASE2 = _record(
+    SolutionLabel.IV_DIAGONAL_CASE2,
+    "z = 0, t = -s, v = -u",
+    "xu = xs = ys = yu = (1-delta)us = (1+delta)s(q+p) = (1+delta)u(q+p) = 0")
+IV_JORDAN_CASE2 = _record(
+    SolutionLabel.IV_JORDAN_CASE2,
+    "z = s = t = 0, v = -u", "xu = yu = u(q+p) = 0")
+V_CASE1 = _record(
+    SolutionLabel.V_CASE1,
+    "s = t, zp = vs, zq = us, zx = s^2", "z != 0")
+V_CASE2 = _record(
+    SolutionLabel.V_CASE2,
+    "z = 0, t = -s", "us = vs = xs = xu = xv = 0, up = qv, s(p+q) = 0")
+
+
+def regime_records(L, reg):
+    """The label records of L's regime, reg = recognize_table(L).
+
+    Raises UncoveredRegime outside the classified regimes.  On a covered
+    regime the union of the records' truth sets is exactly the CYBE
+    solution set: that is the content of the classification theorems, and
+    the enumeration oracle verifies it over finite fields.
+    """
     if reg is None:
         raise UncoveredRegime(f"unrecognized table for {L!r}")
     kind = reg[0]
     if kind == "abelian":
-        preds = {SolutionLabel.ABELIAN: lambda r: True}
         if L.n >= 2:
-            preds[SolutionLabel.STRONGLY_SYMMETRIC] = is_strongly_symmetric
-            preds[SolutionLabel.SKEW_SYMMETRIC] = is_skew_symmetric
-        return preds
+            return ABELIAN, strong_record(L.n), skew_record(L.n)
+        return (ABELIAN,)
     if kind == "vi":
-        return {
-            SolutionLabel.STRONGLY_SYMMETRIC: is_strongly_symmetric,
-            SolutionLabel.SKEW_SYMMETRIC: is_skew_symmetric,
-        }
+        return strong_record(2), skew_record(2)
     if kind == "ii":
         alpha, beta = reg[1], reg[2]
         if alpha and beta:
-            return {
-                SolutionLabel.STRONGLY_SYMMETRIC: is_strongly_symmetric,
-                SolutionLabel.ALPHA_BETA_SKEW:
-                    lambda r: is_alpha_beta_skew(r, alpha, beta),
-            }
+            return strong_record(3), ALPHA_BETA_SKEW
         if not alpha and not beta:
-            return {
-                SolutionLabel.HEISENBERG_CASE1: heisenberg_case1,
-                SolutionLabel.HEISENBERG_CASE2: heisenberg_case2,
-            }
+            return HEISENBERG_CASE1, HEISENBERG_CASE2
         raise UncoveredRegime(
             "II table with exactly one of alpha, beta zero has no known "
             "complete classification")
-    if kind == "solvable":
-        beta, delta = reg[1], reg[2]
-        if not beta and delta:
-            return {
-                SolutionLabel.STRONGLY_SYMMETRIC: is_strongly_symmetric,
-                SolutionLabel.IV_DIAGONAL_CASE2:
-                    lambda r: iv_diagonal_case2(r, delta),
-            }
-        if beta and delta == L.field.one():
-            return {
-                SolutionLabel.STRONGLY_SYMMETRIC: is_strongly_symmetric,
-                SolutionLabel.IV_JORDAN_CASE2: iv_jordan_case2,
-            }
-        if not beta and not delta:
-            return {
-                SolutionLabel.V_CASE1: v_case1,
-                SolutionLabel.V_CASE2: v_case2,
-            }
-        raise UncoveredRegime(
-            f"solvable table with beta={beta}, delta={delta} is outside the "
-            "classified regimes (need beta=0, or beta!=0 with delta=1)")
-    raise UncoveredRegime(f"table {kind!r} not classified")
+    beta, delta = reg[1], reg[2]
+    if not beta and delta:
+        return strong_record(3), IV_DIAGONAL_CASE2
+    if beta and delta == 1:
+        return strong_record(3), IV_JORDAN_CASE2
+    if not beta and not delta:
+        return V_CASE1, V_CASE2
+    raise UncoveredRegime(
+        f"solvable table with beta={beta}, delta={delta} is outside the "
+        "classified regimes (need beta=0, or beta!=0 with delta=1)")
 
 
 def classify_solution(L, r):
@@ -413,22 +525,142 @@ def classify_solution(L, r):
     On covered regimes the contract is: is_solution iff the label set is
     nonempty.  Raises UncoveredRegime outside them.
     """
-    preds = covered_label_predicates(L)
-    labels = {label for label, pred in preds.items() if pred(r)}
+    reg = recognize_table(L)
+    records = regime_records(L, reg)
+    c = Coefficients(r.n, r.k, r.field, table_params(reg))
+    labels = {rec.label for rec in records if rec.holds(c)}
     return is_cybe_solution(L, r), labels
+
+
+def is_strongly_symmetric(r):
+    """Symmetric grid with k[i][j]k[l][m] = k[i][l]k[j][m] for all index
+    quadruples, checked through the 2x2 minors (see strong_record)."""
+    return strong_record(r.n).holds(r)
+
+
+def is_skew_symmetric(r):
+    return skew_record(r.n).holds(r)
+
+
+def is_alpha_beta_skew(r, alpha, beta):
+    """Dim-3 class: p=-q, s=-t, u=-v, x=alpha z, y=beta z and
+    alpha beta z^2 + beta s^2 + alpha u^2 + p^2 = 0."""
+    if r.n != 3:
+        raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
+    return ALPHA_BETA_SKEW.holds(
+        Coefficients(3, r.k, r.field, (alpha, beta, None)))
+
+
+def symmetry_flags(r, alpha=None, beta=None):
+    """Non-exclusive symmetry classification of a grid.
+
+    Returns a dict with keys strongly_symmetric, skew_symmetric and, when
+    alpha/beta are supplied and n=3, alpha_beta_skew.
+    """
+    flags = {
+        "strongly_symmetric": is_strongly_symmetric(r),
+        "skew_symmetric": is_skew_symmetric(r),
+    }
+    if alpha is not None and beta is not None and r.n == 3:
+        flags["alpha_beta_skew"] = is_alpha_beta_skew(r, alpha, beta)
+    return flags
 
 
 # ---------------------------------------------------------------------------
 # closed-form solution families (generators)
 
-GENERATOR_CASES = (
-    "strong-z", "strong-x", "strong-y",
-    "alpha-beta-skew",
-    "heisenberg-1", "heisenberg-2",
-    "iv-diagonal-2", "iv-jordan-2",
-    "v-1", "v-2",
-    "skew",
-)
+class GeneratorCase(NamedTuple):
+    """A closed-form solution family.
+
+    On a table `on_table(L, reg)` accepts, the grid built from the free
+    coefficients `params` solves the CYBE once the `side` conditions hold.
+    `grid` holds 3x3 entry functions; dim-2 tables take the top-left block.
+    """
+
+    algebra: str        # its tables, as `cybe families` prints them
+    params: tuple
+    side: tuple
+    text: str           # the side conditions as `cybe families` prints them
+    on_table: Callable
+    needs: str          # the error on any other table
+    grid: tuple
+    what: str           # how errors name the side conditions
+
+
+def _case(algebra, params, side, on_table, needs, grid, note="", what=""):
+    """A GeneratorCase from text: params "s u z", side conditions as in
+    _conditions, grid rows separated by ";" and entries by ","."""
+    return GeneratorCase(
+        algebra, tuple(params.split()), _conditions(side),
+        (side or "none") + note, on_table, needs,
+        tuple(tuple(_compile(e) for e in row.split(","))
+              for row in grid.split(";")),
+        what)
+
+
+def _labelled(label):
+    """on_table of a label's generator: the table's regime has that label."""
+    def on_table(L, reg):
+        try:
+            return any(rec.label is label for rec in regime_records(L, reg))
+        except UncoveredRegime:
+            return False
+    return on_table
+
+
+GENERATORS = {
+    "strong-z": _case(
+        "any dim-3", "s u z", "z != 0",
+        lambda L, reg: L.n == 3, "strong-z needs a dim-3 algebra",
+        "s^2/z, su/z, s; su/z, u^2/z, u; s, u, z"),
+    "strong-x": _case(
+        "any dim-2/3", "p x", "x != 0",
+        lambda L, reg: L.n in (2, 3), "strong-x needs dim 2 or 3",
+        "x, p, 0; p, p^2/x, 0; 0, 0, 0"),
+    "strong-y": _case(
+        "any dim-2/3", "y", "",
+        lambda L, reg: L.n in (2, 3), "strong-y needs dim 2 or 3",
+        "0, 0, 0; 0, y, 0; 0, 0, 0"),
+    "alpha-beta-skew": _case(
+        "II table", "z s u p", ALPHA_BETA_SKEW.text,
+        lambda L, reg: reg is not None and reg[0] == "ii",
+        "alpha-beta-skew lives on the dim-3 table with "
+        "[e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2",
+        "alpha z, p, s; -p, beta z, u; -s, -u, z", what="class quadratic"),
+    "heisenberg-1": _case(
+        "III", "p x y s t u v z", HEISENBERG_CASE1.text,
+        _labelled(SolutionLabel.HEISENBERG_CASE1),
+        "heisenberg-1 needs the dim-3 table with [e1,e2]=e3 central",
+        "x, p, s; p, y, u; t, v, z"),
+    "heisenberg-2": _case(
+        "III", "x y s t u v z", HEISENBERG_CASE2.text,
+        _labelled(SolutionLabel.HEISENBERG_CASE2),
+        "heisenberg-2 needs the dim-3 table with [e1,e2]=e3 central",
+        "x, 0, s; 0, y, u; t, v, z"),
+    "iv-diagonal-2": _case(
+        "IV with beta=0", "p q s u x y", IV_DIAGONAL_CASE2.text,
+        _labelled(SolutionLabel.IV_DIAGONAL_CASE2),
+        "iv-diagonal-2 needs the solvable table with beta=0, delta!=0",
+        "x, p, s; q, y, u; -s, -u, 0"),
+    "iv-jordan-2": _case(
+        "IV with beta!=0, delta=1", "p q u x y", IV_JORDAN_CASE2.text,
+        _labelled(SolutionLabel.IV_JORDAN_CASE2),
+        "iv-jordan-2 needs the solvable table with beta!=0, delta=1",
+        "x, p, 0; q, y, u; 0, -u, 0"),
+    "v-1": _case(
+        "V", "s u v y z", V_CASE1.text, _labelled(SolutionLabel.V_CASE1),
+        "v-1 needs the solvable table with beta=delta=0",
+        "s^2/z, vs/z, s; us/z, y, u; s, v, z", note=" (p, q, x derived)"),
+    "v-2": _case(
+        "V", "p q s u v x y", V_CASE2.text, _labelled(SolutionLabel.V_CASE2),
+        "v-2 needs the solvable table with beta=delta=0",
+        "x, p, s; q, y, u; -s, v, 0"),
+    "skew": _case(
+        "VI", "p", "", lambda L, reg: L.n == 2, "skew needs a dim-2 algebra",
+        "0, p, 0; -p, 0, 0; 0, 0, 0"),
+}
+
+GENERATOR_CASES = tuple(GENERATORS)
 
 
 def _get(params, field, name):
@@ -440,152 +672,34 @@ def _get(params, field, name):
     return val
 
 
-def _require(cond, msg):
-    if not cond:
-        raise SideConditionError(msg)
-
-
 def generate_solution(L, case, params):
     """Build the tensor of one closed-form solution case on L.
 
     params maps coefficient names to scalars (ints accepted); omitted
-    parameters are zero.  Side conditions are checked exactly and violations
-    raise SideConditionError.  Every output satisfies is_cybe_solution(L, r);
-    callers may re-check, the CLI does.
-
-    Cases (free parameters / side conditions):
-      strong-z          s, u, z / z != 0; any dim-3 algebra
-      strong-x          p, x / x != 0; dim 2 or 3
-      strong-y          y / none; dim 2 or 3
-      alpha-beta-skew   z, s, u, p / the class quadratic must vanish; II table
-      heisenberg-1      p, x, y, s, t, u, v, z / p != 0, p^2=xy, xu=sp,
-                        xv=tp, tu=vs; II table with alpha=beta=0
-      heisenberg-2      x, y, s, t, u, v, z / xy=xu=xv=ys=yt=0, tu=vs; same
-      iv-diagonal-2     p, q, s, u, x, y / the seven zero products; solvable
-                        table with beta=0, delta != 0
-      iv-jordan-2       p, q, u, x, y / xu=yu=u(q+p)=0; solvable table with
-                        beta != 0, delta=1
-      v-1               s, u, v, y, z / z != 0 (p, q, x derived); solvable
-                        table with beta=delta=0
-      v-2               p, q, s, u, v, x, y / the case conditions; same table
-      skew              p / none; the dim-2 table
+    parameters are zero.  The case's side conditions are checked exactly
+    and violations raise SideConditionError, as does a table the case does
+    not cover.  Every output satisfies is_cybe_solution(L, r); callers may
+    re-check, the CLI does.  The cases with their tables, free parameters
+    and side conditions are GENERATORS; `cybe families` prints them.
     """
-    field = L.field
-    g = lambda name: _get(params, field, name)
+    gen = GENERATORS.get(case)
+    if gen is None:
+        raise SideConditionError(
+            f"unknown case {case!r} (have {', '.join(GENERATOR_CASES)})")
     reg = recognize_table(L)
-
-    if case == "strong-z":
-        _require(L.n == 3, "strong-z needs a dim-3 algebra")
-        s, u, z = g("s"), g("u"), g("z")
-        _require(bool(z), "z != 0 required")
-        su = s * u / z
-        return Tensor2.from_rows(
-            [[s * s / z, su, s], [su, u * u / z, u], [s, u, z]], field)
-    if case == "strong-x":
-        _require(L.n in (2, 3), "strong-x needs dim 2 or 3")
-        p, x = g("p"), g("x")
-        _require(bool(x), "x != 0 required")
-        rows = [[x, p], [p, p * p / x]]
-        return _pad3(rows, field) if L.n == 3 else Tensor2.from_rows(rows, field)
-    if case == "strong-y":
-        _require(L.n in (2, 3), "strong-y needs dim 2 or 3")
-        rows = [[field.zero(), field.zero()], [field.zero(), g("y")]]
-        return _pad3(rows, field) if L.n == 3 else Tensor2.from_rows(rows, field)
-    if case == "alpha-beta-skew":
-        _require(reg is not None and reg[0] == "ii",
-                 "alpha-beta-skew lives on the dim-3 table with "
-                 "[e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2")
-        alpha, beta = reg[1], reg[2]
-        z, s, u, p = g("z"), g("s"), g("u"), g("p")
-        quad = alpha * beta * z * z + beta * s * s + alpha * u * u + p * p
-        _require(not quad,
-                 "class quadratic alpha*beta*z^2 + beta*s^2 + alpha*u^2 + p^2"
-                 " must vanish")
-        return Tensor2.from_rows(
-            [[alpha * z, p, s], [-p, beta * z, u], [-s, -u, z]], field)
-    if case == "heisenberg-1":
-        _require(reg == ("ii", field.zero(), field.zero()),
-                 "heisenberg-1 needs the dim-3 table with [e1,e2]=e3 central")
-        p, x, y = g("p"), g("x"), g("y")
-        s, t, u, v, z = g("s"), g("t"), g("u"), g("v"), g("z")
-        _require(bool(p), "p != 0 required")
-        _require(p * p == x * y, "p^2 = xy required")
-        _require(x * u == s * p, "xu = sp required")
-        _require(x * v == t * p, "xv = tp required")
-        _require(t * u == v * s, "tu = vs required")
-        return Tensor2.from_rows([[x, p, s], [p, y, u], [t, v, z]], field)
-    if case == "heisenberg-2":
-        _require(reg == ("ii", field.zero(), field.zero()),
-                 "heisenberg-2 needs the dim-3 table with [e1,e2]=e3 central")
-        x, y = g("x"), g("y")
-        s, t, u, v, z = g("s"), g("t"), g("u"), g("v"), g("z")
-        for lhs, name in ((x * y, "xy"), (x * u, "xu"), (x * v, "xv"),
-                          (y * s, "ys"), (y * t, "yt")):
-            _require(not lhs, f"{name} = 0 required")
-        _require(t * u == v * s, "tu = vs required")
-        zero = field.zero()
-        return Tensor2.from_rows([[x, zero, s], [zero, y, u], [t, v, z]], field)
-    if case == "iv-diagonal-2":
-        _require(reg is not None and reg[0] == "solvable" and not reg[1] and reg[2],
-                 "iv-diagonal-2 needs the solvable table with beta=0, delta!=0")
-        delta = reg[2]
-        one = field.one()
-        p, q, s, u, x, y = g("p"), g("q"), g("s"), g("u"), g("x"), g("y")
-        qp = q + p
-        for lhs, name in (
-            (x * u, "xu"), (x * s, "xs"), (y * s, "ys"), (y * u, "yu"),
-            ((one - delta) * u * s, "(1-delta)us"),
-            ((one + delta) * s * qp, "(1+delta)s(q+p)"),
-            ((one + delta) * u * qp, "(1+delta)u(q+p)"),
-        ):
-            _require(not lhs, f"{name} = 0 required")
-        zero = field.zero()
-        return Tensor2.from_rows([[x, p, s], [q, y, u], [-s, -u, zero]], field)
-    if case == "iv-jordan-2":
-        _require(reg is not None and reg[0] == "solvable" and reg[1]
-                 and reg[2] == field.one(),
-                 "iv-jordan-2 needs the solvable table with beta!=0, delta=1")
-        p, q, u, x, y = g("p"), g("q"), g("u"), g("x"), g("y")
-        for lhs, name in ((x * u, "xu"), (y * u, "yu"),
-                          (u * (q + p), "u(q+p)")):
-            _require(not lhs, f"{name} = 0 required")
-        zero = field.zero()
-        return Tensor2.from_rows([[x, p, zero], [q, y, u], [zero, -u, zero]], field)
-    if case == "v-1":
-        _require(reg is not None and reg[0] == "solvable" and not reg[1]
-                 and not reg[2],
-                 "v-1 needs the solvable table with beta=delta=0")
-        s, u, v, y, z = g("s"), g("u"), g("v"), g("y"), g("z")
-        _require(bool(z), "z != 0 required")
-        p = v * s / z
-        q = u * s / z
-        x = s * s / z
-        return Tensor2.from_rows([[x, p, s], [q, y, u], [s, v, z]], field)
-    if case == "v-2":
-        _require(reg is not None and reg[0] == "solvable" and not reg[1]
-                 and not reg[2],
-                 "v-2 needs the solvable table with beta=delta=0")
-        p, q, s, u, v, x, y = (g("p"), g("q"), g("s"), g("u"), g("v"),
-                               g("x"), g("y"))
-        for lhs, name in ((u * s, "us"), (v * s, "vs"), (x * s, "xs"),
-                          (x * u, "xu"), (x * v, "xv"),
-                          (s * (p + q), "s(p+q)")):
-            _require(not lhs, f"{name} = 0 required")
-        _require(u * p == q * v, "up = qv required")
-        zero = field.zero()
-        return Tensor2.from_rows([[x, p, s], [q, y, u], [-s, v, zero]], field)
-    if case == "skew":
-        _require(L.n == 2, "skew needs a dim-2 algebra")
-        p = g("p")
-        return Tensor2.from_rows([[field.zero(), p], [-p, field.zero()]], field)
-    raise SideConditionError(
-        f"unknown case {case!r} (have {', '.join(GENERATOR_CASES)})")
-
-
-def _pad3(rows, field):
+    if not gen.on_table(L, reg):
+        raise SideConditionError(gen.needs)
+    field = L.field
+    k = [[field.zero()] * 3 for _ in range(3)]
+    for name in gen.params:
+        i, j = NAMED_CELLS[name]
+        k[i - 1][j - 1] = _get(params, field, name)
+    c = Coefficients(3, k, field, table_params(reg))
+    for cond in gen.side:
+        if not cond.holds(c):
+            raise SideConditionError(
+                f"{gen.what} {cond.text} required".lstrip())
+    # adding zero turns the grid's integer 0 entries into field scalars
     zero = field.zero()
-    out = [[zero] * 3 for _ in range(3)]
-    for i in range(2):
-        for j in range(2):
-            out[i][j] = rows[i][j]
-    return Tensor2.from_rows(out, field)
+    return Tensor2.from_rows(
+        [[f(c) + zero for f in row[:L.n]] for row in gen.grid[:L.n]], field)

@@ -8,28 +8,22 @@ For n = 3 a tensor exposes the conventional single-letter view of its grid
     x=k11 y=k22 z=k33 p=k12 q=k21 s=k13 t=k31 u=k23 v=k32
 read-only, so reports and tests can speak that language.
 
-Symmetry predicates:
-  is_skew_symmetric        k[i][j] = -k[j][i] everywhere
-  is_strongly_symmetric    symmetric grid and k[i][j]k[l][m] = k[i][l]k[j][m]
-                           for all quadruples; checked as a symmetric grid
-                           of rank <= 1 (every 2x2 minor vanishes), which is
-                           the same condition.  The quadruple form itself
-                           is the oracle strongly_symmetric_by_definition in
-                           tests/conftest.py; the reduced n<=3 systems live
-                           in strongly_symmetric_reduced and are
-                           cross-checked against is_strongly_symmetric in
-                           the tests
-  is_alpha_beta_skew       the dim-3 class with p=-q, s=-t, u=-v, x=az, y=bz
-                           and ab z^2 + b s^2 + a u^2 + p^2 = 0
+The symmetry predicates (is_strongly_symmetric, is_skew_symmetric,
+is_alpha_beta_skew) are evaluations of solution-label records and live in
+`solve` with them.
 """
 
 from __future__ import annotations
 
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    permutations,
-)
+from itertools import permutations
+
+# 1-based (row, column) of each named dim-3 coefficient
+NAMED_CELLS = {
+    "x": (1, 1), "y": (2, 2), "z": (3, 3),
+    "p": (1, 2), "q": (2, 1),
+    "s": (1, 3), "t": (3, 1),
+    "u": (2, 3), "v": (3, 2),
+}
 
 
 class Tensor2:
@@ -251,91 +245,6 @@ def cycle_xi(t):
     )
 
 
-def is_skew_symmetric(r):
-    for i in range(r.n):
-        for j in range(i, r.n):
-            if r.k[i][j] != -r.k[j][i]:
-                return False
-    return True
-
-
-def is_symmetric(r):
-    for i in range(r.n):
-        for j in range(i + 1, r.n):
-            if r.k[i][j] != r.k[j][i]:
-                return False
-    return True
-
-
-def is_strongly_symmetric(r):
-    """Symmetric grid with k[i][j]k[l][m] = k[i][l]k[j][m] for all quadruples.
-
-    For a symmetric grid the quadruple condition says exactly that the grid
-    has rank <= 1, i.e. every 2x2 minor k[i][j]k[l][m] - k[i][m]k[l][j]
-    with i<l, j<m vanishes.  Symmetry also makes the minor on rows (i, l)
-    and columns (j, m) equal to the one on rows (j, m) and columns (i, l),
-    so only pairs (i, l) <= (j, m) are tested: 6 minors for n = 3 instead
-    of 81 quadruples.  The tests compare this against the quadruple form
-    (strongly_symmetric_by_definition in tests/conftest.py) on every dim-2
-    and dim-3 grid over F_3.
-    """
-    if not is_symmetric(r):
-        return False
-    k = r.k
-    pairs = combinations(range(r.n), 2)
-    for (i, l), (j, m) in combinations_with_replacement(pairs, 2):
-        if k[i][j] * k[l][m] != k[i][m] * k[l][j]:
-            return False
-    return True
-
-
-def strongly_symmetric_reduced(r):
-    """Reduced strong-symmetry systems for n <= 3 (fast path).
-
-    n=1: always.  n=2: p=q and xy=p^2.  n=3: p=q, s=t, u=v and
-    xy=p^2, xz=s^2, yz=u^2, xu=sp.  Must agree with is_strongly_symmetric;
-    the tests check that exhaustively over F_3.
-    """
-    k = r.k
-    if r.n == 1:
-        return True
-    if r.n == 2:
-        x, p, q, y = k[0][0], k[0][1], k[1][0], k[1][1]
-        return p == q and x * y == p * p
-    if r.n == 3:
-        x, y, z = k[0][0], k[1][1], k[2][2]
-        p, q = k[0][1], k[1][0]
-        s, t = k[0][2], k[2][0]
-        u, v = k[1][2], k[2][1]
-        return (
-            p == q
-            and s == t
-            and u == v
-            and x * y == p * p
-            and x * z == s * s
-            and y * z == u * u
-            and x * u == s * p
-        )
-    raise ValueError("reduced systems cover n <= 3 only")
-
-
-def is_alpha_beta_skew(r, alpha, beta):
-    """Dim-3 class: p=-q, s=-t, u=-v, x=alpha z, y=beta z and
-    alpha beta z^2 + beta s^2 + alpha u^2 + p^2 = 0."""
-    if r.n != 3:
-        raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
-    x, y, z = r.x, r.y, r.z
-    p, q, s, t, u, v = r.p, r.q, r.s, r.t, r.u, r.v
-    return (
-        p == -q
-        and s == -t
-        and u == -v
-        and x == alpha * z
-        and y == beta * z
-        and not (alpha * beta * z * z + beta * s * s + alpha * u * u + p * p)
-    )
-
-
 def determinant(rows, field):
     """Exact determinant by permutation expansion (fine for the small n here)."""
     n = len(rows)
@@ -382,18 +291,3 @@ def change_basis(r, q_rows):
                     if q_rows[t][j]:
                         out[s][t] = out[s][t] + coef * q_rows[t][j]
     return Tensor2(n, tuple(tuple(row) for row in out), r.field)
-
-
-def symmetry_flags(r, alpha=None, beta=None):
-    """Non-exclusive symmetry classification of a grid.
-
-    Returns a dict with keys strongly_symmetric, skew_symmetric and, when
-    alpha/beta are supplied and n=3, alpha_beta_skew.
-    """
-    flags = {
-        "strongly_symmetric": is_strongly_symmetric(r),
-        "skew_symmetric": is_skew_symmetric(r),
-    }
-    if alpha is not None and beta is not None and r.n == 3:
-        flags["alpha_beta_skew"] = is_alpha_beta_skew(r, alpha, beta)
-    return flags

@@ -6,12 +6,15 @@ import sys
 
 import pytest
 
+from cybe import PrimeField, enumerate_solutions, exhaustive, family_iii
 from cybe.cli import run
+from cybe.problems import tensor_obj
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SAMPLES = os.path.join(ROOT, "problems")
 SRC = os.path.join(ROOT, "src")
+GOLDEN = os.path.join(HERE, "data", "golden")
 
 
 def sample(name):
@@ -87,19 +90,33 @@ def test_sample_custom_algebra(capsys):
     assert rep["algebra"]["label"] == "custom"
 
 
+SAMPLE_VERBS = {
+    "sl2_strong_check.json": "check",
+    "sl2_skew_bialgebra.json": "bialgebra",
+    "family_vi_enumerate_f5.json": "enumerate",
+    "family_ii_enumerate_f3.json": "enumerate",
+    "heisenberg_generate.json": "generate",
+    "custom_algebra_check.json": "check",
+}
+
+
 def test_every_sample_is_valid_for_its_verb(capsys):
-    verbs = {
-        "sl2_strong_check.json": "check",
-        "sl2_skew_bialgebra.json": "bialgebra",
-        "family_vi_enumerate_f5.json": "enumerate",
-        "family_ii_enumerate_f3.json": "enumerate",
-        "heisenberg_generate.json": "generate",
-        "custom_algebra_check.json": "check",
-    }
-    assert sorted(verbs) == sorted(os.listdir(SAMPLES))
-    for name, verb in verbs.items():
+    assert sorted(SAMPLE_VERBS) == sorted(os.listdir(SAMPLES))
+    for name, verb in SAMPLE_VERBS.items():
         code, rep = run_json(capsys, [verb, "-i", sample(name)])
         assert code == 0 and rep["ok"], name
+
+
+def test_reports_match_golden_snapshots(capsys):
+    # each sample's report under its verb, and `families`, byte for byte as
+    # recorded in tests/data/golden (same file name; families.json)
+    runs = [(name, [verb, "-i", sample(name)])
+            for name, verb in SAMPLE_VERBS.items()]
+    runs.append(("families.json", ["families"]))
+    for name, argv in runs:
+        assert run(argv) == 0, name
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read(), name
 
 
 # exit codes
@@ -172,6 +189,34 @@ def test_enumerate_uncovered_regime_is_unconfirmed(capsys, tmp_path):
     assert code == 1 and not rep["ok"]
     assert rep["empirical_only"] and not rep["confirmed"]
     assert rep["false_positives"] == []
+
+
+@pytest.mark.parametrize("key", ["budget", "workers"])
+@pytest.mark.parametrize("value", ["1000", True, False, None, 0, -3, 2.5])
+def test_enumerate_rejects_bad_count_options(capsys, tmp_path, key, value):
+    doc = {"field": {"kind": "prime", "p": 3}, "algebra": {"family": "VI"},
+           "options": {key: value}}
+    code = run(["enumerate", "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert f"{key} (options.{key} or --{key}) must be an integer >= 1" \
+        in captured.err
+
+
+@pytest.mark.parametrize("key", ["budget", "workers"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_enumerate_rejects_bad_count_flags(capsys, tmp_path, key, value):
+    doc = {"field": {"kind": "prime", "p": 3}, "algebra": {"family": "VI"}}
+    code = run(["enumerate", "-i", write_problem(tmp_path, doc),
+                f"--{key}", value])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "must be an integer >= 1" in captured.err
+    # argparse itself rejects a flag value that is not an integer
+    with pytest.raises(SystemExit) as exc:
+        run(["enumerate", "-i", write_problem(tmp_path, doc),
+             f"--{key}", "1.5"])
+    assert exc.value.code == 2
 
 
 def test_enumerate_rejects_rational_field(capsys, tmp_path):
@@ -290,6 +335,26 @@ def test_list_solutions_flag(capsys, tmp_path):
     assert code == 0 and len(rep["solutions"]) == 11
     # the zero tensor leads the list (id order)
     assert rep["solutions"][0] == {"entries": []}
+
+
+def test_list_solutions_runs_one_scan(capsys, tmp_path, monkeypatch):
+    L = family_iii(PrimeField(3))
+    want = [tensor_obj(r) for r in enumerate_solutions(L)]
+    calls = []
+    scan = exhaustive.scan_solution_ids
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(exhaustive, "scan_solution_ids", counted)
+    doc = {"field": {"kind": "prime", "p": 3}, "algebra": {"family": "III"}}
+    code, rep = run_json(capsys, ["enumerate", "-i",
+                                  write_problem(tmp_path, doc),
+                                  "--list-solutions"])
+    assert code == 0 and len(calls) == 1
+    assert rep["solution_count"] == len(want) == 315
+    assert rep["solutions"] == want
 
 
 def test_enumerate_options_from_problem_file(capsys, tmp_path):

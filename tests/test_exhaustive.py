@@ -4,7 +4,6 @@ import pytest
 from cybe import (
     BudgetExceeded,
     PrimeField,
-    UncoveredRegime,
     abelian,
     candidate_count,
     classify_solution,
@@ -18,7 +17,8 @@ from cybe import (
     solvable_table,
     verify_classification,
 )
-from cybe.exhaustive import regime_mask_functions
+from cybe.exhaustive import _accepted
+from cybe.solve import recognize_table, regime_records, table_params
 from cybe._kernels import decode_grids
 from conftest import all_tensors
 
@@ -156,7 +156,8 @@ def test_backend_override_agrees():
 
 
 def test_vectorized_predicates_match_scalar_classification():
-    # per regime: every F_3 candidate, mask answer == scalar label answer
+    # per regime: every F_3 candidate, the batch filter's answer on int64
+    # residues == the scalar evaluation of the same records on ModP grids
     tables = [
         family_vi(F3),
         family_ii(F3.one(), F3.from_int(2), F3),
@@ -167,18 +168,18 @@ def test_vectorized_predicates_match_scalar_classification():
         abelian(2, F3),
     ]
     for L in tables:
+        reg = recognize_table(L)
+        params = tuple(None if v is None else int(v)
+                       for v in table_params(reg))
         total = candidate_count(L.n, 3)
-        grids = decode_grids(np.arange(total, dtype=np.int64), L.n, 3)
-        masks = {label: fn(grids, 3) for label, fn in regime_mask_functions(L)}
+        ids = np.arange(total, dtype=np.int64)
+        cols = decode_grids(ids, L.n, 3).transpose(1, 2, 0)
+        accepted = {rec.label: set(_accepted(rec, cols, ids, 3, params))
+                    for rec in regime_records(L, reg)}
         for idx, r in enumerate(all_tensors(L.n, F3)):
             _, labels = classify_solution(L, r)
-            for label, mask in masks.items():
-                assert bool(mask[idx]) == (label in labels), (L, idx, label)
-
-
-def test_mask_functions_raise_off_regime():
-    with pytest.raises(UncoveredRegime):
-        regime_mask_functions(solvable_table(F3.from_int(2), F3.from_int(2), F3))
+            for label, hits in accepted.items():
+                assert (idx in hits) == (label in labels), (L, idx, label)
 
 
 def test_decode_tensor_field_entries():

@@ -11,7 +11,6 @@ from cybe import (
     UncoveredRegime,
     abelian,
     classify_solution,
-    covered_label_predicates,
     cybe_residual,
     family_equations,
     family_ii,
@@ -27,6 +26,7 @@ from cybe import (
     solvable_table,
     solvable_zero_cells,
 )
+from cybe.solve import regime_records
 from conftest import naive_residual, rand_fraction, rand_tensor, residual_grids_equal
 
 F3 = PrimeField(3)
@@ -224,11 +224,13 @@ def test_classify_uncovered_regimes_raise():
               family_iv(Fraction(1), Fraction(2)),
               solvable_table(Fraction(2), Fraction(0))):
         with pytest.raises(UncoveredRegime):
-            covered_label_predicates(L)
+            regime_records(L, recognize_table(L))
+        with pytest.raises(UncoveredRegime):
+            classify_solution(L, Tensor2.zero(3, L.field))
     one = QQ.one()
     foreign = from_constants(3, [(0, 1, 0, one), (1, 0, 0, -one)], QQ)
     with pytest.raises(UncoveredRegime, match="unrecognized"):
-        covered_label_predicates(foreign)
+        regime_records(foreign, recognize_table(foreign))
 
 
 def test_abelian_labels_everything():

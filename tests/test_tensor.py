@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,6 @@ from cybe import (
     is_alpha_beta_skew,
     is_skew_symmetric,
     is_strongly_symmetric,
-    is_symmetric,
-    strongly_symmetric_reduced,
     symmetry_flags,
     twist_tau,
 )
@@ -84,8 +83,8 @@ def test_twist_transposes():
     assert twist_tau(r).k == ((1, 3), (2, 4))
 
 
-# strong symmetry: the minors test and the reduced systems must agree with
-# the quantifier form
+# strong symmetry: the label record (symmetry and 2x2 minors) must agree
+# with the quantifier form
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -95,28 +94,52 @@ def test_strong_symmetry_matches_definition_exhaustive_f3(n):
         assert is_strongly_symmetric(r) == want, r
 
 
-def test_reduced_strong_symmetry_exhaustive_dim2_f3():
-    for r in all_tensors(2, F3):
-        assert strongly_symmetric_reduced(r) == is_strongly_symmetric(r)
+def test_strong_symmetry_matches_definition_sampled(rng):
+    # random grids land on the negative branch with overwhelming odds, so
+    # feed the positive branch rank-one grids and near misses explicitly,
+    # over both fields and past the dimensions the exhaustive test reaches
+    # (two-digit indices included)
+    for n, field in product((1, 2, 3, 4, 11), (QQ, F5)):
+        count = 5 if n == 11 else 50
+        def scalar():
+            if field is QQ:
+                return rand_fraction(rng)
+            return field.from_int(rng.randrange(5))
+        for _ in range(2 * count):
+            r = rand_tensor(rng, n, field)
+            assert is_strongly_symmetric(r) == \
+                strongly_symmetric_by_definition(r), r
+        for _ in range(count):
+            v = [scalar() for _ in range(n)]
+            rows = [[a * b for b in v] for a in v]
+            r = Tensor2.from_rows(rows, field)
+            assert is_strongly_symmetric(r)
+            assert strongly_symmetric_by_definition(r)
+            # poke one cell: agreement must survive the perturbation
+            bumped = [list(row) for row in rows]
+            i, j = rng.randrange(n), rng.randrange(n)
+            bumped[i][j] = bumped[i][j] + field.one()
+            r = Tensor2.from_rows(bumped, field)
+            assert is_strongly_symmetric(r) == \
+                strongly_symmetric_by_definition(r), r
 
 
 def test_reduced_strong_symmetry_sampled_dim3(rng):
-    # random grids land on the negative branch with overwhelming odds, so
-    # feed the positive branch rank-one grids and near misses explicitly
+    # the dim-3 F_3 sample: random grids, rank-one grids and near misses
     for _ in range(400):
         r = rand_tensor(rng, 3, F3)
-        assert strongly_symmetric_reduced(r) == is_strongly_symmetric(r)
+        assert is_strongly_symmetric(r) == strongly_symmetric_by_definition(r)
     one = F3.one()
     for _ in range(100):
         v = [F3.from_int(rng.randrange(3)) for _ in range(3)]
         rows = [[a * b for b in v] for a in v]
         r = Tensor2.from_rows(rows, F3)
-        assert strongly_symmetric_reduced(r) and is_strongly_symmetric(r)
+        assert is_strongly_symmetric(r) and strongly_symmetric_by_definition(r)
         # poke one off-diagonal cell: agreement must survive the perturbation
         bumped = [list(row) for row in rows]
         bumped[0][1] = bumped[0][1] + one
         r = Tensor2.from_rows(bumped, F3)
-        assert strongly_symmetric_reduced(r) == is_strongly_symmetric(r)
+        assert is_strongly_symmetric(r) == strongly_symmetric_by_definition(r)
 
 
 def test_reduced_strong_symmetry_rank_one_grids(rng):
@@ -130,23 +153,18 @@ def test_reduced_strong_symmetry_rank_one_grids(rng):
             rows = [[a * b for b in v] for a in v]
             r = Tensor2.from_rows(rows, field)
             assert is_strongly_symmetric(r)
-            assert strongly_symmetric_reduced(r)
+            assert strongly_symmetric_by_definition(r)
 
 
 def test_strong_symmetry_needs_symmetry():
     r = Tensor2.from_rows([[0, 1], [0, 0]], QQ)
     assert not is_strongly_symmetric(r)
-    assert not strongly_symmetric_reduced(r)
-
-
-def test_reduced_system_rejects_dim4():
-    with pytest.raises(ValueError):
-        strongly_symmetric_reduced(Tensor2.zero(4, QQ))
+    assert not strongly_symmetric_by_definition(r)
 
 
 def test_rank_two_symmetric_grid_is_not_strong():
     r = Tensor2.from_rows([[1, 0], [0, 1]], QQ)
-    assert is_symmetric(r)
+    assert twist_tau(r) == r
     assert not is_strongly_symmetric(r)
 
 
