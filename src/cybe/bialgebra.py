@@ -204,7 +204,9 @@ def _skew_named(r):
         raise ValueError("closed-form predicates apply to skew tensors only")
     if r.n == 3:
         return r.p, r.s, r.u
-    return r.p, None, None
+    if r.n == 2:
+        return r.p, None, None
+    return None, None, None   # no named coefficients in other dims
 
 
 def coboundary_predicate(L, r):

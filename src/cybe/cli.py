@@ -184,13 +184,10 @@ def cmd_enumerate(problem, args):
     opts = problem.options
     budget = args.budget if args.budget is not None else opts.get(
         "budget", DEFAULT_BUDGET)
-    workers = args.workers if args.workers is not None else opts.get(
-        "workers", 1)
-    for key, val in (("budget", budget), ("workers", workers)):
-        # JSON true is an int to Python, and null would lift the budget
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise ProblemError(
-                f"{key} (options.{key} or --{key}) must be an integer >= 1")
+    # JSON true is an int to Python, and null would lift the budget
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ProblemError(
+            "budget (options.budget or --budget) must be an integer >= 1")
     timing = args.timing or bool(opts.get("timing", False))
     report = {
         "command": "enumerate",
@@ -201,8 +198,7 @@ def cmd_enumerate(problem, args):
         report["ok"] = False
         return report, 1
     try:
-        enum = verify_classification(L, workers=workers, budget=budget,
-                                     timing=timing)
+        enum = verify_classification(L, budget=budget, timing=timing)
     except BudgetExceeded as e:
         report["error"] = str(e)
         report["partial"] = False
@@ -211,7 +207,6 @@ def cmd_enumerate(problem, args):
     report.update({
         "total": enum.total,
         "backend": enum.backend,
-        "workers": enum.workers,
         "solution_count": enum.solution_count,
         "predicate_count": enum.predicate_count,
         "matched": enum.matched,
@@ -413,9 +408,8 @@ def build_parser():
                             help="exhaustive scan over a prime field")
     common(p_enum)
     p_enum.add_argument("--budget", type=int, default=None,
-                        help=f"candidate cap (default {DEFAULT_BUDGET})")
-    p_enum.add_argument("--workers", type=int, default=None,
-                        help="scan threads (default 1)")
+                        help="row cap of a search level "
+                             f"(default {DEFAULT_BUDGET})")
     p_enum.add_argument("--timing", action="store_true",
                         help="include wall_time_ms in the report")
     p_enum.add_argument("--list-solutions", action="store_true",

@@ -1,30 +1,43 @@
 """Exhaustive enumeration over prime fields and classification cross-checks.
 
-The oracle (`scan_solution_ids`) walks every candidate tensor over GF(p) and
-keeps the ones whose CYBE residual vanishes, by direct evaluation through the
-structure constants: it knows nothing about the classification.
-`verify_classification` then runs the regime's label records
-(`solve.regime_records`, the very conditions `classify_solution` evaluates
-on exact scalars) over the same candidate space, batched on int64 residues,
-and compares the two sets exactly.  The check is independent because the
-oracle never sees a label, not because the predicates are written twice.
+A candidate tensor over GF(p) in dimension n is an integer id in base p with
+n*n digits, entry (0, 0) most significant, so ids enumerate grids
+lexicographically:  id = sum_{i,j} k[i][j] * p**(n*n - 1 - (i*n + j)).
 
-Candidate ids are base-p integers, entry (0, 0) most significant (see
-`_kernels`).  Scans are split into p*p equal blocks on the two leading
-digits; blocks can run on a thread pool and are merged back in block order,
-so results are bit-identical whatever the worker count.
+One engine, `_surviving_ids`, finds the ids of the grids that pass a list of
+checks.  A check is a pair (cells, mask): the 0-based grid cells (i, j) it
+reads, and a function from a grid whose read cells are int64 columns to a
+boolean mask.  The engine assigns the cells the checks read one at a time,
+p ways each, and drops the rows that fail a check as soon as every cell it
+reads is assigned; the other cells are added at the end by id arithmetic.
+So its cost follows the rows that survive, except where every grid does
+(the abelian table).  The oracle (`scan_solution_ids`) gives it one check per
+residual cell, built from the structure constants: it knows nothing about
+the classification.  `verify_classification` gives it the conditions of each
+label record of the regime (`solve.regime_records`, the very conditions
+`classify_solution` evaluates on exact scalars) and compares the sorted id
+arrays.  The check is independent because the oracle never sees a label.
+
+Ids are int64, so exhaustive scans need p**(n*n) < 2**63 (in dim 3,
+p <= 127; in dim 2, p < 55109) and refuse larger spaces up front.  Under
+that ceiling every check is exact in int64, whatever the budget: ids stay
+below p**(n*n); a residual cell sums at most n*n*(n*n+1)/2 monomials c*k*k'
+with c, k, k' < p (45 p**3 < 2**27 in dim 3, 10 p**3 < 2**51 in dim 2); a
+label condition has degree at most 4 counting the table parameters
+(p**4 < 2**28 in dim 3); and dim 1 has no checks, since antisymmetry makes
+every one-dimensional algebra abelian.  The budget only caps the rows of a
+search level (see `_surviving_ids`).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
-from ._kernels import constants_arrays, decode_grids, pick_backend, scan_range
 from .scalars import PrimeField
 from .solve import (
     Coefficients,
@@ -36,11 +49,12 @@ from .solve import (
 )
 from .tensor import Tensor2
 
-DEFAULT_BUDGET = 100_000_000
+DEFAULT_BUDGET = 64_000_000
+CHUNK = 1 << 15   # rows per vectorized step of a check or a comparison
 
 
 class BudgetExceeded(RuntimeError):
-    """The scan would touch more candidates than the budget allows."""
+    """A level of the search would have more rows than the budget allows."""
 
 
 def candidate_count(n, p):
@@ -73,49 +87,154 @@ def decode_tensor(idx, n, field):
 def _require_prime_field(L):
     if not isinstance(L.field, PrimeField):
         raise ValueError("exhaustive scans need a prime field, not QQ")
-    return L.field.p
+    p = L.field.p
+    if candidate_count(L.n, p) >= 2 ** 63:
+        raise ValueError(
+            f"{p}**{L.n * L.n} candidates do not fit int64 ids: exhaustive "
+            f"scans need p**(n*n) < 2**63 (in dim 3, p <= 127)")
+    return p
 
 
-def _blocks(total, p):
-    nblocks = min(p * p, total)
-    size = total // nblocks
-    return [(b * size, (b + 1) * size) for b in range(nblocks)]
+# ---------------------------------------------------------------------------
+# the engine
+
+def _cell_order(reads):
+    """The cells the checks read, in the order the engine assigns them.
+
+    Greedy: finish the check with the fewest cells still open, opening its
+    cells most-read first, so that checks become decidable early.
+    """
+    order, left = [], [set(cells) for cells in reads if cells]
+    while left:
+        nxt = min(left, key=len)
+        counts = Counter(chain.from_iterable(left))
+        order += sorted(nxt, key=lambda cell: (-counts[cell], cell))
+        left = [cells - nxt for cells in left if cells - nxt]
+    return order
 
 
-def scan_solution_ids(L, workers=1, budget=DEFAULT_BUDGET, backend=None):
+def _fits(rows, budget):
+    if budget is not None and rows > budget:
+        raise BudgetExceeded(
+            f"a search level of {rows} rows exceeds the budget of {budget}")
+
+
+def _extend(digits, p, n, at, checks):
+    """The columns of digits (the assigned cells of one grid), each p times
+    over with the digits 0..p-1 of the next cell in a new last row, that
+    pass every check.  Built about CHUNK columns at a time; each check sees
+    the columns the checks before it kept, as a grid whose cells it reads
+    are int64 columns (row at[cell]) and whose other cells are None."""
+    k, rows = digits.shape
+    step = max(1, CHUNK // p)
+    kept = [np.empty((k + 1, 0), dtype=digits.dtype)]
+    for start in range(0, rows, step):
+        block = digits[:, start:start + step]
+        cols = block.shape[1]
+        part = np.empty((k + 1, cols * p), dtype=digits.dtype)
+        part[:k].reshape(k, cols, p)[...] = block[:, :, None]
+        part[k].reshape(cols, p)[...] = np.arange(p, dtype=digits.dtype)
+        for cells, mask in checks:
+            grid = [[None] * n for _ in range(n)]
+            for i, j in cells:
+                grid[i][j] = part[at[i, j]].astype(np.int64)
+            part = part[:, mask(grid)]
+        kept.append(part)
+    return np.concatenate(kept, axis=1)
+
+
+def _surviving_ids(n, p, checks, budget):
+    """Sorted int64 ids of the grids over GF(p) that pass every check.
+
+    Each level assigns one more cell some check reads, to p times the rows
+    that survived the level before, and runs the checks whose cells are now
+    all assigned; it is built chunk by chunk, so only its survivors are held.
+    Raises BudgetExceeded before a level of more than `budget` rows (None:
+    no cap).  The other cells are then added to the ids by id arithmetic.
+    """
+    nn = n * n
+    weight = {(i, j): p ** (nn - 1 - i * n - j)
+              for i, j in product(range(n), repeat=2)}
+    order = _cell_order(cells for cells, _ in checks)
+    at = {cell: row for row, cell in enumerate(order)}
+    digits = np.zeros((0, 1), dtype=np.min_scalar_type(p - 1))
+    pending, done = list(checks), set()
+    for cell in order:
+        _fits(digits.shape[1] * p, budget)
+        done.add(cell)
+        ready = [c for c in pending if c[0] <= done]
+        pending = [c for c in pending if not c[0] <= done]
+        digits = _extend(digits, p, n, at, ready)
+    ids = np.zeros(digits.shape[1], dtype=np.int64)
+    for cell, row in zip(order, digits):
+        ids += row.astype(np.int64) * weight[cell]
+    del digits
+    free = sorted(set(weight) - done)
+    for cell in free:
+        _fits(ids.size * p, budget)
+        step = np.arange(0, p * weight[cell], weight[cell], dtype=np.int64)
+        if ids.size == 1:   # no second array the size of the result
+            step += ids[0]
+            ids = step
+        else:
+            ids = (ids[:, None] + step).ravel()
+    # rows come out sorted exactly when each cell is less significant than
+    # the ones before it, as on a table without checks
+    if order + free != sorted(order + free):
+        ids.sort()
+    return ids
+
+
+def _vanishes(terms, p):
+    def mask(k):
+        acc = 0
+        for c, (i, j), (l, m) in terms:
+            acc = acc + c * k[i][j] * k[l][m]
+        return acc % p == 0
+    return mask
+
+
+def _residual_checks(L, p):
+    """One check per residual cell that does not vanish identically: the
+    cell's coefficient, gathered from the three terms of the expansion in
+    `solve.cybe_residual` into monomials k k' with residue coefficients."""
+    n = L.n
+    cells = {}
+    for i, j, m, val in L.nonzero_constants():
+        v = int(val)
+        for a, b in product(range(n), repeat=2):
+            for cell, mono in (((m, a, b), ((i, a), (j, b))),
+                               ((a, m, b), ((a, i), (j, b))),
+                               ((a, b, m), ((a, i), (b, j)))):
+                terms = cells.setdefault(cell, Counter())
+                terms[tuple(sorted(mono))] += v
+    checks = []
+    for terms in cells.values():
+        live = [(c % p, *mono) for mono, c in sorted(terms.items()) if c % p]
+        if live:
+            read = frozenset(chain.from_iterable(mono for _, *mono in live))
+            checks.append((read, _vanishes(live, p)))
+    return checks
+
+
+def scan_solution_ids(L, budget=DEFAULT_BUDGET):
     """All candidate ids over GF(p) solving the CYBE on L, ascending.
 
-    Returns (ids ndarray, backend used).  Raises BudgetExceeded if the
-    candidate space is larger than `budget`.
+    Returns (ids ndarray, engine name).  Raises BudgetExceeded if a level
+    of the search would have more than `budget` rows.
     """
     p = _require_prime_field(L)
-    total = candidate_count(L.n, p)
-    if budget is not None and total > budget:
-        raise BudgetExceeded(
-            f"{total} candidates exceed the budget of {budget}")
-    if backend is None:
-        backend = pick_backend(total)
-    ci, cj, cm, cv = constants_arrays(L)
-    blocks = _blocks(total, p)
-    if workers <= 1 or len(blocks) == 1:
-        masks = [scan_range(lo, hi, L.n, p, ci, cj, cm, cv, backend)
-                 for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            masks = list(pool.map(
-                lambda blk: scan_range(blk[0], blk[1], L.n, p,
-                                       ci, cj, cm, cv, backend),
-                blocks))
-    mask = np.concatenate(masks)
-    return np.flatnonzero(mask).astype(np.int64), backend
+    return _surviving_ids(L.n, p, _residual_checks(L, p), budget), "frontier"
 
 
-def enumerate_solutions(L, workers=1, budget=DEFAULT_BUDGET, backend=None):
+def enumerate_solutions(L, budget=DEFAULT_BUDGET):
     """Every CYBE solution tensor on L over GF(p), in candidate-id order."""
-    ids, _ = scan_solution_ids(L, workers=workers, budget=budget,
-                               backend=backend)
+    ids, _ = scan_solution_ids(L, budget=budget)
     return [decode_tensor(int(i), L.n, L.field) for i in ids]
 
+
+# ---------------------------------------------------------------------------
+# the classification cross-check
 
 @dataclass(frozen=True)
 class EnumerationReport:
@@ -124,7 +243,6 @@ class EnumerationReport:
     algebra: str
     total: int
     backend: str
-    workers: int
     solution_count: int
     predicate_count: int
     matched: int
@@ -140,39 +258,51 @@ class EnumerationReport:
 WITNESS_CAP = 100
 
 
-def _witness(idx, n, p):
-    g = decode_grids(np.array([idx], dtype=np.int64), n, p)[0]
-    return {"id": int(idx), "grid": [[str(int(v)) for v in row] for row in g]}
+def _witness(idx, L):
+    r = decode_tensor(int(idx), L.n, L.field)
+    return {"id": int(idx), "grid": [[str(v) for v in row] for row in r.k]}
 
 
-def _accepted(record, cols, ids, p, params):
-    """The ids whose grids meet every condition of record.
-
-    cols holds the grids as an (n, n, N) int64 residue array, so that
-    cols[i][j] is the column of entry (i, j); a row is dropped as soon as it
-    fails a condition.
-    """
-    n = cols.shape[0]
-    for cond in chain(record.shape, record.side):
-        keep = cond.holds_mod(Coefficients(n, cols, None, params), p)
-        cols, ids = cols[:, :, keep], ids[keep]
-    return ids
+def _label_checks(record, n, p, params):
+    def check(cond):
+        return cond.cells, lambda k: cond.holds_mod(
+            Coefficients(n, k, None, params), p)
+    return [check(cond) for cond in chain(record.shape, record.side)]
 
 
-def verify_classification(L, workers=1, budget=DEFAULT_BUDGET, backend=None,
-                          timing=False):
-    """Scan all tensors over GF(p) and compare against the classification.
+def _compare(sol, truth, covered, outside):
+    """Mark in `covered` the entries of sorted `sol` that sorted `truth`
+    holds and append the rest of truth to `outside`; return the hits."""
+    hits = 0
+    for start in range(0, truth.size, CHUNK):
+        part = truth[start:start + CHUNK]
+        pos = np.searchsorted(sol, part)
+        inside = pos < sol.size
+        inside[inside] = sol[pos[inside]] == part[inside]
+        covered[pos[inside]] = True
+        hits += int(np.count_nonzero(inside))
+        outside.append(part[~inside])
+    return hits
+
+
+def _union(arrays):
+    """Sorted distinct entries of the given arrays, by sorting (np.union1d
+    is far slower on large int64 arrays)."""
+    ids = np.sort(np.concatenate(arrays))
+    return ids[np.diff(ids, prepend=-1) != 0]
+
+
+def verify_classification(L, budget=DEFAULT_BUDGET, timing=False):
+    """Enumerate the solutions over GF(p) and compare with the classification.
 
     Confirmation means the oracle solution set equals the union of the
-    regime's label predicates exactly.  On regimes without a classification
+    regime's label truth sets exactly.  On regimes without a classification
     the report is marked empirical_only and the predicate side degrades to
     the sufficient strong-symmetry condition.
     """
     t0 = time.perf_counter()
     p = _require_prime_field(L)
-    total = candidate_count(L.n, p)
-    ids, used_backend = scan_solution_ids(L, workers=workers, budget=budget,
-                                          backend=backend)
+    ids, engine = scan_solution_ids(L, budget=budget)
     reg = recognize_table(L)
     try:
         records = regime_records(L, reg)
@@ -183,38 +313,29 @@ def verify_classification(L, workers=1, budget=DEFAULT_BUDGET, backend=None,
         empirical_only = True
     params = tuple(None if v is None else int(v) for v in table_params(reg))
 
-    sol_mask = np.zeros(total, dtype=bool)
-    sol_mask[ids] = True
-    label_counts = {rec.label.value: 0 for rec in records}
-    pred_mask = np.zeros(total, dtype=bool)
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        chunk_ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols = decode_grids(chunk_ids, L.n, p).transpose(1, 2, 0)
-        for rec in records:
-            hit = _accepted(rec, cols, chunk_ids, p, params)
-            pred_mask[hit] = True
-            label_counts[rec.label.value] += int(
-                np.count_nonzero(sol_mask[hit]))
-
-    missed = np.flatnonzero(sol_mask & ~pred_mask)
-    extra = np.flatnonzero(pred_mask & ~sol_mask)
-    matched = int(np.count_nonzero(sol_mask & pred_mask))
-    report = EnumerationReport(
+    covered = np.zeros(ids.size, dtype=bool)
+    label_counts, outside = {}, [ids[:0]]
+    for rec in records:
+        truth = _surviving_ids(L.n, p, _label_checks(rec, L.n, p, params),
+                               budget)
+        label_counts[rec.label.value] = _compare(ids, truth, covered, outside)
+        del truth   # before the next label's search allocates
+    extra = _union(outside)
+    missed = ids[~covered]
+    matched = int(np.count_nonzero(covered))
+    return EnumerationReport(
         p=p,
         dim=L.n,
         algebra=L.label,
-        total=total,
-        backend=used_backend,
-        workers=workers,
-        solution_count=int(ids.shape[0]),
-        predicate_count=int(np.count_nonzero(pred_mask)),
+        total=candidate_count(L.n, p),
+        backend=engine,
+        solution_count=int(ids.size),
+        predicate_count=matched + int(extra.size),
         matched=matched,
         label_counts=label_counts,
-        missed_by_predicate=tuple(_witness(i, L.n, p)
+        missed_by_predicate=tuple(_witness(i, L)
                                   for i in missed[:WITNESS_CAP]),
-        false_positives=tuple(_witness(i, L.n, p)
-                              for i in extra[:WITNESS_CAP]),
+        false_positives=tuple(_witness(i, L) for i in extra[:WITNESS_CAP]),
         confirmed=(not empirical_only and missed.size == 0
                    and extra.size == 0),
         empirical_only=empirical_only,
@@ -222,4 +343,3 @@ def verify_classification(L, workers=1, budget=DEFAULT_BUDGET, backend=None,
         wall_time_ms=(round((time.perf_counter() - t0) * 1000.0, 3)
                       if timing else None),
     )
-    return report

@@ -8,8 +8,8 @@ A problem file is one JSON object:
                | {"dim": 3, "brackets": [[1, 2, ["0", "0", "1"]], ...]},
       "tensor":  {"entries": [[1, 2, "1/2"], ...], "named": {"p": "2"}},
       "tensors": [ <tensor object>, ... ],
-      "options": {"case": "strong-z", "params": {...}, "budget": 100000000,
-                  "workers": 1, "timing": false, "list_solutions": false}
+      "options": {"case": "strong-z", "params": {...}, "budget": 64000000,
+                  "timing": false, "list_solutions": false}
     }
 
 Every scalar is a JSON string ("-4", "1/2"); bare numbers are rejected so
@@ -82,7 +82,8 @@ def parse_algebra(obj, field):
         params = {}
         for name, val in params_in.items():
             if name == "dim":
-                if not isinstance(val, int):
+                # type() rather than isinstance(): JSON true is not an int
+                if type(val) is not int:
                     raise ProblemError('"dim" must be an integer')
                 params[name] = val
             else:
@@ -96,14 +97,14 @@ def parse_algebra(obj, field):
         if extra:
             raise ProblemError(f'unknown "algebra" keys: {sorted(extra)}')
         n = obj.get("dim")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ProblemError('"algebra.dim" must be a positive integer')
         constants = []
         seen_pairs = set()
         for ent in obj.get("brackets", []):
             if (not isinstance(ent, list) or len(ent) != 3
-                    or not isinstance(ent[0], int)
-                    or not isinstance(ent[1], int)
+                    or type(ent[0]) is not int
+                    or type(ent[1]) is not int
                     or not isinstance(ent[2], list)):
                 raise ProblemError(
                     f"bracket entries are [i, j, [coeffs]], got {ent!r}")
@@ -145,7 +146,7 @@ def parse_tensor(obj, n, field):
             raise ProblemError(
                 f'tensor entries are [i, j, "coeff"], got {ent!r}')
         i, j, text = ent
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise ProblemError(f"tensor entry indices must be ints: {ent!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ProblemError(

@@ -17,19 +17,35 @@ class FieldError(ValueError):
     """Bad field spec, malformed scalar text, or mixed-field arithmetic."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 2 ** 64
+
+
 def is_prime(n):
-    """Deterministic primality by trial division; fine for n < 2**31."""
+    """Deterministic Miller-Rabin on the first twelve prime bases.
+
+    No composite below 3.18e23 is a strong pseudoprime to all of them, so
+    the answer is exact for every n < PRIME_LIMIT = 2**64, the fields
+    `PrimeField` accepts.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -204,6 +220,8 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= PRIME_LIMIT:
+            raise FieldError(f"p must be below 2**64, got {p}")
         if not isinstance(p, int) or not is_prime(p):
             raise FieldError(f"{p!r} is not prime")
         if p == 2:

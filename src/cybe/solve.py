@@ -250,12 +250,12 @@ def solvable_zero_cells():
 # parameters alpha, beta, delta; the strong and skew symmetry of a grid of
 # any dimension are generated over its entries k[i][j] instead.  The text is
 # compiled into functions of a Coefficients view, and those functions give
-# the scalar check (classify_solution, the symmetry predicates), the batch
-# filter over GF(p) (exhaustive.verify_classification) and the generators'
-# side checks, while `cybe families` prints the text itself.  What checks
-# the records stays independent of them: the enumeration oracle and the
-# naive residual in the tests evaluate the CYBE through the structure
-# constants alone.
+# the scalar check (classify_solution, the symmetry predicates), each
+# label's truth set over GF(p) (exhaustive.verify_classification) and the
+# generators' side checks, while `cybe families` prints the text itself.
+# What checks the records stays independent of them: the enumeration oracle
+# and the naive residual in the tests evaluate the CYBE through the
+# structure constants alone.
 
 class SolutionLabel(str, enum.Enum):
     ABELIAN = "abelian"
@@ -277,7 +277,8 @@ class Coefficients(Tensor2):
     """What conditions read: a grid k with the parameters of its table.
 
     k holds exact scalars, or for a batch of grids over GF(p) one int64
-    array per entry (k[i][j] is a column), so x..v read either.
+    array per entry (k[i][j] is a column; entries a condition does not read
+    may be None), so x..v read either.
     """
 
     __slots__ = ("alpha", "beta", "delta")
@@ -326,11 +327,13 @@ def _compile(expr):
 class Condition(NamedTuple):
     """lhs = rhs; lhs = 0 when rhs is None; lhs != 0 when nonzero is set.
 
+    `cells` holds the 0-based grid cells (i, j) the condition reads.
     Equations compare the two sides rather than subtracting them, so exact
     scalars are compared, not reduced.
     """
 
     text: str
+    cells: frozenset
     lhs: Callable
     rhs: Callable = None
     nonzero: bool = False
@@ -350,17 +353,25 @@ class Condition(NamedTuple):
         return ~zero if self.nonzero else zero
 
 
+def _cells(expr):
+    """The grid cells the named coefficients in expr stand for, 0-based."""
+    return frozenset((NAMED_CELLS[tok][0] - 1, NAMED_CELLS[tok][1] - 1)
+                     for tok in _TOKEN.findall(expr) if tok in NAMED_CELLS)
+
+
 def _conditions(text):
     """The conditions of a text like "p != 0, a = b, c = d = 0", in order;
     a chain "c = d = 0" is c = 0 and d = 0."""
     conds = []
     for part in filter(None, text.split(", ")):
         if part.endswith(" != 0"):
-            conds.append(Condition(part, _compile(part[:-5]), nonzero=True))
+            conds.append(Condition(part, _cells(part), _compile(part[:-5]),
+                                   nonzero=True))
             continue
         *sides, last = part.split(" = ")
         rhs = None if last == "0" else _compile(last)
-        conds += [Condition(f"{side} = {last}", _compile(side), rhs)
+        conds += [Condition(f"{side} = {last}", _cells(f"{side} {last}"),
+                            _compile(side), rhs)
                   for side in sides]
     return tuple(conds)
 
@@ -369,8 +380,7 @@ class LabelRecord(NamedTuple):
     """One solution label: a tensor carries it iff it meets every condition.
 
     A generator's grid meets the `shape` conditions by construction and
-    leaves the `side` ones (written `text`) to its free coefficients.  Shape
-    comes first, which also lets the batch filter drop most rows early.
+    leaves the `side` ones (written `text`) to its free coefficients.
     """
 
     label: SolutionLabel
@@ -423,16 +433,19 @@ def _product(i, j, l, m):
 def _strong_conditions(n):
     pairs = list(combinations(range(n), 2))
     for i, j in pairs:
-        yield Condition("k[i][j] = k[j][i]", _entry(i, j), _entry(j, i))
+        yield Condition("k[i][j] = k[j][i]", frozenset({(i, j), (j, i)}),
+                        _entry(i, j), _entry(j, i))
     for (i, l), (j, m) in combinations_with_replacement(pairs, 2):
         yield Condition("k[i][j] k[l][m] = k[i][m] k[l][j]",
+                        frozenset({(i, j), (l, m), (i, m), (l, j)}),
                         _product(i, j, l, m), _product(i, m, l, j))
 
 
 def _skew_conditions(n):
     for i in range(n):
         for j in range(i, n):
-            yield Condition("k[i][j] = -k[j][i]", _entry(i, j), _negated(j, i))
+            yield Condition("k[i][j] = -k[j][i]", frozenset({(i, j), (j, i)}),
+                            _entry(i, j), _negated(j, i))
 
 
 def strong_record(n):

@@ -9,12 +9,17 @@ agreement between the two is a real check, not a tautology.
 `strongly_symmetric_by_definition` is the quantifier form of strong
 symmetry, kept here as the reference for cybe.tensor.is_strongly_symmetric
 (which tests the equivalent rank <= 1 condition through 2x2 minors).
+
+`brute_force_solution_ids` is the reference for the enumeration engine: it
+decodes every one of the p^(n*n) candidate ids and evaluates the whole
+residual cube on int64 residues, with no pruning and no cell order.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cybe import QQ, PrimeField, Tensor2
@@ -107,3 +112,46 @@ def all_tensors(n, field):
         rows = [[field.from_int(digits[i * n + j]) for j in range(n)]
                 for i in range(n)]
         yield Tensor2.from_rows(rows, field)
+
+
+def constants_arrays(L):
+    """L's nonzero structure constants as int64 residue arrays i, j, m, v."""
+    nz = L.nonzero_constants()
+    return tuple(np.array([int(e[col]) for e in nz], dtype=np.int64)
+                 for col in range(4))
+
+
+def decode_grids(ids, n, p):
+    """Candidate ids -> int64 grids of shape (len(ids), n, n)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    grids = np.empty((ids.shape[0], n, n), dtype=np.int64)
+    rem = ids.copy()
+    for pos in range(n * n - 1, -1, -1):
+        grids[:, pos // n, pos % n] = rem % p
+        rem //= p
+    return grids
+
+
+def brute_force_solution_ids(L, chunk=1 << 16):
+    """Every candidate id over GF(p) whose CYBE residual vanishes, ascending:
+    all p^(n*n) grids, each residual cell summed over the constants."""
+    n, p = L.n, L.field.p
+    ci, cj, cm, cv = constants_arrays(L)
+    total = p ** (n * n)
+    found = []
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        g = decode_grids(ids, n, p)
+        alive = np.ones(ids.shape[0], dtype=bool)
+        for a, b, c in product(range(n), repeat=3):
+            acc = np.zeros(ids.shape[0], dtype=np.int64)
+            for i, j, m, v in zip(ci, cj, cm, cv):
+                if m == a:
+                    acc += v * g[:, i, b] * g[:, j, c]
+                if m == b:
+                    acc += v * g[:, a, i] * g[:, j, c]
+                if m == c:
+                    acc += v * g[:, a, i] * g[:, b, j]
+            alive &= acc % p == 0
+        found.append(ids[alive])
+    return np.concatenate(found)

@@ -11,8 +11,6 @@ import time
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from cybe import (
     QQ,
     PrimeField,
@@ -152,22 +150,12 @@ def test_criterion_03_ii_classification_both_fields():
         for a, b in ((1, 1), (1, 4), (2, 3)):
             t0 = time.perf_counter()
             rep = verify_classification(
-                family_ii(F5.from_int(a), F5.from_int(b), F5), workers=1)
+                family_ii(F5.from_int(a), F5.from_int(b), F5))
             elapsed = time.perf_counter() - t0
             assert rep.confirmed and rep.solution_count == 269, (a, b)
             assert rep.total == 1_953_125
             c.note(f"F_5 ({a},{b}): {elapsed:.2f}s [{rep.backend}]")
             assert elapsed < 60.0, f"pair ({a},{b}) took {elapsed:.2f}s"
-        # multi-worker scan returns the identical id set
-        L = family_ii(F5.one(), F5.one(), F5)
-        t0 = time.perf_counter()
-        one_worker = scan_solution_ids(L, workers=1)[0]
-        t1 = time.perf_counter()
-        four_workers = scan_solution_ids(L, workers=4)[0]
-        t2 = time.perf_counter()
-        assert np.array_equal(one_worker, four_workers)
-        c.note(f"workers 1 vs 4: {t1 - t0:.2f}s vs {t2 - t1:.2f}s, "
-               f"identical ids")
 
 
 def test_criterion_04_heisenberg_two_cases():

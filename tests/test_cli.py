@@ -191,7 +191,7 @@ def test_enumerate_uncovered_regime_is_unconfirmed(capsys, tmp_path):
     assert rep["false_positives"] == []
 
 
-@pytest.mark.parametrize("key", ["budget", "workers"])
+@pytest.mark.parametrize("key", ["budget"])
 @pytest.mark.parametrize("value", ["1000", True, False, None, 0, -3, 2.5])
 def test_enumerate_rejects_bad_count_options(capsys, tmp_path, key, value):
     doc = {"field": {"kind": "prime", "p": 3}, "algebra": {"family": "VI"},
@@ -203,7 +203,7 @@ def test_enumerate_rejects_bad_count_options(capsys, tmp_path, key, value):
         in captured.err
 
 
-@pytest.mark.parametrize("key", ["budget", "workers"])
+@pytest.mark.parametrize("key", ["budget"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_enumerate_rejects_bad_count_flags(capsys, tmp_path, key, value):
     doc = {"field": {"kind": "prime", "p": 3}, "algebra": {"family": "VI"}}
@@ -217,6 +217,47 @@ def test_enumerate_rejects_bad_count_flags(capsys, tmp_path, key, value):
         run(["enumerate", "-i", write_problem(tmp_path, doc),
              f"--{key}", "1.5"])
     assert exc.value.code == 2
+
+
+def test_enumerate_rejects_ids_past_int64(capsys, tmp_path):
+    # 131^9 >= 2^63: refused up front as unusable input, whatever the budget
+    doc = {"field": {"kind": "prime", "p": 131},
+           "algebra": {"family": "I", "params": {"dim": 3}}}
+    code = run(["enumerate", "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "int64" in captured.err
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_bialgebra_zero_tensor_on_abelian_tables(capsys, tmp_path, dim):
+    doc = {"field": {"kind": "rational"},
+           "algebra": {"family": "I", "params": {"dim": dim}},
+           "tensor": {"entries": []}}
+    code, rep = run_json(capsys,
+                         ["bialgebra", "-i", write_problem(tmp_path, doc)])
+    assert code == 0 and rep["ok"]
+    res = rep["results"][0]
+    assert res["is_triangular"] and res["closed_form"]["applicable"]
+    assert res["closed_form"]["covered"] is False
+
+
+@pytest.mark.parametrize("doc", [
+    {"algebra": {"family": "I", "params": {"dim": True}}, "tensor": {}},
+    {"algebra": {"dim": True, "brackets": []}, "tensor": {}},
+    {"algebra": {"dim": 2, "brackets": [[True, 2, ["1", "0"]]]},
+     "tensor": {}},
+    {"algebra": {"dim": 2, "brackets": [[1, 2, ["1", "0"]]]},
+     "tensor": {"entries": [[True, 1, "1"]]}},
+    {"algebra": {"family": "VI"}, "tensor": {"entries": [[1, True, "1"]]}},
+], ids=["family-dim", "custom-dim", "bracket-index", "tensor-row",
+        "tensor-column"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, doc):
+    doc = {"field": {"kind": "rational"}, **doc}
+    code = run(["check", "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "error:" in captured.err
 
 
 def test_enumerate_rejects_rational_field(capsys, tmp_path):
@@ -361,12 +402,12 @@ def test_enumerate_options_from_problem_file(capsys, tmp_path):
     doc = {
         "field": {"kind": "prime", "p": 3},
         "algebra": {"family": "VI"},
-        "options": {"workers": 2, "timing": True, "list_solutions": True},
+        "options": {"timing": True, "list_solutions": True},
     }
     code, rep = run_json(capsys,
                          ["enumerate", "-i", write_problem(tmp_path, doc)])
     assert code == 0
-    assert rep["workers"] == 2
+    assert rep["backend"] == "frontier" and "workers" not in rep
     assert rep["wall_time_ms"] is not None
     assert len(rep["solutions"]) == 11
 

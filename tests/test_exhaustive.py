@@ -17,10 +17,9 @@ from cybe import (
     solvable_table,
     verify_classification,
 )
-from cybe.exhaustive import _accepted
+from cybe.exhaustive import _label_checks, _surviving_ids
 from cybe.solve import recognize_table, regime_records, table_params
-from cybe._kernels import decode_grids
-from conftest import all_tensors
+from conftest import all_tensors, brute_force_solution_ids
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -129,35 +128,75 @@ def test_uncovered_solvable_regime_is_empirical_only():
 
 def test_report_metadata_fields():
     L = family_vi(F3)
-    report = verify_classification(L, workers=2, timing=True)
+    report = verify_classification(L, timing=True)
     assert (report.p, report.dim) == (3, 2)
     assert report.algebra == L.label
     assert report.total == 81
-    assert report.workers == 2
-    assert report.backend in ("numba", "numpy")
+    assert report.backend == "frontier"
     assert report.wall_time_ms is not None and report.wall_time_ms >= 0
     report = verify_classification(L)
     assert report.wall_time_ms is None
 
 
-def test_worker_counts_agree():
-    L = family_iii(F3)
-    base = scan_solution_ids(L, workers=1)[0]
-    for w in (2, 3, 7):
-        ids, _ = scan_solution_ids(L, workers=w)
-        assert np.array_equal(ids, base), w
+# the engine against the brute-force reference scan in conftest
+
+F3_TABLES = (
+    [family_ii(F3.from_int(a), F3.from_int(b), F3, strict=False)
+     for a in range(3) for b in range(3)]
+    + [solvable_table(F3.from_int(b), F3.from_int(d), F3)
+       for b in range(3) for d in range(3)]
+    + [family_vi(F3)] + [abelian(n, F3) for n in (1, 2, 3)])
 
 
-def test_backend_override_agrees():
-    L = family_ii(F3.from_int(2), F3.from_int(1), F3)
-    a = scan_solution_ids(L, backend="numpy")[0]
-    b = scan_solution_ids(L)[0]
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("L", F3_TABLES, ids=lambda L: L.label)
+def test_engine_matches_brute_force_f3(L):
+    ids, engine = scan_solution_ids(L)
+    assert engine == "frontier" and ids.dtype == np.int64
+    assert np.array_equal(ids, brute_force_solution_ids(L))
+
+
+@pytest.mark.parametrize("L", [
+    family_vi(F5),
+    family_ii(F5.one(), F5.from_int(2), F5),
+    family_iii(F5),
+    solvable_table(F5.one(), F5.from_int(2), F5),
+], ids=lambda L: L.label)
+def test_engine_matches_brute_force_f5(L):
+    assert np.array_equal(scan_solution_ids(L)[0],
+                          brute_force_solution_ids(L))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_vi_closed_form_counts(p):
+    # the dim-2 solutions are the p^2 rank <= 1 symmetric grids and the p
+    # skew ones, which share only zero
+    report = verify_classification(family_vi(PrimeField(p)))
+    assert report.confirmed
+    assert report.solution_count == p * p + p - 1
+    assert report.label_counts == {"strongly-symmetric": p * p,
+                                   "skew-symmetric": p}
+
+
+def test_ii_over_f11_beyond_brute_force():
+    # 11^9 = 2.36e9 candidates: far more than a scan of each one could take
+    F11 = PrimeField(11)
+    report = verify_classification(family_ii(F11.one(), F11.one(), F11))
+    assert report.total == 11 ** 9
+    assert report.confirmed and not report.empirical_only
+    assert report.label_counts["strongly-symmetric"] == 11 ** 3
+
+
+def test_int64_id_ceiling():
+    # 131^9 >= 2^63 > 127^9
+    with pytest.raises(ValueError, match="int64"):
+        scan_solution_ids(abelian(3, PrimeField(131)))
+    assert candidate_count(3, 127) < 2 ** 63 <= candidate_count(3, 131)
 
 
 def test_vectorized_predicates_match_scalar_classification():
-    # per regime: every F_3 candidate, the batch filter's answer on int64
-    # residues == the scalar evaluation of the same records on ModP grids
+    # per regime: every F_3 candidate is in the engine's truth set of a
+    # label exactly when the scalar evaluation of the same record on ModP
+    # grids gives it that label (a wrong `cells` set shows up here)
     tables = [
         family_vi(F3),
         family_ii(F3.one(), F3.from_int(2), F3),
@@ -171,11 +210,10 @@ def test_vectorized_predicates_match_scalar_classification():
         reg = recognize_table(L)
         params = tuple(None if v is None else int(v)
                        for v in table_params(reg))
-        total = candidate_count(L.n, 3)
-        ids = np.arange(total, dtype=np.int64)
-        cols = decode_grids(ids, L.n, 3).transpose(1, 2, 0)
-        accepted = {rec.label: set(_accepted(rec, cols, ids, 3, params))
-                    for rec in regime_records(L, reg)}
+        accepted = {
+            rec.label: set(_surviving_ids(
+                L.n, 3, _label_checks(rec, L.n, 3, params), None).tolist())
+            for rec in regime_records(L, reg)}
         for idx, r in enumerate(all_tensors(L.n, F3)):
             _, labels = classify_solution(L, r)
             for label, hits in accepted.items():

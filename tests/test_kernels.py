@@ -1,47 +1,31 @@
-import numpy as np
-import pytest
+"""The id encoding and the brute-force reference scan in conftest.
 
-from cybe import PrimeField, family_iii, family_ii, family_vi, is_cybe_solution
-from cybe._kernels import (
-    AUTO_NUMBA_THRESHOLD,
-    HAS_NUMBA,
-    constants_arrays,
-    decode_grids,
-    pick_backend,
-    scan_range,
+The reference (`brute_force_solution_ids`) is what tests/test_exhaustive.py
+pins the enumeration engine to, so it is itself pinned here to the exact
+scalar residual.
+"""
+
+import numpy as np
+
+from cybe import (
+    PrimeField,
+    abelian,
+    family_iii,
+    family_ii,
+    family_vi,
+    is_cybe_solution,
+    scan_solution_ids,
 )
 from cybe.exhaustive import decode_tensor, encode_tensor
-from conftest import all_tensors
+from conftest import (
+    all_tensors,
+    brute_force_solution_ids,
+    constants_arrays,
+    decode_grids,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not importable")
-
-
-def test_pick_backend_env(monkeypatch):
-    monkeypatch.delenv("CYBE_BACKEND", raising=False)
-    assert pick_backend(10) == "numpy"
-    if HAS_NUMBA:
-        assert pick_backend(AUTO_NUMBA_THRESHOLD) == "numba"
-        assert pick_backend(AUTO_NUMBA_THRESHOLD - 1) == "numpy"
-    monkeypatch.setenv("CYBE_BACKEND", "numpy")
-    assert pick_backend(10**9) == "numpy"
-    monkeypatch.setenv("CYBE_BACKEND", "AUTO")   # case and whitespace lenient
-    assert pick_backend(10) == "numpy"
-    monkeypatch.setenv("CYBE_BACKEND", " numpy ")
-    assert pick_backend(10**9) == "numpy"
-    monkeypatch.setenv("CYBE_BACKEND", "")
-    assert pick_backend(10) == "numpy"
-    monkeypatch.setenv("CYBE_BACKEND", "fast")
-    with pytest.raises(ValueError, match="CYBE_BACKEND"):
-        pick_backend(10)
-
-
-@needs_numba
-def test_pick_backend_numba_forced(monkeypatch):
-    monkeypatch.setenv("CYBE_BACKEND", "numba")
-    assert pick_backend(1) == "numba"
 
 
 def test_constants_arrays_shapes():
@@ -77,44 +61,15 @@ def test_decode_grids_matches_decode_tensor():
                 assert grids[row, i, j] == int(r.entry(i, j))
 
 
-def scan_full(L, backend):
-    p = L.field.p
-    total = p ** (L.n * L.n)
-    ci, cj, cm, cv = constants_arrays(L)
-    return scan_range(0, total, L.n, p, ci, cj, cm, cv, backend)
-
-
 def test_numpy_kernel_agrees_with_scalar_path():
+    # the brute-force reference keeps exactly the ids the scalar path solves
     for L in (family_vi(F3), family_vi(F5), family_iii(F3)):
-        mask = scan_full(L, "numpy")
+        ids = set(brute_force_solution_ids(L).tolist())
         for idx, r in enumerate(all_tensors(L.n, L.field)):
-            assert bool(mask[idx]) == is_cybe_solution(L, r), (L, idx)
-
-
-@needs_numba
-def test_numba_kernel_bit_identical_to_numpy():
-    for L in (family_ii(F3.from_int(1), F3.from_int(1), F3),
-              family_vi(F5),
-              family_iii(F3)):
-        a = scan_full(L, "numpy")
-        b = scan_full(L, "numba")
-        assert np.array_equal(a.astype(bool), b.astype(bool)), L
-
-
-@needs_numba
-def test_numba_kernel_partial_ranges():
-    L = family_iii(F3)
-    p, n = 3, 3
-    total = p ** 9
-    ci, cj, cm, cv = constants_arrays(L)
-    whole = scan_range(0, total, n, p, ci, cj, cm, cv, "numba")
-    lo, hi = 1000, 15000
-    part = scan_range(lo, hi, n, p, ci, cj, cm, cv, "numba")
-    assert np.array_equal(part, whole[lo:hi])
+            assert (idx in ids) == is_cybe_solution(L, r), (L, idx)
 
 
 def test_abelian_scan_keeps_everything():
-    from cybe import abelian
-    L = abelian(2, F3)
-    mask = scan_full(L, "numpy")
-    assert mask.all() and mask.shape == (81,)
+    ids, engine = scan_solution_ids(abelian(2, F3))
+    assert engine == "frontier"
+    assert np.array_equal(ids, np.arange(81))

@@ -151,11 +151,11 @@ def test_parse_problem_shapes():
         "field": {"kind": "prime", "p": 5},
         "algebra": {"family": "VI"},
         "tensors": [{"named": {"p": "1", "q": "-1"}}, {}],
-        "options": {"workers": 2},
+        "options": {"budget": 1000},
     }
     p = parse_problem(doc)
     assert len(p.tensors) == 2 and p.tensors[1].is_zero()
-    assert p.options == {"workers": 2}
+    assert p.options == {"budget": 1000}
     assert int(p.tensors[0].entry(1, 0)) == 4    # -1 mod 5
 
 

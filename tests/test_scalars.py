@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,40 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert not is_prime(-7)
     assert is_prime(2**31 - 1)
+
+
+SMALL_PRIMES = [d for d in range(2, 448) if all(d % e for e in range(2, d))]
+
+
+def by_trial_division(n):
+    """Primality for n < 448**2 by trial division."""
+    return n >= 2 and all(n % d for d in SMALL_PRIMES if d * d <= n)
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    assert all(is_prime(n) == by_trial_division(n) for n in range(200_000))
+
+
+@pytest.mark.parametrize("n", [2047, 3215031751, 3825123056546413051])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to the first one, four and nine prime bases
+    assert not is_prime(n)
+    with pytest.raises(FieldError, match="not prime"):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_large_mersenne_primes_are_accepted_fast(p):
+    t0 = time.perf_counter()
+    assert PrimeField(p).p == p
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_prime_field_ceiling():
+    # 2^64 + 13 is prime, but past where the Miller-Rabin bases are exact
+    with pytest.raises(FieldError, match="below 2\\*\\*64"):
+        PrimeField(2**64 + 13)
+    assert PrimeField(2**64 - 59).p == 2**64 - 59   # the largest below
 
 
 @given(primes, ints, ints)
