@@ -12,6 +12,14 @@ delta([x, y]) = x . delta(y) - y . delta(x)).  bialgebra_check verifies the
 axioms by direct computation; is_coboundary is their conjunction and
 is_triangular additionally requires r to solve the CYBE.
 
+The checks run on plain ints, lifted as in `solve`: r over its common
+denominator D (residues over F_p), the constants over theirs, C.  The int
+images of delta are C D times the true ones, and each check is homogeneous,
+so only the nonzero entries it reports are turned back into Fraction/ModP
+witnesses, reduced mod p or divided by (C D)^2 for co-Jacobi and C^2 D for
+compatibility.  The public checks on a Cobracket lift its images over their
+common denominator E instead (scales E^2 and C E).
+
 coboundary_predicate / triangular_predicate are the independent closed forms
 for the classified regimes, kept deliberately separate so the test suite can
 play them against the axiom checker.
@@ -21,51 +29,59 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .scalars import FieldError
 from .solve import (
     UncoveredRegime,
-    is_cybe_solution,
+    _int_constants,
+    _lift_grid,
+    _nonzero_entries,
+    _residual_ints,
     is_skew_symmetric,
     recognize_table,
 )
-from .tensor import Tensor2, Tensor3, cycle_xi
+from .tensor import Tensor2
 
 
-def _ad_matrix(L, x_coords):
-    """adx[i][m] = coefficient of e_m in [x, e_i]."""
-    n = L.n
-    zero = L.field.zero()
-    adx = [[zero] * n for _ in range(n)]
-    for w, xw in enumerate(x_coords):
-        if not xw:
-            continue
-        for i in range(n):
-            row = L.c[w][i]
-            for m in range(n):
-                if row[m]:
-                    adx[i][m] = adx[i][m] + xw * row[m]
-    return adx
+def _images(n, consts, k):
+    """Int kernel of the cobracket: the flat grids e_w . r for every w, from
+    the int constants (w, i, m, c) and the flat int grid k of r.
+
+    [e_w, e_i] = sum_m c e_m puts c k[i][b] at (m, b) and c k[a][i] at
+    (a, m); on lifted input the images are C D times delta(e_w).
+    """
+    imgs = [[0] * (n * n) for _ in range(n)]
+    for w, i, m, val in consts:
+        img = imgs[w]
+        for b in range(n):
+            if k[i * n + b]:
+                img[m * n + b] += val * k[i * n + b]
+        for a in range(n):
+            if k[a * n + i]:
+                img[a * n + m] += val * k[a * n + i]
+    return imgs
+
+
+def _tensor2(field, n, ints, scale):
+    entries = _nonzero_entries(field, ints, scale, n, 2)
+    return Tensor2.from_entries(
+        n, field, {(i - 1, j - 1): v for (i, j), v in entries})
+
+
+def _lift_images(delta, field):
+    """delta's images as flat int grids over one common denominator E."""
+    if any(img.field != field for img in delta.images):
+        raise FieldError(f"cobracket images not all over {field!r}")
+    nn = delta.n * delta.n
+    ints, scale = field.lift([v for img in delta.images
+                              for row in img.k for v in row])
+    return [ints[w * nn:(w + 1) * nn] for w in range(delta.n)], scale
 
 
 def ad_action(L, x_coords, r):
     """x . r for x given by basis coordinates."""
     if len(x_coords) != L.n or r.n != L.n:
         raise ValueError("dimension mismatch")
-    n = L.n
-    adx = _ad_matrix(L, x_coords)
-    zero = L.field.zero()
-    k = r.k
-    out = [[zero] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = zero
-            for i in range(n):
-                if adx[i][a] and k[i][b]:
-                    acc = acc + adx[i][a] * k[i][b]
-            for j in range(n):
-                if k[a][j] and adx[j][b]:
-                    acc = acc + k[a][j] * adx[j][b]
-            out[a][b] = acc
-    return Tensor2.from_rows(out, L.field)
+    return cobracket(L, r).of_vector(x_coords)
 
 
 @dataclass(frozen=True)
@@ -79,27 +95,85 @@ class Cobracket:
         return self.images[i]
 
     def of_vector(self, coords):
-        out = Tensor2.zero(self.n, self.images[0].field)
-        for i, ci in enumerate(coords):
-            if ci:
-                out = out + self.images[i].scale(ci)
-        return out
+        """The linear extension: sum_i coords[i] delta(e_i)."""
+        if len(coords) != self.n:
+            raise ValueError("dimension mismatch")
+        field = self.images[0].field
+        imgs, scale = _lift_images(self, field)
+        x, x_scale = field.lift(coords)
+        out = [sum(xw * img[ab] for xw, img in zip(x, imgs))
+               for ab in range(self.n * self.n)]
+        return _tensor2(field, self.n, out, x_scale * scale)
 
 
 def cobracket(L, r):
-    basis = []
-    for i in range(L.n):
-        coords = [L.field.zero()] * L.n
-        coords[i] = L.field.one()
-        basis.append(ad_action(L, coords, r))
-    return Cobracket(L.n, tuple(basis))
+    consts, c_scale = _int_constants(L)
+    k, d_scale = _lift_grid(L, r)
+    return Cobracket(L.n, tuple(
+        _tensor2(L.field, L.n, img, c_scale * d_scale)
+        for img in _images(L.n, consts, k)))
+
+
+def _coantisymmetry_failures(field, n, imgs):
+    return tuple(
+        w + 1 for w, img in enumerate(imgs)
+        if any(field.reduce([img[a * n + b] + img[b * n + a]
+                             for a in range(n) for b in range(a, n)])))
+
+
+def _cojacobi_witnesses(field, n, imgs, scale):
+    """Int kernel of co-Jacobi on flat int images m_w; homogeneous of degree
+    2 in delta, so scale is the images' scale squared."""
+    nn = n * n
+    witnesses = []
+    for i, m_i in enumerate(imgs):
+        # t = (1 (x) delta) delta(e_i): m_i[a][b] e_a (x) delta(e_b)
+        t = [0] * (n * nn)
+        for ab, coef in enumerate(m_i):
+            if coef:
+                m_b, base = imgs[ab % n], ab // n * nn
+                for cd in range(nn):
+                    if m_b[cd]:
+                        t[base + cd] += coef * m_b[cd]
+        # t + xi(t) + xi^2(t): (a, b, c) gathers t[a][b][c], t[c][a][b]
+        # and t[b][c][a]
+        total = [t[(a * n + b) * n + c] + t[(c * n + a) * n + b]
+                 + t[(b * n + c) * n + a]
+                 for a in range(n) for b in range(n) for c in range(n)]
+        entries = _nonzero_entries(field, total, scale, n, 3)
+        if entries:
+            witnesses.append((i + 1, entries))
+    return tuple(witnesses)
+
+
+def _compatibility_witnesses(field, n, consts, imgs, scale):
+    """Int kernel of the cocycle condition on flat int images; degree 1 in
+    the constants and in delta, so scale is C times the images' scale."""
+    nn = n * n
+    # ad[j][i] = e_i . delta(e_j)
+    ad = [_images(n, consts, img) for img in imgs]
+    left = [[[0] * nn for _ in range(n)] for _ in range(n)]
+    for i, j, m, val in consts:
+        row, img = left[i][j], imgs[m]
+        for ab in range(nn):
+            row[ab] += val * img[ab]
+    witnesses = []
+    for i in range(n):
+        for j in range(n):
+            diff = [lv - rj + ri for lv, rj, ri
+                    in zip(left[i][j], ad[j][i], ad[i][j])]
+            entries = _nonzero_entries(field, diff, scale, n, 2)
+            if entries:
+                witnesses.append(((i + 1, j + 1), entries))
+    return tuple(witnesses)
 
 
 def check_coantisymmetry(delta):
     """Every basis image skew?  Returns (ok, failing 1-based indices)."""
-    bad = [i + 1 for i in range(delta.n)
-           if not is_skew_symmetric(delta.images[i])]
-    return not bad, tuple(bad)
+    field = delta.images[0].field
+    bad = _coantisymmetry_failures(field, delta.n,
+                                   _lift_images(delta, field)[0])
+    return not bad, bad
 
 
 def check_cojacobi(delta, field):
@@ -108,30 +182,9 @@ def check_cojacobi(delta, field):
     Returns (ok, witnesses) with witnesses = ((i, nonzero entries), ...) for
     the failing basis elements, entries 1-based.
     """
-    n = delta.n
-    zero = field.zero()
-    witnesses = []
-    for i in range(n):
-        m_i = delta.images[i].k
-        t = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                coef = m_i[a][b]
-                if not coef:
-                    continue
-                m_b = delta.images[b].k
-                for c in range(n):
-                    for d in range(n):
-                        if m_b[c][d]:
-                            t[a][c][d] = t[a][c][d] + coef * m_b[c][d]
-        t3 = Tensor3(n, tuple(tuple(tuple(row) for row in plane)
-                              for plane in t), field)
-        total = t3 + cycle_xi(t3) + cycle_xi(cycle_xi(t3))
-        if not total.is_zero():
-            entries = tuple(((a + 1, b + 1, c + 1), v)
-                            for (a, b, c), v in total.entries())
-            witnesses.append((i + 1, entries))
-    return not witnesses, tuple(witnesses)
+    imgs, scale = _lift_images(delta, field)
+    witnesses = _cojacobi_witnesses(field, delta.n, imgs, scale * scale)
+    return not witnesses, witnesses
 
 
 def check_compatibility(L, delta):
@@ -140,28 +193,11 @@ def check_compatibility(L, delta):
     Returns (ok, witnesses) with witnesses = (((i, j), nonzero entries), ...),
     all indices 1-based.
     """
-    n = L.n
-    witnesses = []
-    basis = []
-    for i in range(n):
-        coords = [L.field.zero()] * n
-        coords[i] = L.field.one()
-        basis.append(coords)
-    for i in range(n):
-        for j in range(n):
-            left = Tensor2.zero(n, L.field)
-            for m in range(n):
-                cm = L.c[i][j][m]
-                if cm:
-                    left = left + delta.images[m].scale(cm)
-            right = (ad_action(L, basis[i], delta.images[j])
-                     - ad_action(L, basis[j], delta.images[i]))
-            diff = left - right
-            if not diff.is_zero():
-                entries = tuple(((a + 1, b + 1), v)
-                                for (a, b), v in diff.entries())
-                witnesses.append(((i + 1, j + 1), entries))
-    return not witnesses, tuple(witnesses)
+    consts, c_scale = _int_constants(L)
+    imgs, scale = _lift_images(delta, L.field)
+    witnesses = _compatibility_witnesses(L.field, L.n, consts, imgs,
+                                         c_scale * scale)
+    return not witnesses, witnesses
 
 
 @dataclass(frozen=True)
@@ -177,13 +213,19 @@ class BialgebraReport:
 
 def bialgebra_check(L, r):
     """Axiom-by-axiom verdict for delta = x . r.  Pure computation: this
-    never consults the closed-form predicates below."""
-    delta = cobracket(L, r)
-    co_ok, co_w = check_coantisymmetry(delta)
-    jac_ok, jac_w = check_cojacobi(delta, L.field)
-    comp_ok, comp_w = check_compatibility(L, delta)
+    never consults the closed-form predicates below.  r and the constants
+    are lifted once and every check runs on the int images."""
+    n, field = L.n, L.field
+    consts, c_scale = _int_constants(L)
+    k, d_scale = _lift_grid(L, r)
+    imgs = [field.reduce(img) for img in _images(n, consts, k)]
+    scale = c_scale * d_scale
+    co_w = _coantisymmetry_failures(field, n, imgs)
+    jac_w = _cojacobi_witnesses(field, n, imgs, scale * scale)
+    comp_w = _compatibility_witnesses(field, n, consts, imgs, c_scale * scale)
+    co_ok, jac_ok, comp_ok = not co_w, not jac_w, not comp_w
     is_cob = co_ok and jac_ok and comp_ok
-    sol = is_cybe_solution(L, r)
+    sol = not any(field.reduce(_residual_ints(n, consts, k)))
     return BialgebraReport(
         coantisymmetry_ok=co_ok,
         cojacobi_ok=jac_ok,

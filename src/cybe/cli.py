@@ -188,7 +188,10 @@ def cmd_enumerate(problem, args):
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ProblemError(
             "budget (options.budget or --budget) must be an integer >= 1")
-    timing = args.timing or bool(opts.get("timing", False))
+    for key in ("timing", "list_solutions"):
+        if type(opts.get(key, False)) is not bool:
+            raise ProblemError(f"options.{key} must be true or false")
+    timing = args.timing or opts.get("timing", False)
     report = {
         "command": "enumerate",
         "field": field_obj(problem.field),

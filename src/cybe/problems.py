@@ -99,9 +99,12 @@ def parse_algebra(obj, field):
         n = obj.get("dim")
         if type(n) is not int or n < 1:
             raise ProblemError('"algebra.dim" must be a positive integer')
+        brackets = obj.get("brackets", [])
+        if not isinstance(brackets, list):
+            raise ProblemError('"algebra.brackets" must be a list')
         constants = []
         seen_pairs = set()
-        for ent in obj.get("brackets", []):
+        for ent in brackets:
             if (not isinstance(ent, list) or len(ent) != 3
                     or type(ent[0]) is not int
                     or type(ent[1]) is not int

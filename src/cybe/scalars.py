@@ -6,11 +6,19 @@ residue.  Every other module treats scalars opaquely through a ``Field``
 context object, so the same code runs over both ground fields.
 
 The characteristic-2 exclusion is baked in: ``PrimeField(2)`` raises.
+
+For the integer kernels of `solve` and `bialgebra` both fields also map
+scalars to plain ints and back: ``lift(values)`` gives (ints, scale) with
+each value = int / scale (canonical residues and scale 1 over F_p;
+numerators over the least common denominator over Q); ``reduce(ints)``
+canonicalizes kernel output, zero exactly where the scalar is; and
+``unlift(v, scale)`` is the scalar v / scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -203,6 +211,16 @@ class RationalField(Field):
     def contains(self, value):
         return isinstance(value, Fraction)
 
+    def lift(self, values):
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
+    def reduce(self, ints):
+        return ints
+
+    def unlift(self, v, scale):
+        return Fraction(v, scale)
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -250,6 +268,16 @@ class PrimeField(Field):
 
     def contains(self, value):
         return isinstance(value, ModP) and value.p == self.p
+
+    def lift(self, values):
+        return [int(v) % self.p for v in values], 1
+
+    def reduce(self, ints):
+        p = self.p
+        return [v % p for v in ints]
+
+    def unlift(self, v, scale):
+        return ModP(v * pow(scale, -1, self.p), self.p)
 
     def elements(self):
         """All p field elements, in residue order."""

@@ -9,10 +9,19 @@ terms contribute to the residual coefficient at (a, b, c):
     term 2:  sum_{j,s} k[a][j] k[s][c] c[j][s][b]
     term 3:  sum_{j,t} k[a][j] k[b][t] c[j][t][c]
 
-Everything else in this module (the transcribed per-cell equation systems,
-the closed-form solution families, the classification predicates) is checked
-against that expansion by the test suite; the expansion itself is checked
-against a naive reimplementation in the tests.
+The expansion runs on plain ints (`_residual_ints`): the grid is lifted
+once to canonical residues over F_p, or over Q to numerators over one common
+denominator D, and the constants to ints over their own denominator C (see
+`Field.lift`).  Each cell is homogeneous of degree 1 in the constants and 2
+in r, so the int cube is C D^2 times the residual; only its nonzero entries
+are turned back into Fraction/ModP scalars (reduced mod p, or divided by
+C D^2).  Fraction and ModP stay at the API boundary and in the report.
+
+Everything else in this module (the closed-form solution families, the
+classification predicates) is checked against that expansion by the test
+suite, as are the per-cell equation systems transcribed in
+tests/transcribed.py; the expansion itself is checked against a naive
+reimplementation in the tests.
 
 Classification covers the regimes with a known complete answer:
 
@@ -35,10 +44,11 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, family_ii, family_vi, solvable_table
+from .scalars import FieldError
 from .tensor import NAMED_CELLS, Tensor2, Tensor3
 
 
@@ -57,46 +67,96 @@ class ResidualReport:
     nonzero_entries: tuple  # (((i, j, m), value), ...) 1-based positions
 
 
-def cybe_residual(L, r):
-    """Full CYBE residual of r on L, by direct expansion."""
+@lru_cache(maxsize=64)
+def _int_constants(L):
+    """L's nonzero structure constants as (i, j, m, int) over their common
+    denominator C, with C.  A LieAlgebra is immutable and hashes by
+    identity, so the lift is made once per table."""
+    nz = L.nonzero_constants()
+    ints, scale = L.field.lift([val for *_, val in nz])
+    return tuple((i, j, m, v) for (i, j, m, _), v in zip(nz, ints)), scale
+
+
+def _lift_grid(L, r):
+    """r's grid as flat row-major ints over its common denominator D, and
+    D.  Lifting would reduce scalars of another field without complaint,
+    where their arithmetic refuses to mix, so the fields must match."""
     if L.n != r.n:
         raise ValueError(f"dimension mismatch: algebra {L.n}, tensor {r.n}")
-    n = L.n
-    zero = L.field.zero()
-    t = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    k = r.k
-    for i, j, m, val in L.nonzero_constants():
-        # term 1: c[i][j][m] contributes val*k[i][b]*k[j][c] at (m, b, c)
+    if r.field != L.field:
+        raise FieldError(f"tensor over {r.field!r}, algebra over {L.field!r}")
+    return L.field.lift([v for row in r.k for v in row])
+
+
+@lru_cache(maxsize=8)
+def _grid_cells(n, rank):
+    """The 1-based cells of a rank-`rank` grid in dim n, row-major."""
+    return tuple(product(range(1, n + 1), repeat=rank))
+
+
+def _nonzero_entries(field, ints, scale, n, rank):
+    """((1-based cell, ints[idx] / scale), ...) for the entries of a flat
+    row-major rank-`rank` kernel output that are nonzero in the field."""
+    cells = _grid_cells(n, rank)
+    return tuple((cell, field.unlift(v, scale))
+                 for cell, v in zip(cells, field.reduce(ints)) if v)
+
+
+def _residual_ints(n, consts, k):
+    """Int kernel of the expansion above: the flat residual cube of the
+    flat int grid k on the int constants (i, j, m, c).  On lifted input
+    it is C D^2 times the residual.
+
+    The constants are antisymmetric (c[j][i][m] = -c[i][j][m]; every
+    LieAlgebra constructor enforces it), so each pair i < j is expanded
+    once for both of its orderings:
+
+        term 1:  c (k[i][b] k[j][c] - k[j][b] k[i][c])  at (m, b, c)
+        term 2:  c (k[a][i] k[j][c] - k[a][j] k[i][c])  at (a, m, c)
+        term 3:  c (k[a][i] k[b][j] - k[a][j] k[b][i])  at (a, b, m)
+
+    Terms 1 and 3 are 2x2 minors of rows i, j and of columns i, j, skew in
+    (b, c) and in (a, b), so each minor serves two cells.
+    """
+    nn = n * n
+    rows = [k[i * n:i * n + n] for i in range(n)]
+    cols = [k[i::n] for i in range(n)]
+    t = [0] * (n * nn)
+    for i, j, m, val in consts:
+        if i > j:
+            continue
+        ri, rj, ci, cj = rows[i], rows[j], cols[i], cols[j]
         for b in range(n):
-            if k[i][b]:
-                coef = val * k[i][b]
-                row = t[m][b]
+            for c in range(b + 1, n):
+                minor = ri[b] * rj[c] - rj[b] * ri[c]
+                if minor:
+                    t[m * nn + b * n + c] += val * minor
+                    t[m * nn + c * n + b] -= val * minor
+                minor = ci[b] * cj[c] - cj[b] * ci[c]
+                if minor:
+                    t[b * nn + c * n + m] += val * minor
+                    t[c * nn + b * n + m] -= val * minor
+            if ci[b] or cj[b]:      # term 2, with b as its row a
+                base = b * nn + m * n
                 for c in range(n):
-                    if k[j][c]:
-                        row[c] = row[c] + coef * k[j][c]
-        # term 2: contributes val*k[a][i]*k[j][c] at (a, m, c)
-        for a in range(n):
-            if k[a][i]:
-                coef = val * k[a][i]
-                row = t[a][m]
-                for c in range(n):
-                    if k[j][c]:
-                        row[c] = row[c] + coef * k[j][c]
-        # term 3: contributes val*k[a][i]*k[b][j] at (a, b, m)
-        for a in range(n):
-            if k[a][i]:
-                coef = val * k[a][i]
-                for b in range(n):
-                    if k[b][j]:
-                        t[a][b][m] = t[a][b][m] + coef * k[b][j]
-    residual = Tensor3(
-        n,
-        tuple(tuple(tuple(row) for row in plane) for plane in t),
-        L.field,
-    )
-    nonzero = tuple(
-        ((i + 1, j + 1, m + 1), v) for (i, j, m), v in residual.entries()
-    )
+                    t[base + c] += val * (ci[b] * rj[c] - cj[b] * ri[c])
+    return t
+
+
+def cybe_residual(L, r):
+    """Full CYBE residual of r on L, by direct expansion."""
+    consts, c_scale = _int_constants(L)
+    k, d_scale = _lift_grid(L, r)
+    n, field = L.n, L.field
+    t = field.reduce(_residual_ints(n, consts, k))
+    scale, zero = c_scale * d_scale * d_scale, field.zero()
+    vals = [field.unlift(v, scale) if v else zero for v in t]
+    nonzero = tuple((cell, val) for cell, val, v
+                    in zip(_grid_cells(n, 3), vals, t) if v)
+    nn = n * n
+    residual = Tensor3(n, tuple(
+        tuple(tuple(vals[row:row + n]) for row in range(plane, plane + nn, n))
+        for plane in range(0, n * nn, nn)), field)
     return ResidualReport(residual, not nonzero, nonzero)
 
 
@@ -107,13 +167,15 @@ def is_cybe_solution(L, r):
 # ---------------------------------------------------------------------------
 # table recognition
 
+@lru_cache(maxsize=64)
 def recognize_table(L):
     """Identify which constructor table L is, with its parameters.
 
     Returns ("abelian",), ("vi",), ("ii", alpha, beta),
     ("solvable", beta, delta), or None for anything else.  Recognition is
     structural (grid comparison), so custom input tables that happen to match
-    a family are classified like that family.
+    a family are classified like that family.  Memoized per table (tables
+    are immutable and hash by identity).
     """
     if not L.nonzero_constants():
         return ("abelian",)
@@ -132,113 +194,6 @@ def recognize_table(L):
     if L.c == solvable_table(beta_s, delta, L.field).c:
         return ("solvable", beta_s, delta)
     return None
-
-
-# ---------------------------------------------------------------------------
-# transcribed per-cell equation systems
-#
-# For the two parametric dim-3 tables the residual grid is written out as an
-# explicit quadratic system in the named coefficients (x y z p q s t u v).
-# Each entry below is (cell, polynomial): the polynomial equals the residual
-# coefficient at that 1-based cell, exactly.  These lists are validation
-# targets for the expansion engine (and vice versa), never the engine itself.
-
-def _ii_equations(a, b, C):
-    x, y, z = C.x, C.y, C.z
-    p, q, s, t, u, v = C.p, C.q, C.s, C.t, C.u, C.v
-    return (
-        ((1, 1, 1), a * p * t - a * q * s),
-        ((2, 2, 2), b * p * u - b * q * v),
-        ((3, 3, 3), t * u - v * s),
-        ((1, 2, 3), a * y * z - b * x * z + x * y - a * u * v + b * s * s - p * q),
-        ((2, 3, 1), b * z * x - y * x + a * y * z - b * s * t + q * q - a * u * v),
-        ((3, 1, 2), x * y - a * z * y + b * z * x - p * q + a * v * v - b * s * t),
-        ((1, 3, 2), -a * z * y + x * y - b * x * z + a * u * v - p * p + b * s * t),
-        ((3, 2, 1), -x * y + b * x * z - a * y * z + p * q - b * t * t + a * u * v),
-        ((2, 1, 3), -b * x * z + a * y * z - y * x + b * s * t - a * u * u + p * q),
-        ((1, 1, 2), a * (-t * y + q * v + p * v - s * y)),
-        ((2, 1, 1), a * (-u * q + y * t + y * s - u * p)),
-        ((1, 1, 3), a * (q * z - t * u + p * z - s * u)),
-        ((3, 1, 1), a * (v * t - z * q + v * s - z * p)),
-        ((2, 2, 1), b * (-p * t + v * x + u * x - q * t)),
-        ((1, 2, 2), b * (-x * v + s * p - x * u + s * q)),
-        ((2, 2, 3), b * (v * s - p * z + u * s - q * z)),
-        ((3, 2, 2), b * (-t * v + z * p + z * q - t * u)),
-        ((3, 3, 1), s * q - u * x + t * q - v * x),
-        ((3, 3, 2), -u * p + s * y - v * p + t * y),
-        ((2, 3, 3), q * u - y * s + q * v - y * t),
-        ((1, 3, 3), -p * s + x * u - p * t + x * v),
-        ((1, 3, 1), a * u * t - a * z * q - p * x + x * q + a * p * z - a * s * v),
-        ((1, 2, 1), -a * v * q + a * y * t - b * x * t + b * s * x - a * s * y + a * p * u),
-        ((2, 1, 2), b * t * p - b * x * v + a * y * v - a * u * y - b * q * s + b * u * x),
-        ((2, 3, 2), -b * s * v + b * z * p + q * y - y * p - b * q * z + b * u * t),
-        ((3, 2, 3), p * u - y * s - b * t * z + b * z * s + t * y - v * q),
-        ((3, 1, 3), -q * s + x * u + a * v * z - a * z * u + t * p - v * x),
-    )
-
-
-def _solvable_equations(b, d, C):
-    x, y, z = C.x, C.y, C.z
-    p, q, s, t, u, v = C.p, C.q, C.s, C.t, C.u, C.v
-    return (
-        ((1, 1, 1), -s * x + x * t),
-        ((2, 2, 2), b * (-u * p + q * v) + d * (-u * y + y * v)),
-        ((1, 2, 3), -v * s + p * z - b * s * s + b * x * z - d * s * u + d * z * p),
-        ((2, 3, 1), -b * x * z + b * s * t - d * z * q + d * u * t - u * t + q * z),
-        ((3, 1, 2), -z * p + t * v - b * z * x + b * t * s - d * z * p + d * v * s),
-        ((1, 3, 2), -z * p + s * v - b * s * t + b * x * z - d * s * v + d * z * p),
-        ((3, 2, 1), -b * z * x + b * t * t - d * z * q + d * v * t - z * q + t * u),
-        ((2, 1, 3), -b * s * t + b * x * z - d * t * u + d * q * z - u * s + q * z),
-        ((1, 1, 2), -t * p + x * v - s * p + v * x),
-        ((2, 1, 1), -u * x + q * t - u * x + q * s),
-        ((1, 1, 3), -s * t + x * z - s * s + x * z),
-        ((3, 1, 1), -z * x + t * t - z * x + s * t),
-        ((2, 2, 1), b * (-v * x + p * t - u * x + q * t) + d * (-v * q + y * t - u * q + y * t)),
-        ((1, 2, 2), b * (-s * p + x * v - s * q + x * u) + d * (-s * y + p * v - s * y + p * u)),
-        ((2, 2, 3), b * (-v * s + p * z - s * u + z * q) + d * (-v * u + y * z - u * u + y * z)),
-        ((3, 2, 2), b * (-z * p + t * v - z * q + t * u) + d * (-z * y + v * v - z * y + v * u)),
-        ((1, 2, 1), -v * x + p * t - b * s * x + b * x * t - d * s * q + d * p * t - s * q + x * u),
-        ((2, 1, 2), b * (-p * t + v * x - u * x + q * s) + d * (-t * y + q * v - u * p + y * s) - u * p + q * v),
-        ((2, 3, 2), b * (-z * p + s * v - u * t + q * z)),
-        ((3, 2, 3), b * (-z * s + t * z) + d * (-z * u + v * z)),
-        ((3, 1, 3), -z * s + t * z),
-    )
-
-
-_SOLVABLE_ZERO_CELLS = ((3, 3, 3), (3, 3, 1), (1, 3, 3), (3, 3, 2), (2, 3, 3), (1, 3, 1))
-
-
-def family_equations(L, r):
-    """Evaluate the transcribed quadratic system for L's table at r.
-
-    Returns a list of (index, cell, value): index counts from 1 in a fixed
-    documented order, cell is the 1-based residual grid cell the polynomial
-    equals.  Supported tables: the dim-3 II table (any alpha, beta; 27
-    equations, one per cell) and the dim-3 solvable table (any beta, delta;
-    21 equations, the remaining 6 cells vanish identically).
-    """
-    if r.n != L.n:
-        raise ValueError(f"dimension mismatch: algebra {L.n}, tensor {r.n}")
-    reg = recognize_table(L)
-    if reg is None:
-        raise ValueError("no transcribed system for this table")
-    kind = reg[0]
-    if kind == "abelian" and L.n == 3:
-        # the II table with alpha = beta = 0 is NOT abelian ([e1,e2]=e3);
-        # a fully abelian table has no system to evaluate
-        raise ValueError("no transcribed system for the abelian table")
-    if kind == "ii":
-        eqs = _ii_equations(reg[1], reg[2], r)
-    elif kind == "solvable":
-        eqs = _solvable_equations(reg[1], reg[2], r)
-    else:
-        raise ValueError(f"no transcribed system for table {kind!r}")
-    return [(idx + 1, cell, value) for idx, (cell, value) in enumerate(eqs)]
-
-
-def solvable_zero_cells():
-    """Residual cells that vanish identically on the solvable table."""
-    return _SOLVABLE_ZERO_CELLS
 
 
 # ---------------------------------------------------------------------------

@@ -68,32 +68,6 @@ class Tensor2:
     def is_zero(self):
         return not any(any(row) for row in self.k)
 
-    # arithmetic (used by the bialgebra layer)
-
-    def __add__(self, other):
-        assert self.n == other.n
-        return Tensor2(
-            self.n,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.k, other.k)
-            ),
-            self.field,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Tensor2(
-            self.n, tuple(tuple(-a for a in row) for row in self.k), self.field
-        )
-
-    def scale(self, c):
-        return Tensor2(
-            self.n, tuple(tuple(c * a for a in row) for row in self.k), self.field
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Tensor2):
             return NotImplemented
@@ -189,20 +163,6 @@ class Tensor3:
 
     def is_zero(self):
         return not self.entries()
-
-    def __add__(self, other):
-        assert self.n == other.n
-        return Tensor3(
-            self.n,
-            tuple(
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(pa, pb)
-                )
-                for pa, pb in zip(self.t, other.t)
-            ),
-            self.field,
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):

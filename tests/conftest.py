@@ -6,6 +6,12 @@ that collide, expand through L.bracket.  It shares no code path with
 cybe.solve (which uses a reindexed summation over the nonzero constants), so
 agreement between the two is a real check, not a tautology.
 
+`naive_adjoint_action`, `naive_cobracket`, `naive_coantisymmetry`,
+`naive_cojacobi` and `naive_compatibility` are the bialgebra axioms written
+out from their definitions through L.bracket, on Fraction/ModP scalars, in
+the witness format of cybe.bialgebra: the second path for its integer
+kernels.
+
 `strongly_symmetric_by_definition` is the quantifier form of strong
 symmetry, kept here as the reference for cybe.tensor.is_strongly_symmetric
 (which tests the equivalent rank <= 1 condition through 2x2 minors).
@@ -59,6 +65,91 @@ def naive_residual(L, r):
                         if vec[m]:
                             t[i][a][m] = t[i][a][m] + coef * vec[m]
     return t
+
+
+def naive_adjoint_action(L, x_coords, r):
+    """x . r straight from the derivation rule, through L.bracket."""
+    n = L.n
+    zero = L.field.zero()
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            kij = r.k[i][j]
+            if not kij:
+                continue
+            left = L.bracket(x_coords, L.basis_vector(i))
+            for a in range(n):
+                if left[a]:
+                    out[a][j] = out[a][j] + kij * left[a]
+            right = L.bracket(x_coords, L.basis_vector(j))
+            for b in range(n):
+                if right[b]:
+                    out[i][b] = out[i][b] + kij * right[b]
+    return Tensor2.from_rows(out, L.field)
+
+
+def naive_cobracket(L, r):
+    """[delta(e_1), ..., delta(e_n)] with delta(x) = x . r."""
+    return [naive_adjoint_action(L, L.basis_vector(w), r) for w in range(L.n)]
+
+
+def _nonzero(grid, n, rank):
+    """((1-based cell, value), ...) of the nonzero cells of a dict grid."""
+    return tuple((tuple(i + 1 for i in cell), grid[cell])
+                 for cell in product(range(n), repeat=rank)
+                 if cell in grid and grid[cell])
+
+
+def naive_coantisymmetry(images):
+    """1-based indices of the images that are not skew."""
+    return tuple(w + 1 for w, img in enumerate(images)
+                 if any(img.k[a][b] != -img.k[b][a]
+                        for a, b in product(range(img.n), repeat=2)))
+
+
+def naive_cojacobi(L, images):
+    """((i, nonzero entries), ...) where (1 + xi + xi^2)(1 (x) delta)
+    delta(e_i) is nonzero: each term e_a (x) e_c (x) e_d of the composite
+    is moved to its two cyclic shifts e_c (x) e_d (x) e_a and
+    e_d (x) e_a (x) e_c, with xi(x (x) y (x) z) = y (x) z (x) x."""
+    n, zero = L.n, L.field.zero()
+    witnesses = []
+    for i in range(n):
+        total = {}
+        d_i = images[i].k
+        for a, b in product(range(n), repeat=2):
+            if not d_i[a][b]:
+                continue
+            for c, d in product(range(n), repeat=2):
+                val = d_i[a][b] * images[b].k[c][d]
+                for cell in ((a, c, d), (c, d, a), (d, a, c)):
+                    total[cell] = total.get(cell, zero) + val
+        entries = _nonzero(total, n, 3)
+        if entries:
+            witnesses.append((i + 1, entries))
+    return tuple(witnesses)
+
+
+def naive_compatibility(L, images):
+    """(((i, j), nonzero entries), ...) where delta([e_i, e_j]) differs
+    from e_i . delta(e_j) - e_j . delta(e_i)."""
+    n, zero = L.n, L.field.zero()
+    witnesses = []
+    for i, j in product(range(n), repeat=2):
+        ei, ej = L.basis_vector(i), L.basis_vector(j)
+        bracket = L.bracket(ei, ej)
+        right_ij = naive_adjoint_action(L, ei, images[j]).k
+        right_ji = naive_adjoint_action(L, ej, images[i]).k
+        diff = {}
+        for a, b in product(range(n), repeat=2):
+            left = zero
+            for m in range(n):
+                left = left + bracket[m] * images[m].k[a][b]
+            diff[(a, b)] = left - right_ij[a][b] + right_ji[a][b]
+        entries = _nonzero(diff, n, 2)
+        if entries:
+            witnesses.append(((i + 1, j + 1), entries))
+    return tuple(witnesses)
 
 
 def strongly_symmetric_by_definition(r):

@@ -24,7 +24,6 @@ from cybe import (
     cybe_residual,
     determinant,
     cycle_xi,
-    family_equations,
     family_ii,
     family_iii,
     family_iv,
@@ -41,6 +40,7 @@ from cybe import (
     verify_classification,
 )
 from conftest import all_tensors
+from transcribed import family_equations
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

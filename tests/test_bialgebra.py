@@ -27,31 +27,10 @@ from cybe import (
     solvable_table,
     triangular_predicate,
 )
-from conftest import all_tensors, rand_tensor
+from conftest import all_tensors, naive_adjoint_action, rand_tensor
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
-
-
-def naive_adjoint_action(L, x_coords, r):
-    """x . r straight from the derivation rule, through L.bracket."""
-    n = L.n
-    zero = L.field.zero()
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            kij = r.k[i][j]
-            if not kij:
-                continue
-            left = L.bracket(x_coords, L.basis_vector(i))
-            for a in range(n):
-                if left[a]:
-                    out[a][j] = out[a][j] + kij * left[a]
-            right = L.bracket(x_coords, L.basis_vector(j))
-            for b in range(n):
-                if right[b]:
-                    out[i][b] = out[i][b] + kij * right[b]
-    return Tensor2.from_rows(out, L.field)
 
 
 def bialgebra_tables():
@@ -84,6 +63,8 @@ def test_ad_action_dimension_guard():
         ad_action(sl2(QQ), [QQ.one()] * 2, Tensor2.zero(3, QQ))
     with pytest.raises(ValueError, match="dimension"):
         ad_action(sl2(QQ), [QQ.one()] * 3, Tensor2.zero(2, QQ))
+    with pytest.raises(ValueError, match="dimension"):
+        cobracket(sl2(QQ), Tensor2.zero(3, QQ)).of_vector([QQ.one()] * 2)
 
 
 def test_cobracket_images_and_linearity(rng):

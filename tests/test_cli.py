@@ -219,6 +219,45 @@ def test_enumerate_rejects_bad_count_flags(capsys, tmp_path, key, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("key", ["timing", "list_solutions"])
+@pytest.mark.parametrize("value", ["no", "true", [1], 1, 0, None])
+def test_enumerate_rejects_non_bool_flag_options(capsys, tmp_path, key,
+                                                 value):
+    doc = {"field": {"kind": "prime", "p": 5}, "algebra": {"family": "VI"},
+           "options": {key: value}}
+    code = run(["enumerate", "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert f"options.{key} must be true or false" in captured.err
+
+
+def test_enumerate_bool_flag_options(capsys, tmp_path):
+    doc = {"field": {"kind": "prime", "p": 5}, "algebra": {"family": "VI"},
+           "options": {"timing": False, "list_solutions": False}}
+    code, rep = run_json(capsys,
+                         ["enumerate", "-i", write_problem(tmp_path, doc)])
+    assert code == 0 and "solutions" not in rep
+    assert rep["wall_time_ms"] is None
+    doc["options"] = {"timing": True, "list_solutions": True}
+    code, rep = run_json(capsys,
+                         ["enumerate", "-i", write_problem(tmp_path, doc)])
+    assert code == 0 and len(rep["solutions"]) == rep["solution_count"] == 29
+    assert rep["wall_time_ms"] is not None
+
+
+@pytest.mark.parametrize("brackets", [2, 2.5, None, True])
+@pytest.mark.parametrize("verb", ["check", "bialgebra", "enumerate",
+                                  "generate"])
+def test_non_list_brackets_exit_2(capsys, tmp_path, verb, brackets):
+    doc = {"field": {"kind": "rational"},
+           "algebra": {"dim": 3, "brackets": brackets},
+           "tensor": {"named": {"p": "1"}}}
+    code = run([verb, "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert '"algebra.brackets" must be a list' in captured.err
+
+
 def test_enumerate_rejects_ids_past_int64(capsys, tmp_path):
     # 131^9 >= 2^63: refused up front as unusable input, whatever the budget
     doc = {"field": {"kind": "prime", "p": 131},

@@ -12,7 +12,6 @@ from cybe import (
     abelian,
     classify_solution,
     cybe_residual,
-    family_equations,
     family_ii,
     family_iii,
     family_iv,
@@ -24,10 +23,10 @@ from cybe import (
     recognize_table,
     sl2,
     solvable_table,
-    solvable_zero_cells,
 )
 from cybe.solve import regime_records
 from conftest import naive_residual, rand_fraction, rand_tensor, residual_grids_equal
+from transcribed import family_equations, solvable_zero_cells
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
