@@ -79,8 +79,6 @@ def _lift_images(delta, field):
 
 def ad_action(L, x_coords, r):
     """x . r for x given by basis coordinates."""
-    if len(x_coords) != L.n or r.n != L.n:
-        raise ValueError("dimension mismatch")
     return cobracket(L, r).of_vector(x_coords)
 
 
@@ -90,9 +88,6 @@ class Cobracket:
 
     n: int
     images: tuple
-
-    def image(self, i):
-        return self.images[i]
 
     def of_vector(self, coords):
         """The linear extension: sum_i coords[i] delta(e_i)."""

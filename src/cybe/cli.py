@@ -30,11 +30,10 @@ from .problems import (
     ProblemError,
     algebra_obj,
     dumps_report,
-    field_obj,
     load_problem,
     tensor_obj,
 )
-from .scalars import FieldError, scalar_str
+from .scalars import FieldError
 from .solve import (
     GENERATOR_CASES,
     GENERATORS,
@@ -58,15 +57,10 @@ def _jacobi_section(L, report):
     if violations:
         report["jacobi_violations"] = [
             {"triple": list(tri),
-             "residual": [scalar_str(v) for v in vec]}
+             "residual": [str(v) for v in vec]}
             for tri, vec in violations
         ]
     return not violations
-
-
-def _symmetry_section(L, r):
-    alpha, beta, _ = table_params(recognize_table(L))
-    return symmetry_flags(r, alpha, beta)
 
 
 def cmd_check(problem):
@@ -77,27 +71,28 @@ def cmd_check(problem):
         raise ProblemError('"check" needs a tensor (or tensors)')
     report = {
         "command": "check",
-        "field": field_obj(problem.field),
+        "field": problem.field.to_spec(),
         "algebra": algebra_obj(L),
     }
     ok = _jacobi_section(L, report)
     results = []
     if ok:
+        alpha, beta, _ = table_params(recognize_table(L))
         for r in problem.tensors:
             res = cybe_residual(L, r)
             entry = {
                 "tensor": tensor_obj(r),
                 "is_solution": res.is_zero,
-                "symmetry": _symmetry_section(L, r),
+                "symmetry": symmetry_flags(r, alpha, beta),
             }
             if not res.is_zero:
                 entry["residual_entries"] = [
-                    [list(cell), scalar_str(v)]
+                    [list(cell), str(v)]
                     for cell, v in res.nonzero_entries[:RESIDUAL_WITNESS_CAP]
                 ]
                 ok = False
             try:
-                _, labels = classify_solution(L, r)
+                labels = classify_solution(L, r)
                 entry["covered"] = True
                 entry["labels"] = sorted(lab.value for lab in labels)
             except UncoveredRegime as e:
@@ -118,7 +113,7 @@ def cmd_bialgebra(problem):
         raise ProblemError('"bialgebra" needs a tensor (or tensors)')
     report = {
         "command": "bialgebra",
-        "field": field_obj(problem.field),
+        "field": problem.field.to_spec(),
         "algebra": algebra_obj(L),
     }
     ok = _jacobi_section(L, report)
@@ -142,14 +137,14 @@ def cmd_bialgebra(problem):
             if not b.cojacobi_ok:
                 witnesses["cojacobi"] = [
                     {"basis_index": i,
-                     "entries": [[list(cell), scalar_str(v)]
+                     "entries": [[list(cell), str(v)]
                                  for cell, v in entries]}
                     for i, entries in b.witnesses["cojacobi"]
                 ]
             if not b.compatibility_ok:
                 witnesses["compatibility"] = [
                     {"pair": list(pair),
-                     "entries": [[list(cell), scalar_str(v)]
+                     "entries": [[list(cell), str(v)]
                                  for cell, v in entries]}
                     for pair, entries in b.witnesses["compatibility"]
                 ]
@@ -194,7 +189,7 @@ def cmd_enumerate(problem, args):
     timing = args.timing or opts.get("timing", False)
     report = {
         "command": "enumerate",
-        "field": field_obj(problem.field),
+        "field": problem.field.to_spec(),
         "algebra": algebra_obj(L),
     }
     if not _jacobi_section(L, report):
@@ -209,7 +204,7 @@ def cmd_enumerate(problem, args):
         return report, 1
     report.update({
         "total": enum.total,
-        "backend": enum.backend,
+        "backend": "frontier",
         "solution_count": enum.solution_count,
         "predicate_count": enum.predicate_count,
         "matched": enum.matched,
@@ -235,9 +230,9 @@ def cmd_generate(problem, args):
         raise ProblemError('"generate" needs an algebra')
     opts = problem.options
     case = args.case or opts.get("case")
-    if not case:
+    if not case or not isinstance(case, str):
         raise ProblemError(
-            '"generate" needs a case (options.case or --case)')
+            '"generate" needs a case as a string (options.case or --case)')
     params_in = opts.get("params", {})
     if not isinstance(params_in, dict):
         raise ProblemError('"options.params" must be an object')
@@ -254,10 +249,10 @@ def cmd_generate(problem, args):
     ok = is_cybe_solution(L, r)
     report = {
         "command": "generate",
-        "field": field_obj(problem.field),
+        "field": problem.field.to_spec(),
         "algebra": algebra_obj(L),
         "case": case,
-        "params": {k: scalar_str(v) for k, v in sorted(params.items())},
+        "params": {k: str(v) for k, v in sorted(params.items())},
         "tensor": tensor_obj(r),
         "self_check": ok,
         "ok": ok,

@@ -36,10 +36,6 @@ class LieAlgebra:
         self.field = field
         self.label = label
 
-    def bracket_basis(self, i, j):
-        """Coefficient vector of [e_i, e_j] (0-based indices)."""
-        return self.c[i][j]
-
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y of length n."""
         if len(x) != self.n or len(y) != self.n:
@@ -101,10 +97,6 @@ def abelian(n, field=QQ):
     return _table(n, field, {}, f"I(dim {n})")
 
 
-def family_i(n, field=QQ):
-    return abelian(n, field)
-
-
 def family_ii(alpha, beta, field=QQ, _label=None, strict=True):
     """Family II: [e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2.
 
@@ -128,12 +120,7 @@ def family_ii(alpha, beta, field=QQ, _label=None, strict=True):
 def family_iii(field=QQ):
     """Family III, the Heisenberg algebra: [e1,e2]=e3, e3 central."""
     zero = field.zero()
-    L = family_ii(zero, zero, field, _label="III", strict=False)
-    return L
-
-
-def heisenberg(field=QQ):
-    return family_iii(field)
+    return family_ii(zero, zero, field, _label="III", strict=False)
 
 
 def solvable_table(beta, delta, field=QQ, _label=None):
@@ -235,7 +222,7 @@ def check_jacobi(L):
 
 
 FAMILY_BUILDERS = {
-    "I": family_i,
+    "I": abelian,
     "II": family_ii,
     "III": family_iii,
     "IV": family_iv,
@@ -254,7 +241,7 @@ def make_family(name, field=QQ, **params):
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r} (have {sorted(FAMILY_BUILDERS)})")
     if name == "I":
-        return family_i(params.pop("dim", 3), field, **_none(params))
+        return abelian(params.pop("dim", 3), field, **_none(params))
     if name == "II":
         try:
             alpha, beta = params.pop("alpha"), params.pop("beta")

@@ -2,8 +2,10 @@
 
 Rational scalars are stdlib ``fractions.Fraction`` (always reduced, exact).
 Prime-field scalars are ``ModP`` instances carrying the least non-negative
-residue.  Every other module treats scalars opaquely through a ``Field``
-context object, so the same code runs over both ground fields.
+residue.  Every other module treats scalars opaquely through a field
+object, ``QQ`` (the one ``RationalField``) or a ``PrimeField``: both offer
+zero, one, from_int, parse, contains and to_spec, so the same code runs over
+both ground fields.
 
 The characteristic-2 exclusion is baked in: ``PrimeField(2)`` raises.
 
@@ -154,28 +156,7 @@ class ModP:
         return str(self.val)
 
 
-class Field:
-    """Common interface of the two ground fields."""
-
-    kind = None  # "rational" | "prime"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def parse(self, text):
-        raise NotImplementedError
-
-    def contains(self, value):
-        raise NotImplementedError
-
-
-class RationalField(Field):
+class RationalField:
     kind = "rational"
 
     def zero(self):
@@ -234,7 +215,7 @@ class RationalField(Field):
         return {"kind": "rational"}
 
 
-class PrimeField(Field):
+class PrimeField:
     kind = "prime"
 
     def __init__(self, p):
@@ -262,8 +243,6 @@ class PrimeField(Field):
             n = int(text)
         except ValueError:
             raise FieldError(f"malformed residue {text!r} for F_{self.p}") from None
-        if "/" in text:  # unreachable, int() already rejected; kept for clarity
-            raise FieldError(f"no fractions in F_{self.p}")
         return ModP(n, self.p)
 
     def contains(self, value):
@@ -278,10 +257,6 @@ class PrimeField(Field):
 
     def unlift(self, v, scale):
         return ModP(v * pow(scale, -1, self.p), self.p)
-
-    def elements(self):
-        """All p field elements, in residue order."""
-        return [ModP(v, self.p) for v in range(self.p)]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -313,12 +288,7 @@ def make_field(kind, p=None):
 
 
 def parse_scalar(text, field):
-    """Parse scalar text in the given field (see Field.parse)."""
+    """Parse scalar text in the given field (see its parse method)."""
     if not isinstance(text, str):
         raise FieldError(f"scalar must be a string, got {type(text).__name__}")
     return field.parse(text)
-
-
-def scalar_str(value):
-    """Canonical text form, inverse of parse for canonical inputs."""
-    return str(value)

@@ -9,13 +9,16 @@ terms contribute to the residual coefficient at (a, b, c):
     term 2:  sum_{j,s} k[a][j] k[s][c] c[j][s][b]
     term 3:  sum_{j,t} k[a][j] k[b][t] c[j][t][c]
 
-The expansion runs on plain ints (`_residual_ints`): the grid is lifted
-once to canonical residues over F_p, or over Q to numerators over one common
-denominator D, and the constants to ints over their own denominator C (see
-`Field.lift`).  Each cell is homogeneous of degree 1 in the constants and 2
-in r, so the int cube is C D^2 times the residual; only its nonzero entries
-are turned back into Fraction/ModP scalars (reduced mod p, or divided by
-C D^2).  Fraction and ModP stay at the API boundary and in the report.
+The expansion runs on plain ints (`_residual_ints`), and only there: the
+grid is lifted once to canonical residues over F_p, or over Q to numerators
+over one common denominator D, and the constants to ints over their own
+denominator C (see the fields' `lift` in `scalars`).  Each cell is
+homogeneous of degree 1 in the constants and 2 in r, so the int cube is
+C D^2 times the residual; only its nonzero entries are turned back into
+Fraction/ModP scalars (reduced mod p, or divided by C D^2).  Fraction and
+ModP stay at the API boundary and in the report.  The bialgebra check calls
+the same kernel, and the enumeration oracle reads each cell's quadratic
+form off it by polarization (`exhaustive._residual_checks`).
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -488,16 +491,15 @@ def regime_records(L, reg):
 
 
 def classify_solution(L, r):
-    """(is_solution, labels r satisfies) for a covered regime.
+    """The set of labels r satisfies, for a covered regime.
 
-    On covered regimes the contract is: is_solution iff the label set is
-    nonempty.  Raises UncoveredRegime outside them.
+    On covered regimes the contract is: r solves the CYBE iff the label set
+    is nonempty.  Raises UncoveredRegime outside them.
     """
     reg = recognize_table(L)
     records = regime_records(L, reg)
     c = Coefficients(r.n, r.k, r.field, table_params(reg))
-    labels = {rec.label for rec in records if rec.holds(c)}
-    return is_cybe_solution(L, r), labels
+    return {rec.label for rec in records if rec.holds(c)}
 
 
 def is_strongly_symmetric(r):

@@ -6,7 +6,8 @@ basis vectors in reports is 1-based (e_1..e_n).
 
 For n = 3 a tensor exposes the conventional single-letter view of its grid
     x=k11 y=k22 z=k33 p=k12 q=k21 s=k13 t=k31 u=k23 v=k32
-read-only, so reports and tests can speak that language.
+read-only, so reports and tests can speak that language.  NAMED_CELLS is
+the one table of these names: the properties are made from it.
 
 The symmetry predicates (is_strongly_symmetric, is_skew_symmetric,
 is_alpha_beta_skew) are evaluations of solution-label records and live in
@@ -35,11 +36,6 @@ class Tensor2:
         self.field = field
 
     @classmethod
-    def zero(cls, n, field):
-        z = field.zero()
-        return cls(n, tuple(tuple(z for _ in range(n)) for _ in range(n)), field)
-
-    @classmethod
     def from_entries(cls, n, field, entries):
         """Grid from {(i, j): scalar} with 0-based indices; the rest zero."""
         z = field.zero()
@@ -52,9 +48,6 @@ class Tensor2:
     def from_rows(cls, rows, field):
         n = len(rows)
         return cls(n, tuple(tuple(row) for row in rows), field)
-
-    def entry(self, i, j):
-        return self.k[i][j]
 
     def entries(self):
         """Nonzero entries as ((i, j), value), 0-based, row-major."""
@@ -80,52 +73,19 @@ class Tensor2:
         terms = [f"k[{i+1}][{j+1}]={v}" for (i, j), v in self.entries()]
         return "Tensor2(" + (", ".join(terms) if terms else "0") + ")"
 
-    # the dim-3 (and dim-2) named view
 
-    @property
-    def x(self):
-        return self.k[0][0]
-
-    @property
-    def y(self):
-        return self.k[1][1]
-
-    @property
-    def z(self):
-        self._need3()
-        return self.k[2][2]
-
-    @property
-    def p(self):
-        return self.k[0][1]
-
-    @property
-    def q(self):
-        return self.k[1][0]
-
-    @property
-    def s(self):
-        self._need3()
-        return self.k[0][2]
-
-    @property
-    def t(self):
-        self._need3()
-        return self.k[2][0]
-
-    @property
-    def u(self):
-        self._need3()
-        return self.k[1][2]
-
-    @property
-    def v(self):
-        self._need3()
-        return self.k[2][1]
-
-    def _need3(self):
-        if self.n < 3:
+def _named(i, j):
+    """Read-only property for the named coefficient at 1-based cell (i, j);
+    the ones in row or column 3 need a grid of dimension 3."""
+    def get(self):
+        if self.n < 3 <= max(i, j):
             raise ValueError("named coefficient needs dimension 3")
+        return self.k[i - 1][j - 1]
+    return property(get)
+
+
+for _name, _cell in NAMED_CELLS.items():
+    setattr(Tensor2, _name, _named(*_cell))
 
 
 class Tensor3:
@@ -135,21 +95,6 @@ class Tensor3:
         self.n = n
         self.t = t  # t[i][j][m], tuple^3, 0-based
         self.field = field
-
-    @classmethod
-    def zero(cls, n, field):
-        z = field.zero()
-        return cls(
-            n,
-            tuple(
-                tuple(tuple(z for _ in range(n)) for _ in range(n))
-                for _ in range(n)
-            ),
-            field,
-        )
-
-    def entry(self, i, j, m):
-        return self.t[i][j][m]
 
     def entries(self):
         """Nonzero entries as ((i, j, m), value), 0-based, lexicographic."""

@@ -49,18 +49,18 @@ def naive_residual(L, r):
                         continue
                     coef = kij * kab
                     # [r12, r13]: legs 1 collide -> [e_i, e_a] (x) e_j (x) e_b
-                    vec = L.bracket_basis(i, a)
+                    vec = L.c[i][a]
                     for m in range(n):
                         if vec[m]:
                             t[m][j][b] = t[m][j][b] + coef * vec[m]
                     # [r12, r23]: leg 2 of r12 meets leg 1 of r23
                     #   -> e_i (x) [e_j, e_a] (x) e_b
-                    vec = L.bracket_basis(j, a)
+                    vec = L.c[j][a]
                     for m in range(n):
                         if vec[m]:
                             t[i][m][b] = t[i][m][b] + coef * vec[m]
                     # [r13, r23]: legs 3 collide -> e_i (x) e_a (x) [e_j, e_b]
-                    vec = L.bracket_basis(j, b)
+                    vec = L.c[j][b]
                     for m in range(n):
                         if vec[m]:
                             t[i][a][m] = t[i][a][m] + coef * vec[m]
@@ -164,7 +164,7 @@ def strongly_symmetric_by_definition(r):
 
 def residual_grids_equal(report, grid):
     n = report.residual.n
-    return all(report.residual.entry(a, b, c) == grid[a][b][c]
+    return all(report.residual.t[a][b][c] == grid[a][b][c]
                for a in range(n) for b in range(n) for c in range(n))
 
 

@@ -1,10 +1,16 @@
+import copy
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cybe import PrimeField, enumerate_solutions, exhaustive, family_iii
 from cybe.cli import run
@@ -513,3 +519,102 @@ def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+# the input contract: for any JSON input every verb exits 0, 1 or 2
+
+
+@pytest.mark.parametrize("case", [["strong-y"], {"strong-y": 1}])
+def test_generate_non_string_case_exits_2(capsys, tmp_path, case):
+    doc = {"field": {"kind": "rational"}, "algebra": {"family": "sl2"},
+           "options": {"case": case}}
+    code = run(["generate", "-i", write_problem(tmp_path, doc)])
+    assert code == 2
+    assert "options.case" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra", [
+    {"family": "I", "params": {"dim": 10 ** 30}},
+    {"family": "I", "params": {"dim": -10 ** 30}},
+    {"family": "I", "params": {"dim": 0}},
+    {"family": "I", "params": {"dim": -1}},
+    {"dim": 10 ** 30, "brackets": []},
+])
+def test_out_of_range_dim_exits_2(capsys, tmp_path, algebra):
+    doc = {"field": {"kind": "rational"}, "algebra": algebra, "tensor": {}}
+    code = run(["check", "-i", write_problem(tmp_path, doc)])
+    assert code == 2
+    assert 'dim" must be' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, want", [(16, 0), (17, 2), (80, 2)])
+@pytest.mark.parametrize("family", [True, False])
+def test_dim_cap_is_checked_before_any_table(capsys, tmp_path, dim, want,
+                                             family):
+    algebra = ({"family": "I", "params": {"dim": dim}} if family
+               else {"dim": dim, "brackets": []})
+    doc = {"field": {"kind": "rational"}, "algebra": algebra,
+           "tensor": {"entries": [[1, 1, "1"]]}}
+    t0 = time.perf_counter()
+    code = run(["check", "-i", write_problem(tmp_path, doc)])
+    assert code == want
+    if want == 2:
+        assert 'dim" must be' in capsys.readouterr().err
+        # check on the abelian dim-80 table took 144 s before the cap
+        assert time.perf_counter() - t0 < 1.0
+
+
+def _sample_docs():
+    docs = {}
+    for name in sorted(os.listdir(SAMPLES)):
+        with open(sample(name), encoding="utf-8") as fh:
+            docs[name] = json.load(fh)
+    return docs
+
+
+SAMPLE_DOCS = _sample_docs()
+FUZZ_VERBS = [["check"], ["bialgebra"], ["enumerate", "--budget", "20000"],
+              ["generate"]]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=10)
+# values near the edges of what the schema accepts, drawn as often as the rest
+edge_values = st.sampled_from(
+    ["0", "1", "-1", "1/2", "1/0", "2.5", "x", "strong-y", 0, 1, -1, 3, 17,
+     10 ** 30, -10 ** 30, 2 ** 64, 2.5, True, None, [], {}, [1], ["1"]])
+
+
+def _paths(node, path=()):
+    """Every path below node to a dict value or list item."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_samples(draw):
+    """A problems/ sample with one value replaced or one key deleted."""
+    doc = copy.deepcopy(SAMPLE_DOCS[draw(st.sampled_from(list(SAMPLE_DOCS)))])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = reduce(getitem, path[:-1], doc)
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(edge_values | json_values)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.integers(0, 3).flatmap(
+           lambda i: mutated_samples() if i else json_values),
+       verb=st.sampled_from(FUZZ_VERBS))
+def test_cli_exits_0_1_or_2_on_any_json(tmp_path, doc, verb):
+    path = write_problem(tmp_path, doc)
+    out = str(tmp_path / "report.json")
+    assert run([verb[0], "-i", path, "-o", out, *verb[1:]]) in (0, 1, 2)

@@ -5,7 +5,6 @@ from cybe import (
     BudgetExceeded,
     PrimeField,
     abelian,
-    candidate_count,
     classify_solution,
     decode_tensor,
     encode_tensor,
@@ -18,7 +17,8 @@ from cybe import (
     solvable_table,
     verify_classification,
 )
-from cybe.exhaustive import _label_checks, _surviving_ids
+from cybe import exhaustive, is_skew_symmetric, is_strongly_symmetric
+from cybe.exhaustive import _label_checks, _surviving_ids, candidate_count
 from cybe.solve import recognize_table, regime_records, table_params
 from conftest import (
     all_tensors,
@@ -138,7 +138,7 @@ def test_report_metadata_fields():
     assert (report.p, report.dim) == (3, 2)
     assert report.algebra == L.label
     assert report.total == 81
-    assert report.backend == "frontier"
+    assert scan_solution_ids(L)[1] == "frontier"
     assert report.wall_time_ms is not None and report.wall_time_ms >= 0
     report = verify_classification(L)
     assert report.wall_time_ms is None
@@ -221,14 +221,14 @@ def test_vectorized_predicates_match_scalar_classification():
                 L.n, 3, _label_checks(rec, L.n, 3, params), None).tolist())
             for rec in regime_records(L, reg)}
         for idx, r in enumerate(all_tensors(L.n, F3)):
-            _, labels = classify_solution(L, r)
+            labels = classify_solution(L, r)
             for label, hits in accepted.items():
                 assert (idx in hits) == (label in labels), (L, idx, label)
 
 
 def test_decode_tensor_field_entries():
     r = decode_tensor(80, 2, F3)   # 80 = 2222 base 3
-    assert all(int(r.entry(i, j)) == 2 for i in range(2) for j in range(2))
+    assert all(int(r.k[i][j]) == 2 for i in range(2) for j in range(2))
     assert r.field is F3 or r.field == F3
 
 
@@ -254,7 +254,7 @@ def test_encode_decode_round_trip():
             assert encode_tensor(r) == idx
     # entry (0,0) is the most significant digit
     r = decode_tensor(F3.p ** (2 * 2 - 1) * 2, 2, F3)
-    assert int(r.entry(0, 0)) == 2 and r.entry(0, 1) == F3.zero()
+    assert int(r.k[0][0]) == 2 and r.k[0][1] == F3.zero()
 
 
 def test_decode_grids_matches_decode_tensor():
@@ -266,7 +266,7 @@ def test_decode_grids_matches_decode_tensor():
         r = decode_tensor(int(idx), n, field)
         for i in range(n):
             for j in range(n):
-                assert grids[row, i, j] == int(r.entry(i, j))
+                assert grids[row, i, j] == int(r.k[i][j])
 
 
 def test_brute_force_reference_agrees_with_scalar_path():
@@ -281,3 +281,31 @@ def test_abelian_scan_keeps_everything():
     ids, engine = scan_solution_ids(abelian(2, F3))
     assert engine == "frontier"
     assert np.array_equal(ids, np.arange(81))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_abelian_report_searches_the_space_once(monkeypatch, n):
+    # the `abelian` label has no conditions: its truth set is every grid,
+    # which on the abelian table are the solution ids the oracle found
+    searches = []
+    real = exhaustive._surviving_ids
+
+    def counted(n, p, checks, budget):
+        searches.append(len(checks))
+        return real(n, p, checks, budget)
+
+    monkeypatch.setattr(exhaustive, "_surviving_ids", counted)
+    report = verify_classification(abelian(n, F3))
+    assert searches.count(0) == 1
+    grids = list(all_tensors(n, F3))
+    total = len(grids)
+    assert (report.total, report.solution_count, report.matched,
+            report.predicate_count) == (total,) * 4
+    want = {"abelian": total}
+    if n > 1:
+        want["strongly-symmetric"] = sum(map(is_strongly_symmetric, grids))
+        want["skew-symmetric"] = sum(map(is_skew_symmetric, grids))
+    assert report.label_counts == want
+    assert report.confirmed and not report.empirical_only
+    assert report.missed_by_predicate == report.false_positives == ()
+    assert np.array_equal(report.solution_ids, np.arange(total))

@@ -59,7 +59,7 @@ def assert_matches_oracles(L, r):
                  for a, b, c in product(range(n), repeat=3) if grid[a][b][c])
     res = cybe_residual(L, r)
     assert res.nonzero_entries == want and res.is_zero == (not want)
-    assert all(res.residual.entry(a, b, c) == grid[a][b][c]
+    assert all(res.residual.t[a][b][c] == grid[a][b][c]
                for a, b, c in product(range(n), repeat=3))
     assert scalars_of(field, [v for _, v in res.nonzero_entries])
 

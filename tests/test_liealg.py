@@ -15,7 +15,6 @@ from cybe import (
     family_v,
     family_vi,
     from_constants,
-    heisenberg,
     make_family,
     sl2,
     solvable_table,
@@ -56,18 +55,18 @@ def test_antisymmetry_structural():
 
 def test_family_tables_match_their_defining_brackets():
     L = family_ii(Fraction(4), Fraction(-4))
-    assert L.bracket_basis(0, 1) == (0, 0, 1)       # [e1,e2] = e3
-    assert L.bracket_basis(1, 2) == (4, 0, 0)       # [e2,e3] = 4 e1
-    assert L.bracket_basis(2, 0) == (0, -4, 0)      # [e3,e1] = -4 e2
-    H = heisenberg()
-    assert H.bracket_basis(0, 1) == (0, 0, 1)
-    assert H.bracket_basis(1, 2) == (0, 0, 0)
+    assert L.c[0][1] == (0, 0, 1)       # [e1,e2] = e3
+    assert L.c[1][2] == (4, 0, 0)       # [e2,e3] = 4 e1
+    assert L.c[2][0] == (0, -4, 0)      # [e3,e1] = -4 e2
+    H = family_iii()
+    assert H.c[0][1] == (0, 0, 1)
+    assert H.c[1][2] == (0, 0, 0)
     S = solvable_table(Fraction(7), Fraction(5))
-    assert S.bracket_basis(0, 2) == (1, 7, 0)       # [e1,e3] = e1 + 7 e2
-    assert S.bracket_basis(1, 2) == (0, 5, 0)       # [e2,e3] = 5 e2
-    assert S.bracket_basis(2, 0) == (-1, -7, 0)
+    assert S.c[0][2] == (1, 7, 0)       # [e1,e3] = e1 + 7 e2
+    assert S.c[1][2] == (0, 5, 0)       # [e2,e3] = 5 e2
+    assert S.c[2][0] == (-1, -7, 0)
     V = family_vi()
-    assert V.bracket_basis(0, 1) == (1, 0)          # [e1,e2] = e1
+    assert V.c[0][1] == (1, 0)          # [e1,e2] = e1
 
 
 def test_sl2_constants_come_from_matrix_commutators():
@@ -98,7 +97,7 @@ def test_sl2_constants_come_from_matrix_commutators():
     for i in range(3):
         for j in range(3):
             want = in_basis(commutator(h[i], h[j]))
-            assert L.bracket_basis(i, j) == want, (i, j)
+            assert L.c[i][j] == want, (i, j)
 
 
 def test_bracket_bilinear_and_antisymmetric():
@@ -145,8 +144,8 @@ def test_make_family_dispatch():
     assert make_family("I", QQ).n == 3
     assert make_family("VI", QQ).n == 2
     L = make_family("II", QQ, alpha=Fraction(2), beta=Fraction(3))
-    assert L.bracket_basis(1, 2) == (2, 0, 0)
-    assert make_family("sl2", QQ).bracket_basis(1, 2) == (4, 0, 0)
+    assert L.c[1][2] == (2, 0, 0)
+    assert make_family("sl2", QQ).c[1][2] == (4, 0, 0)
     with pytest.raises(ValueError):
         make_family("VII", QQ)
     with pytest.raises(ValueError, match="unexpected family parameters"):
@@ -164,7 +163,7 @@ def test_from_constants_antisymmetry_enforced():
     with pytest.raises(ValueError, match="out of range"):
         from_constants(2, [(0, 2, 1, one)], QQ)
     L = from_constants(2, [(0, 1, 0, one), (1, 0, 0, -one)], QQ)
-    assert L.bracket_basis(0, 1) == (1, 0)
+    assert L.c[0][1] == (1, 0)
 
 
 def test_mutated_ii_table_still_satisfies_jacobi():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cybe import QQ, FieldError, ModP, PrimeField, make_field, parse_scalar
-from cybe.scalars import is_prime, scalar_str
+from cybe import QQ, FieldError, ModP, PrimeField
+from cybe.scalars import is_prime, make_field, parse_scalar
 
 primes = st.sampled_from([3, 5, 7, 11, 13, 97])
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -108,7 +108,6 @@ def test_prime_field_construction():
         PrimeField(1)
     f = PrimeField(7)
     assert f.one() + f.from_int(6) == 0
-    assert len(f.elements()) == 7
     assert f == PrimeField(7) and f != PrimeField(5) and f != QQ
 
 
@@ -152,11 +151,11 @@ def test_parse_scalar_rejects_non_strings():
 
 @given(st.fractions(max_denominator=1000))
 def test_rational_round_trip(x):
-    assert QQ.parse(scalar_str(x)) == x
+    assert QQ.parse(str(x)) == x
 
 
 @given(primes, ints)
 def test_prime_round_trip(p, a):
     f = PrimeField(p)
     v = f.from_int(a)
-    assert f.parse(scalar_str(v)) == v
+    assert f.parse(str(v)) == v
