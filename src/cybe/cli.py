@@ -16,13 +16,14 @@ are deterministic; opt into wall-clock timing with --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bialgebra import bialgebra_check, coboundary_predicate, triangular_predicate
 from .exhaustive import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    decode_tensor,
+    decode_ids,
     verify_classification,
 )
 from .liealg import check_jacobi
@@ -32,6 +33,7 @@ from .problems import (
     dumps_report,
     load_problem,
     tensor_obj,
+    tensor_objs,
 )
 from .scalars import FieldError
 from .solve import (
@@ -49,6 +51,9 @@ from .solve import (
 )
 
 RESIDUAL_WITNESS_CAP = 100
+# a listed solution costs about 3 KB of peak memory, so the cap holds a
+# listing near 300 MB; larger solution sets are counted but not listed
+LIST_SOLUTIONS_CAP = 100_000
 
 
 def _jacobi_section(L, report):
@@ -215,13 +220,18 @@ def cmd_enumerate(problem, args):
         "empirical_only": enum.empirical_only,
         "wall_time_ms": enum.wall_time_ms,
     })
+    ok = enum.confirmed
     if opts.get("list_solutions") or args.list_solutions:
-        report["solutions"] = [
-            tensor_obj(decode_tensor(int(i), L.n, L.field))
-            for i in enum.solution_ids
-        ]
-    report["ok"] = enum.confirmed
-    return report, 0 if enum.confirmed else 1
+        if enum.solution_count > LIST_SOLUTIONS_CAP:
+            report["error"] = (
+                f"{enum.solution_count} solutions exceed the cap of "
+                f"{LIST_SOLUTIONS_CAP} listed solutions; none are listed")
+            ok = False
+        else:
+            report["solutions"] = tensor_objs(
+                decode_ids(enum.solution_ids, L.n, enum.p), L.n)
+    report["ok"] = ok
+    return report, 0 if ok else 1
 
 
 def cmd_generate(problem, args):
@@ -385,6 +395,7 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+@functools.cache   # one parser per process: building it takes about 1.3 ms
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cybe",
@@ -423,8 +434,7 @@ def build_parser():
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "families":
             report, code = cmd_families()

@@ -87,6 +87,13 @@ def decode_tensor(idx, n, field):
     return Tensor2.from_rows(rows, field)
 
 
+def decode_ids(ids, n, p):
+    """Candidate ids -> their base-p digits as an (len(ids), n*n) int64
+    array, one grid per row, row-major: `decode_tensor` for many ids."""
+    powers = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    return ids[:, None] // powers % p
+
+
 def _require_prime_field(L):
     if not isinstance(L.field, PrimeField):
         raise ValueError("exhaustive scans need a prime field, not QQ")

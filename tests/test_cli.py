@@ -12,9 +12,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cybe import PrimeField, enumerate_solutions, exhaustive, family_iii
+from cybe import (
+    PrimeField,
+    abelian,
+    cli,
+    decode_tensor,
+    enumerate_solutions,
+    exhaustive,
+    family_ii,
+    family_iii,
+    family_vi,
+    scan_solution_ids,
+    solvable_table,
+)
 from cybe.cli import run
-from cybe.problems import tensor_obj
+from cybe.exhaustive import decode_ids
+from cybe.problems import tensor_obj, tensor_objs
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -443,6 +456,45 @@ def test_list_solutions_runs_one_scan(capsys, tmp_path, monkeypatch):
     assert rep["solutions"] == want
 
 
+F3 = PrimeField(3)
+LISTED_TABLES = (
+    [abelian(n, F3) for n in (1, 2, 3)] + [family_vi(F3)]
+    + [family_ii(a, b, F3, strict=False) for a in range(3) for b in range(3)]
+    + [solvable_table(b, d, F3) for b in range(3) for d in range(3)]
+    + [family_vi(PrimeField(5)), family_vi(PrimeField(7))])
+
+
+@pytest.mark.parametrize("L", LISTED_TABLES, ids=lambda L: L.label)
+def test_listed_solutions_match_decoded_tensors(L):
+    # --list-solutions writes each id from its digit row; the reference
+    # decodes each id to a Tensor2 of ModP and echoes it
+    ids, _ = scan_solution_ids(L)
+    want = [tensor_obj(decode_tensor(int(i), L.n, L.field)) for i in ids]
+    assert tensor_objs(decode_ids(ids, L.n, L.field.p), L.n) == want
+
+
+def test_list_solutions_cap(capsys, tmp_path, monkeypatch):
+    def no_decode(*args):
+        raise AssertionError("decoded ids over the cap")
+
+    doc = {"field": {"kind": "prime", "p": 3}, "algebra": {"family": "VI"}}
+    path = write_problem(tmp_path, doc)
+    monkeypatch.setattr(cli, "LIST_SOLUTIONS_CAP", 11)
+    code, rep = run_json(capsys, ["enumerate", "-i", path,
+                                  "--list-solutions"])
+    assert code == 0 and len(rep["solutions"]) == 11
+    monkeypatch.setattr(cli, "LIST_SOLUTIONS_CAP", 10)
+    monkeypatch.setattr(cli, "decode_ids", no_decode)
+    code, rep = run_json(capsys, ["enumerate", "-i", path,
+                                  "--list-solutions"])
+    assert code == 1 and rep["ok"] is False and "solutions" not in rep
+    assert "cap of 10 listed" in rep["error"]
+    assert rep["solution_count"] == 11 and rep["confirmed"] is True
+    # without the flag the same table is not affected by the cap
+    code, rep = run_json(capsys, ["enumerate", "-i", path])
+    assert code == 0 and rep["ok"] and "error" not in rep
+
+
 def test_enumerate_options_from_problem_file(capsys, tmp_path):
     doc = {
         "field": {"kind": "prime", "p": 3},
@@ -515,10 +567,14 @@ def test_installed_console_script():
     assert json.loads(proc.stdout)["command"] == "families"
 
 
-def test_unknown_command_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        run(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_command_usage_error(capsys):
+    # the parser is built once per process; each call still errs alike
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["frobnicate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "frobnicate" in err
 
 
 # the input contract: for any JSON input every verb exits 0, 1 or 2

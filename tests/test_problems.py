@@ -1,7 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybe import QQ, PrimeField, Tensor2, recognize_table
 from cybe.problems import (
@@ -201,3 +204,46 @@ def test_serialization_helpers():
     assert json.loads(text) == {"ok": True, "n": 3}
     # key order is preserved, so equal reports serialize identically
     assert dumps_report({"a": 1, "b": 2}) != dumps_report({"b": 2, "a": 1})
+
+
+# dumps_report is json.dumps(indent=2, ensure_ascii=False) + "\n", byte for
+# byte, whatever it is given: report-shaped values take the fast encoder,
+# anything else (tuples, non-str keys) falls back to json.dumps
+
+json_text = st.text(st.characters() | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\ud800",
+     "é", "\U0001f600"]))
+json_scalars = (st.none() | st.booleans() | json_text
+                | st.integers() | st.integers(-10 ** 80, 10 ** 80)
+                | st.floats() | st.sampled_from(
+                    [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]))
+report_like = st.recursive(
+    json_scalars,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(json_text, kids, max_size=4)),
+    max_leaves=24)
+# what json.dumps also takes: tuples, and int, float, bool or None keys
+json_like = st.recursive(
+    json_scalars,
+    lambda kids: (st.lists(kids, max_size=3) | st.tuples(kids, kids)
+                  | st.dictionaries(json_text | st.integers() | st.floats()
+                                    | st.booleans() | st.none(),
+                                    kids, max_size=3)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(report_like | json_like)
+def test_dumps_report_is_json_dumps_indent_2(value):
+    for report in (value, {"report": [value]}):
+        want = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        assert dumps_report(report) == want
+
+
+def test_dumps_report_raises_as_json_does():
+    loop = {"a": []}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        dumps_report(loop)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps_report({"x": Fraction(1, 2)})
