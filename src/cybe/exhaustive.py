@@ -5,29 +5,42 @@ n*n digits, entry (0, 0) most significant, so ids enumerate grids
 lexicographically:  id = sum_{i,j} k[i][j] * p**(n*n - 1 - (i*n + j)).
 
 One engine, `_surviving_ids`, finds the ids of the grids that pass a list of
-checks.  A check is a pair (cells, mask): the 0-based grid cells (i, j) it
-reads, and a function from a grid whose read cells are int64 columns to a
-boolean mask.  The engine assigns the cells the checks read one at a time,
-p ways each, and drops the rows that fail a check as soon as every cell it
-reads is assigned; the other cells are added at the end by id arithmetic.
-So its cost follows the rows that survive, except where every grid does
-(the abelian table).  The oracle (`scan_solution_ids`) gives it one check per
-residual cell, read off the residual kernel of `solve`: it knows nothing
-about the classification.  `verify_classification` gives it the conditions
-of each label record of the regime (`solve.regime_records`, the very
-conditions `classify_solution` evaluates on exact scalars) and compares the
-sorted id arrays.  The check is independent because the oracle never sees
-a label.
+checks.  A check (`Check`) is a sparse integer polynomial in the grid cells
+(monomial -> coefficient mod p) that must vanish mod p, or must not.  The
+oracle (`scan_solution_ids`) gets one check per residual cell, from a single
+run of the residual kernel of `solve` on a grid whose entries are the
+polynomials k[i][j] (`_Poly`): it knows nothing about the classification.
+`verify_classification` gets the conditions of each label record of the
+regime (`solve.regime_records`, the very conditions `classify_solution`
+evaluates on exact scalars), each compiled lambda evaluated, lhs - rhs, on
+the same polynomial grid, and compares the sorted id arrays.  The check is
+independent because the oracle never sees a label.
+
+The engine assigns the cells the checks read one per level, in the order
+`_cell_order` gives, and runs a check at the level of the last of its
+cells.  It does not try all p digits of the new cell x and filter them: it
+solves one ready equality, written over the rows before it as
+a x^2 + b x + c with a a constant and b, c reduced mod p (`_solve_cell`):
+a = b = 0 gives every digit if c = 0 and none otherwise, a = 0 the one root
+-c/b (from a table of inverses), a != 0 none, one or two roots (from a table
+of square roots; p is odd, so 2a is invertible).  The level's other checks
+then filter the children.  The cells no check reads are added at the end by
+id arithmetic.  So the rows built follow the rows that survive, except
+where every grid does (the abelian table).
 
 Ids are int64, so exhaustive scans need p**(n*n) < 2**63 (in dim 3,
 p <= 127; in dim 2, p < 55109) and refuse larger spaces up front.  Under
-that ceiling every check is exact in int64, whatever the budget: ids stay
-below p**(n*n); a residual cell sums at most n*n*(n*n+1)/2 monomials c*k*k'
-with c, k, k' < p (45 p**3 < 2**27 in dim 3, 10 p**3 < 2**51 in dim 2); a
-label condition has degree at most 4 counting the table parameters
-(p**4 < 2**28 in dim 3); and dim 1 has no checks, since antisymmetry makes
-every one-dimensional algebra abelian.  The budget only caps the rows of a
-search level (see `_surviving_ids`).
+that ceiling every step is exact in int64, whatever the budget: ids stay
+below p**(n*n); a check is evaluated with its coefficients and the digits as
+residues, so each term of degree 2 is below p**3 and a check of T terms
+below T p**3 (a product of more factors is reduced after each one past the
+second), which is below 2**31 in dim 3 (45 p**3 < 2**27), so the rows are
+widened to int32 there, and to int64 only where that bound needs it; and a,
+b and c are reduced below p before the discriminant, so b**2 - 4ac stays
+within 5 p**2 (the engine adds the residue of -4a times c, below 2 p**2).
+Dim 1 has no checks, since antisymmetry makes every one-dimensional algebra
+abelian.  The budget only caps the rows of a search level: parent rows
+times p, checked before each level (see `_surviving_ids`).
 """
 
 from __future__ import annotations
@@ -35,7 +48,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, product
+from functools import cached_property
+from itertools import chain, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +121,127 @@ def _require_prime_field(L):
 
 
 # ---------------------------------------------------------------------------
+# checks: polynomials in the grid cells
+
+class _Poly(dict):
+    """A polynomial in the flat grid cells with int coefficients: monomial
+    (the ascending tuple of the cells it multiplies) -> nonzero coefficient.
+    It has the arithmetic `_residual_ints` and the compiled label
+    conditions use, so both run on grids of these unchanged."""
+
+    __slots__ = ()
+
+    def _add(self, other, sign):
+        if type(other) is not _Poly:
+            if not other:
+                return self         # a _Poly is never changed in place
+            other = {(): other}
+        out = _Poly(self)
+        for mono, c in other.items():
+            c = out.get(mono, 0) + sign * c
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return out
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._add(other, 1)
+
+    def __neg__(self):
+        return _Poly({mono: -c for mono, c in self.items()})
+
+    def __mul__(self, other):
+        if type(other) is not _Poly:
+            return _Poly({mono: c * other for mono, c in self.items()}
+                         if other else {})
+        out = _Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                mono = tuple(sorted(m1 + m2))
+                c = out.get(mono, 0) + c1 * c2
+                if c:
+                    out[mono] = c
+                else:
+                    del out[mono]
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        out = _Poly({(): 1})
+        for _ in range(e):
+            out = out * self
+        return out
+
+
+def _cell_polys(n):
+    """The grid whose cell (i, j) is the polynomial k[i][j]."""
+    return [_Poly({(i * n + j,): 1}) for i in range(n) for j in range(n)]
+
+
+def _mod(poly, p):
+    """poly (or an int) with its coefficients reduced mod p, zeros dropped."""
+    if not isinstance(poly, _Poly):
+        poly = {(): poly}
+    return {mono: c % p for mono, c in poly.items() if c % p}
+
+
+class Check(NamedTuple):
+    """poly = 0 over GF(p), or poly != 0 when `nonzero` is set.
+
+    poly maps monomials (ascending tuples of flat cells i*n + j) to
+    coefficients in 1..p-1.  `cells` holds the flat cells the check waits
+    for: the cells of poly, or all those its condition's text names.
+    """
+
+    cells: frozenset
+    poly: dict
+    nonzero: bool = False
+
+
+def _residual_checks(L, p):
+    """poly = 0 for each residual cell that does not vanish identically:
+    one run of the residual kernel on the grid of cell polynomials."""
+    n = L.n
+    consts, _ = _int_constants(L)
+    cube = _residual_ints(n, consts, _cell_polys(n))
+    # listed as the constants, row by row, first touch each cell: on the II
+    # tables with one parameter zero, `_cell_order` then keeps the largest
+    # search level 3.5-6.5 times smaller at F_7 to F_13 than flat cell order
+    first = {(cell[0] * n + cell[1]) * n + cell[2]: None
+             for _, _, m, _ in consts for a, b in product(range(n), repeat=2)
+             for cell in ((m, a, b), (a, m, b), (a, b, m))}
+    polys = (_mod(cube[at], p) for at in first)
+    return [Check(frozenset(chain.from_iterable(poly)), poly)
+            for poly in polys if poly]
+
+
+def _label_checks(record, n, p, params):
+    """lhs - rhs of each condition of the record, on the grid of cell
+    polynomials and the table's parameters."""
+    cells = _cell_polys(n)
+    c = Coefficients(n, [cells[i * n:i * n + n] for i in range(n)], None,
+                     params)
+    checks = []
+    for cond in chain(record.shape, record.side):
+        val = cond.lhs(c)
+        if cond.rhs is not None:
+            val = val - cond.rhs(c)
+        checks.append(Check(frozenset(i * n + j for i, j in cond.cells),
+                            _mod(val, p), cond.nonzero))
+    return checks
+
+
+# ---------------------------------------------------------------------------
 # the engine
 
 def _cell_order(reads):
@@ -129,57 +265,230 @@ def _fits(rows, budget):
             f"a search level of {rows} rows exceeds the budget of {budget}")
 
 
-def _extend(digits, p, n, at, checks):
-    """The columns of digits (the assigned cells of one grid), each p times
-    over with the digits 0..p-1 of the next cell in a new last row, that
-    pass every check.  Built about CHUNK columns at a time; each check sees
-    the columns the checks before it kept, as a grid whose cells it reads
-    are int64 columns (row at[cell]) and whose other cells are None."""
-    k, rows = digits.shape
+class _Tables:
+    """The tables of GF(p) `_solve_cell` reads, each made the first time
+    it is read: neg_inv[v] = -1/v (neg_inv[0] = 0), and root[v] a square
+    root of v, or -1 where v is not a square."""
+
+    def __init__(self, p, wide):
+        self.p, self.wide = p, wide
+
+    @cached_property
+    def neg_inv(self):
+        p = self.p
+        v, inv, e = np.arange(p, dtype=np.int64), np.ones(p, np.int64), p - 2
+        while e:        # v**(p-2), 0 at 0
+            if e & 1:
+                inv = inv * v % p
+            v, e = v * v % p, e >> 1
+        return (-inv % p).astype(self.wide)
+
+    @cached_property
+    def root(self):
+        v = np.arange(self.p, dtype=np.int64)
+        root = np.full(self.p, -1, dtype=self.wide)
+        root[v * v % self.p] = v
+        return root
+
+
+def _solve_cell(a, b, c, p, tables):
+    """The digits x with a x^2 + b x + c = 0 mod p on each row, for a
+    residue a, a residue b or column of them and a column of residues c:
+    (rows, xs, full), the int arrays of each row with a root x, and of the
+    rows that every digit solves; rows and full are None when each row has
+    exactly one root, in xs.
+
+    a != 0: the roots (-b +- sqrt(b^2 - 4ac)) / 2a, none, one or two (p is
+    odd, so 2a is invertible); a = 0, b != 0: one, x = -c/b; a = b = 0:
+    every digit if c = 0, none otherwise.
+    """
+    if isinstance(b, int):      # a = 0 and b a nonzero constant
+        return None, c * (-pow(b, -1, p) % p) % p, None
+    if a:
+        # b^2 + (-4a mod p) c < 2 p^2: the discriminant, exact
+        r = tables.root[(b * b + (-4 * a % p) * c) % p]
+        one, two = np.flatnonzero(r >= 0), np.flatnonzero(r > 0)
+        xs = np.concatenate((r[one] - b[one], -r[two] - b[two]))
+        return (np.concatenate((one, two)), xs * pow(2 * a, -1, p) % p,
+                one[:0])
+    rows = np.flatnonzero(b)
+    return (rows, c[rows] * tables.neg_inv[b[rows]] % p,
+            rows[:0] if rows.size == b.size
+            else np.flatnonzero((b | c) == 0))
+
+
+def _split(poly, x):
+    """poly as a x^2 + b x + c: (rank, a, b) with the int a and the
+    polynomial b in the other cells, or None if its degree in x exceeds 2
+    or a is not a constant.  Rank 1: a = 0 and b a nonzero constant (one
+    root on every row); 2: a != 0 (at most two); 3: any other (some rows
+    may take every digit)."""
+    a, b = 0, {}
+    for mono, coef in poly.items():
+        if x not in mono:
+            continue
+        at = mono.index(x)
+        rest = mono[:at] + mono[at + 1:]
+        if x not in rest:
+            b[rest] = coef
+        elif rest == (x,):
+            a = coef
+        else:
+            return None
+    return (2 if a else 1 if list(b) == [()] else 3), a, b
+
+
+def _value(poly, grid, p):
+    """poly on the columns of grid, whose row c holds cell c, not reduced:
+    below p**3 times its number of terms, as coefficients and factors are
+    residues and a product of more than two factors is reduced after each
+    one past the second."""
+    acc, const = None, 0
+    for mono, coef in poly.items():
+        if not mono:
+            const = coef
+            continue
+        term = grid[mono[0]] if coef == 1 else coef * grid[mono[0]]
+        for d, cell in enumerate(mono[1:], 1):
+            term = term * grid[cell]
+            if d > 1:
+                term %= p
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return np.full(grid.shape[1], const, dtype=grid.dtype)
+    return acc + const if const else acc
+
+
+class _Level(NamedTuple):
+    """How a level assigns cell x: the check solved for it, as (a, b,
+    polynomial) with a an int and b a polynomial, or the constant b at
+    rank 1 (see `_split`), or None; and the other ready checks, which
+    filter the children, as (polynomial, nonzero)."""
+
+    x: int
+    solver: tuple
+    filters: list
+
+
+def _plan(checks, order):
+    """The _Level of each cell of order.  A check runs at the level of the
+    last of its cells.  The equality of least rank there is solved for
+    the cell, the cheapest of them when several are, and the checks left
+    filter, cheapest first."""
+    at = [[] for _ in order]
+    position = {cell: s for s, cell in enumerate(order)}
+    for check in checks if order else ():
+        at[max(map(position.__getitem__, check.cells), default=0)].append(
+            check)
+    levels = []
+    for x, ready in zip(order, at):
+        ready.sort(key=lambda check: (check.nonzero, len(check.poly)))
+        solver, parts = None, None
+        for check in ready:
+            split = None if check.nonzero else _split(check.poly, x)
+            if split and (parts is None or split[0] < parts[0]):
+                solver, parts = check, split
+        levels.append(_Level(
+            x, parts and (parts[1], parts[2][()] if parts[0] == 1
+                          else parts[2], solver.poly),
+            [(check.poly, check.nonzero) for check in ready
+             if check is not solver]))
+    return levels
+
+
+def _every_digit(p, count, dtype):
+    """0..p-1, count times over (np.tile, without its overhead)."""
+    return np.arange(p, dtype=dtype)[None].repeat(count, axis=0).ravel()
+
+
+def _filter(out, cells, x, nn, checks, p, wide):
+    """The columns of out (digits of cells, then of x) that pass every
+    check, (polynomial, nonzero), each check seeing the columns the ones
+    before it kept: an index array, or None for all of them."""
+    child = np.empty((nn, out.shape[1]), dtype=wide)
+    child[cells] = out[:-1]
+    child[x] = out[-1]
+    keep = None
+    for poly, nonzero in checks:
+        val = _value(poly, child, p)
+        ok = (val == val // p * p) != nonzero   # % p, by a faster division
+        if not ok.all():
+            child = child.compress(ok, axis=1)
+            keep = np.flatnonzero(ok) if keep is None else keep[ok]
+    return keep
+
+
+def _extend(digits, cells, p, level, nn, tables):
+    """The columns of digits (the cells `cells` of one grid each), each
+    with every digit of the level's cell x that passes its checks, as a
+    row below them.  The level's solver gives the children, the roots
+    `_solve_cell` finds on each row, or every digit without one; its other
+    checks then filter them (`_filter`).  Checks read grids whose row c
+    holds cell c.  Built about CHUNK children at a time."""
+    s, x = len(cells), level.x
     step = max(1, CHUNK // p)
-    kept = [np.empty((k + 1, 0), dtype=digits.dtype)]
-    for start in range(0, rows, step):
-        block = digits[:, start:start + step]
-        cols = block.shape[1]
-        part = np.empty((k + 1, cols * p), dtype=digits.dtype)
-        part[:k].reshape(k, cols, p)[...] = block[:, :, None]
-        part[k].reshape(cols, p)[...] = np.arange(p, dtype=digits.dtype)
-        for cells, mask in checks:
-            grid = [[None] * n for _ in range(n)]
-            for i, j in cells:
-                grid[i][j] = part[at[i, j]].astype(np.int64)
-            part = part[:, mask(grid)]
-        kept.append(part)
-    return np.concatenate(kept, axis=1)
+    kept = []
+    for start in range(0, digits.shape[1], step):
+        part = digits[:, start:start + step]
+        m = part.shape[1]
+        if level.solver is None:
+            rows, xs = np.arange(m).repeat(p), _every_digit(p, m, tables.wide)
+        else:
+            # rows of cells not yet assigned are never read; the solver
+            # is read at x = 0 for its c
+            a, b, poly = level.solver
+            grid = np.empty((nn, m), dtype=tables.wide)
+            grid[cells] = part
+            if not isinstance(b, int):
+                b = _value(b, grid, p) % p
+            grid[x] = 0
+            rows, xs, full = _solve_cell(a, b, _value(poly, grid, p) % p, p,
+                                         tables)
+            if full is not None and full.size:
+                rows = np.concatenate((rows, full.repeat(p)))
+                xs = np.concatenate((xs, _every_digit(p, full.size,
+                                                      xs.dtype)))
+        out = np.empty((s + 1, xs.size), dtype=digits.dtype)
+        out[:s] = part if rows is None else part.take(rows, axis=1)
+        out[s] = xs
+        if level.filters:
+            keep = _filter(out, cells, x, nn, level.filters, p, tables.wide)
+            if keep is not None:
+                out = out.take(keep, axis=1)
+        kept.append(out)
+    if len(kept) == 1:
+        return kept[0]
+    return (np.concatenate(kept, axis=1) if kept
+            else np.empty((s + 1, 0), dtype=digits.dtype))
 
 
 def _surviving_ids(n, p, checks, budget):
     """Sorted int64 ids of the grids over GF(p) that pass every check.
 
-    Each level assigns one more cell some check reads, to p times the rows
-    that survived the level before, and runs the checks whose cells are now
-    all assigned; it is built chunk by chunk, so only its survivors are held.
-    Raises BudgetExceeded before a level of more than `budget` rows (None:
-    no cap).  The other cells are then added to the ids by id arithmetic.
+    Each level assigns one more cell some check reads, to the rows that
+    survived the level before, and runs the checks whose cells are now all
+    assigned: one is solved for the new cell (`_plan`, `_extend`), the
+    others filter the children.  It is built chunk by chunk, so only its
+    survivors are held.  Raises BudgetExceeded before a level whose parent
+    rows times p exceed `budget` (None: no cap).  The other cells are then
+    added to the ids by id arithmetic.
     """
     nn = n * n
-    weight = {(i, j): p ** (nn - 1 - i * n - j)
-              for i, j in product(range(n), repeat=2)}
-    order = _cell_order(cells for cells, _ in checks)
-    at = {cell: row for row, cell in enumerate(order)}
+    weight = p ** np.arange(nn - 1, -1, -1, dtype=np.int64)
+    order = _cell_order(check.cells for check in checks)
+    # every value `_value` makes is below p**3 times the terms of a check
+    terms = max((len(check.poly) for check in checks), default=1)
+    wide = np.int32 if terms * p ** 3 < 2 ** 31 else np.int64
+    tables = _Tables(p, wide)
     digits = np.zeros((0, 1), dtype=np.min_scalar_type(p - 1))
-    pending, done = list(checks), set()
-    for cell in order:
+    levels = _plan(checks, order)
+    cells = np.array(order, dtype=np.intp)
+    for s, level in enumerate(levels):
         _fits(digits.shape[1] * p, budget)
-        done.add(cell)
-        ready = [c for c in pending if c[0] <= done]
-        pending = [c for c in pending if not c[0] <= done]
-        digits = _extend(digits, p, n, at, ready)
-    ids = np.zeros(digits.shape[1], dtype=np.int64)
-    for cell, row in zip(order, digits):
-        ids += row.astype(np.int64) * weight[cell]
+        digits = _extend(digits, cells[:s], p, level, nn, tables)
+    ids = weight[order] @ digits.astype(np.int64)
     del digits
-    free = sorted(set(weight) - done)
+    free = sorted(set(range(nn)) - set(order))
     for cell in free:
         _fits(ids.size * p, budget)
         step = np.arange(0, p * weight[cell], weight[cell], dtype=np.int64)
@@ -188,50 +497,13 @@ def _surviving_ids(n, p, checks, budget):
             ids = step
         else:
             ids = (ids[:, None] + step).ravel()
-    # rows come out sorted exactly when each cell is less significant than
-    # the ones before it, as on a table without checks
-    if order + free != sorted(order + free):
+    # rows come out sorted exactly when no level solved for its cell and
+    # each cell is less significant than the ones before it, as on a table
+    # without checks
+    solved = any(level.solver for level in levels)
+    if solved or order + free != sorted(order + free):
         ids.sort()
     return ids
-
-
-def _vanishes(terms, p):
-    def mask(k):
-        acc = 0
-        for c, (i, j), (l, m) in terms:
-            acc = acc + c * k[i][j] * k[l][m]
-        return acc % p == 0
-    return mask
-
-
-def _residual_checks(L, p):
-    """One check per residual cell that does not vanish identically.  Its
-    monomials are read off the residual kernel by polarization: with e_a
-    the grid with a single 1 at cell a, k_a^2 has coefficient R(e_a) and
-    k_a k_b (a < b) has R(e_a + e_b) - R(e_a) - R(e_b), taken mod p."""
-    n, nn = L.n, L.n * L.n
-    consts, _ = _int_constants(L)
-
-    def residual_at(*cells):
-        return _residual_ints(n, consts, [int(a in cells) for a in range(nn)])
-
-    # listed as the constants, row by row, first touch each cell: on the II
-    # tables with one parameter zero, `_cell_order` then keeps the largest
-    # search level 3.5-6.5 times smaller at F_7 to F_13 than flat cell order
-    terms = {(cell[0] * n + cell[1]) * n + cell[2]: []
-             for _, _, m, _ in consts for a, b in product(range(n), repeat=2)
-             for cell in ((m, a, b), (a, m, b), (a, b, m))}
-    single = [residual_at(a) for a in range(nn)]
-    for a, b in combinations_with_replacement(range(nn), 2):
-        coefs = single[a] if a == b else [
-            both - ra - rb
-            for both, ra, rb in zip(residual_at(a, b), single[a], single[b])]
-        for cell, c in enumerate(coefs):
-            if c % p:   # nonzero only on cells the constants touch
-                terms[cell].append((c % p, divmod(a, n), divmod(b, n)))
-    return [(frozenset(chain.from_iterable(mono for _, *mono in live)),
-             _vanishes(live, p))
-            for live in terms.values() if live]
 
 
 def scan_solution_ids(L, budget=DEFAULT_BUDGET):
@@ -274,16 +546,15 @@ class EnumerationReport:
 WITNESS_CAP = 100
 
 
-def _witness(idx, L):
-    r = decode_tensor(int(idx), L.n, L.field)
-    return {"id": int(idx), "grid": [[str(v) for v in row] for row in r.k]}
-
-
-def _label_checks(record, n, p, params):
-    def check(cond):
-        return cond.cells, lambda k: cond.holds_mod(
-            Coefficients(n, k, None, params), p)
-    return [check(cond) for cond in chain(record.shape, record.side)]
+def _witnesses(ids, n, p):
+    """{"id", "grid"} of each id, the grid's entries as the str of their
+    residues: one `decode_ids` for them all."""
+    ids = ids[:WITNESS_CAP]
+    text = [str(d) for d in range(p)]
+    grids = [[text[d] for d in row] for row in
+             decode_ids(ids, n, p).reshape(-1, n).tolist()]
+    return tuple({"id": idx, "grid": grids[i * n:i * n + n]}
+                 for i, idx in enumerate(ids.tolist()))
 
 
 def _compare(sol, truth, covered, outside):
@@ -353,9 +624,8 @@ def verify_classification(L, budget=DEFAULT_BUDGET, timing=False):
         predicate_count=matched + int(extra.size),
         matched=matched,
         label_counts=label_counts,
-        missed_by_predicate=tuple(_witness(i, L)
-                                  for i in missed[:WITNESS_CAP]),
-        false_positives=tuple(_witness(i, L) for i in extra[:WITNESS_CAP]),
+        missed_by_predicate=_witnesses(missed, L.n, p),
+        false_positives=_witnesses(extra, L.n, p),
         confirmed=(not empirical_only and missed.size == 0
                    and extra.size == 0),
         empirical_only=empirical_only,

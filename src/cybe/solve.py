@@ -17,8 +17,9 @@ homogeneous of degree 1 in the constants and 2 in r, so the int cube is
 C D^2 times the residual; only its nonzero entries are turned back into
 Fraction/ModP scalars (reduced mod p, or divided by C D^2).  Fraction and
 ModP stay at the API boundary and in the report.  The bialgebra check calls
-the same kernel, and the enumeration oracle reads each cell's quadratic
-form off it by polarization (`exhaustive._residual_checks`).
+the same kernel, and the enumeration oracle runs it once on a grid of
+polynomials to get each cell as a quadratic form
+(`exhaustive._residual_checks`).
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -234,9 +235,9 @@ class SolutionLabel(str, enum.Enum):
 class Coefficients(Tensor2):
     """What conditions read: a grid k with the parameters of its table.
 
-    k holds exact scalars, or for a batch of grids over GF(p) one int64
-    array per entry (k[i][j] is a column; entries a condition does not read
-    may be None), so x..v read either.
+    k holds exact scalars, or the polynomials k[i][j] in the grid cells
+    (`exhaustive._label_checks` turns conditions into polynomial checks),
+    so x..v read either.
     """
 
     __slots__ = ("alpha", "beta", "delta")
@@ -301,14 +302,6 @@ class Condition(NamedTuple):
         if self.rhs is not None:
             return val == self.rhs(c)
         return bool(val) == self.nonzero
-
-    def holds_mod(self, c, p):
-        """Boolean mask over a batch view whose entries are int64 columns."""
-        val = self.lhs(c)
-        if self.rhs is not None:
-            val = val - self.rhs(c)
-        zero = val % p == 0
-        return ~zero if self.nonzero else zero
 
 
 def _cells(expr):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from cybe import (
 )
 from cybe import exhaustive, is_skew_symmetric, is_strongly_symmetric
 from cybe.exhaustive import _label_checks, _surviving_ids, candidate_count
-from cybe.solve import recognize_table, regime_records, table_params
+from cybe.solve import (
+    Coefficients,
+    recognize_table,
+    regime_records,
+    table_params,
+)
 from conftest import (
     all_tensors,
     brute_force_solution_ids,
@@ -73,6 +80,19 @@ def test_solution_ids_are_sorted_and_deduplicated():
 # one of these numbers is a regression, not a new truth
 
 
+def _table(spec, p):
+    F = PrimeField(p)
+    kind, *params = spec
+    if kind == "vi":
+        return family_vi(F)
+    if kind == "abelian":
+        return abelian(params[0], F)
+    a, b = (F.from_int(v) for v in params)
+    if kind == "ii":
+        return family_ii(a, b, F, strict=False)
+    return solvable_table(a, b, F)
+
+
 GOLDEN = [
     # (algebra factory, solutions, label -> count, confirmed)
     (lambda: family_vi(F3), 11,
@@ -93,10 +113,68 @@ GOLDEN = [
      {"strongly-symmetric": 27, "family-iv-jordan-case-2": 87}, True),
     (lambda: solvable_table(F3.from_int(0), F3.from_int(0), F3), 333,
      {"family-v-case-1": 162, "family-v-case-2": 171}, True),
+    # F_7, F_11 and F_13: frozen from the filter engine the solving one
+    # replaced, so that the two check each other; at F_7 the solution ids
+    # of each table were also equal to brute_force_solution_ids
+    (partial(_table, ("vi",), 7), 55,
+     {"strongly-symmetric": 49, "skew-symmetric": 7}, True),
+    (partial(_table, ("abelian", 2), 7), 2401,
+     {"abelian": 2401, "strongly-symmetric": 49, "skew-symmetric": 7}, True),
+    (partial(_table, ("ii", 1, 2), 7), 727,
+     {"strongly-symmetric": 343, "alpha-beta-skew": 385}, True),
+    (partial(_table, ("ii", 0, 0), 7), 19159,
+     {"heisenberg-case-1": 12348, "heisenberg-case-2": 6811}, True),
+    (partial(_table, ("solvable", 0, 1), 7), 3031,
+     {"strongly-symmetric": 343, "family-iv-diagonal-case-2": 2737}, True),
+    (partial(_table, ("solvable", 0, 2), 7), 2779,
+     {"strongly-symmetric": 343, "family-iv-diagonal-case-2": 2485}, True),
+    (partial(_table, ("solvable", 1, 1), 7), 2737,
+     {"strongly-symmetric": 343, "family-iv-jordan-case-2": 2443}, True),
+    (partial(_table, ("solvable", 0, 0), 7), 19453,
+     {"family-v-case-1": 14406, "family-v-case-2": 5047}, True),
+    (partial(_table, ("vi",), 11), 131,
+     {"strongly-symmetric": 121, "skew-symmetric": 11}, True),
+    (partial(_table, ("abelian", 2), 11), 14641,
+     {"abelian": 14641, "strongly-symmetric": 121,
+      "skew-symmetric": 11}, True),
+    (partial(_table, ("ii", 1, 2), 11), 2771,
+     {"strongly-symmetric": 1331, "alpha-beta-skew": 1441}, True),
+    (partial(_table, ("ii", 0, 0), 11), 175571,
+     {"heisenberg-case-1": 133100, "heisenberg-case-2": 42471}, True),
+    (partial(_table, ("solvable", 0, 1), 11), 17171,
+     {"strongly-symmetric": 1331, "family-iv-diagonal-case-2": 15961}, True),
+    (partial(_table, ("solvable", 0, 2), 11), 16071,
+     {"strongly-symmetric": 1331, "family-iv-diagonal-case-2": 14861}, True),
+    (partial(_table, ("solvable", 1, 1), 11), 15961,
+     {"strongly-symmetric": 1331, "family-iv-jordan-case-2": 14751}, True),
+    (partial(_table, ("solvable", 0, 0), 11), 176781,
+     {"family-v-case-1": 146410, "family-v-case-2": 30371}, True),
+    (partial(_table, ("vi",), 13), 181,
+     {"strongly-symmetric": 169, "skew-symmetric": 13}, True),
+    (partial(_table, ("abelian", 2), 13), 28561,
+     {"abelian": 28561, "strongly-symmetric": 169,
+      "skew-symmetric": 13}, True),
+    (partial(_table, ("ii", 1, 2), 13), 4549,
+     {"strongly-symmetric": 2197, "alpha-beta-skew": 2353}, True),
+    (partial(_table, ("ii", 0, 0), 13), 399685,
+     {"heisenberg-case-1": 316368, "heisenberg-case-2": 83317}, True),
+    (partial(_table, ("solvable", 0, 1), 13), 32773,
+     {"strongly-symmetric": 2197, "family-iv-diagonal-case-2": 30745}, True),
+    (partial(_table, ("solvable", 0, 2), 13), 30901,
+     {"strongly-symmetric": 2197, "family-iv-diagonal-case-2": 28873}, True),
+    (partial(_table, ("solvable", 1, 1), 13), 30745,
+     {"strongly-symmetric": 2197, "family-iv-jordan-case-2": 28717}, True),
+    (partial(_table, ("solvable", 0, 0), 13), 401713,
+     {"family-v-case-1": 342732, "family-v-case-2": 58981}, True),
 ]
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: c[0]().label)
+def _golden_id(case):
+    L = case[0]()    # the F_3 and F_5 cases keep their names
+    return L.label if L.field.p < 7 else f"{L.label}/F{L.field.p}"
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=_golden_id)
 def test_golden_counts(case):
     factory, solutions, labels, confirmed = case
     report = verify_classification(factory())
@@ -309,3 +387,106 @@ def test_abelian_report_searches_the_space_once(monkeypatch, n):
     assert report.confirmed and not report.empirical_only
     assert report.missed_by_predicate == report.false_positives == ()
     assert np.array_equal(report.solution_ids, np.arange(total))
+
+
+
+# the solving step: each level solves one check for its new cell, as
+# a x^2 + b x + c over the rows before it
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_solve_cell_finds_every_root(p):
+    # every (a, b, c) over GF(p), one per row, against trying each digit
+    a_, b_, c_ = np.indices((p, p, p)).reshape(3, -1)
+    tables = exhaustive._Tables(p, np.int64)
+    digits = np.arange(p)
+    for a in range(p):
+        b, c = b_[a_ == a], c_[a_ == a]
+        rows, xs, full = exhaustive._solve_cell(a, b, c, p, tables)
+        got = {(int(r), int(x)) for r, x in zip(rows, xs)}
+        got |= {(int(r), x) for r in full for x in range(p)}
+        assert len(got) == rows.size + full.size * p   # no child twice
+        want = {(r, int(x)) for r in range(b.size) for x in digits
+                if (a * x * x + b[r] * x + c[r]) % p == 0}
+        assert got == want, (p, a)
+    for b in range(1, p):       # a = 0, b a nonzero constant
+        c = np.arange(p)
+        rows, xs, full = exhaustive._solve_cell(0, b, c, p, tables)
+        assert rows is None and full is None
+        assert np.all((b * xs + c) % p == 0)
+
+
+def _child_counts(monkeypatch):
+    """Record how many children each row gets from `_solve_cell`."""
+    seen = set()
+    real = exhaustive._solve_cell
+
+    def recording(a, b, c, p, tables):
+        rows, xs, full = real(a, b, c, p, tables)
+        counts = (np.ones(c.size, dtype=int) if rows is None
+                  else np.bincount(rows, minlength=c.size))
+        if full is not None:
+            counts[full] += p
+        seen.update(np.unique(counts).tolist())
+        return rows, xs, full
+
+    monkeypatch.setattr(exhaustive, "_solve_cell", recording)
+    return seen
+
+
+def test_residual_scan_takes_every_branch(monkeypatch):
+    # [e1,e3] = -e1, [e2,e3] = e2 over F_3: rows with no root, one, two and
+    # every digit, and still exactly the brute-force solutions
+    from cybe.liealg import check_jacobi, from_constants
+    L = from_constants(3, [(0, 2, 0, F3.from_int(-1)), (2, 0, 0, F3.one()),
+                           (1, 2, 1, F3.one()), (2, 1, 1, F3.from_int(-1))],
+                       F3)
+    assert not check_jacobi(L)
+    seen = _child_counts(monkeypatch)
+    ids, _ = scan_solution_ids(L)
+    assert seen == {0, 1, 2, 3}
+    assert np.array_equal(ids, brute_force_solution_ids(L))
+
+
+def test_label_searches_take_every_branch(monkeypatch):
+    # strong symmetry and the alpha,beta-skew class over F_3, against the
+    # scalar evaluation of the same records on every candidate
+    L = family_ii(F3.one(), F3.from_int(2), F3)
+    reg = recognize_table(L)
+    params = tuple(int(v) for v in table_params(reg)[:2]) + (None,)
+    seen = _child_counts(monkeypatch)
+    for rec in regime_records(L, reg):
+        got = _surviving_ids(3, 3, _label_checks(rec, 3, 3, params), None)
+        want = [idx for idx, r in enumerate(all_tensors(3, F3))
+                if rec.holds(Coefficients(3, r.k, F3, params))]
+        assert np.array_equal(got, want), rec.label
+    assert seen == {0, 1, 2, 3}
+
+
+def test_cell_order_keeps_ii10_f13_levels_small():
+    # the residual checks are listed in the order the constants first touch
+    # their cells, not in flat cell order, which `_cell_order` would turn
+    # into a largest level of 5.17M rows on this table; built from brackets,
+    # as a problem file gives it
+    from cybe.problems import parse_algebra
+    F13 = PrimeField(13)
+    L = parse_algebra({"dim": 3, "brackets": [
+        [1, 3, ["0", "0", "0"]], [2, 3, ["1", "0", "0"]],
+        [1, 2, ["0", "0", "1"]]]}, F13)
+    assert recognize_table(L) == ("ii", F13.one(), F13.zero())
+    ids, _ = scan_solution_ids(L, budget=791_089)
+    assert ids.size == 34645
+    with pytest.raises(BudgetExceeded, match="791089 rows"):
+        scan_solution_ids(L, budget=791_088)
+
+
+def test_witnesses_are_ids_and_residue_grids():
+    # the uncovered solvable table over F_3: witness i is the i-th solution
+    # no label accepts, its grid the str of each residue
+    L = solvable_table(F3.from_int(1), F3.from_int(0), F3)
+    report = verify_classification(L)
+    assert len(report.missed_by_predicate) == exhaustive.WITNESS_CAP
+    for w in report.missed_by_predicate:
+        r = decode_tensor(w["id"], 3, F3)
+        assert w == {"id": w["id"],
+                     "grid": [[str(v) for v in row] for row in r.k]}
+        assert type(w["id"]) is int
