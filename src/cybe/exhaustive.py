@@ -34,10 +34,10 @@ that ceiling every step is exact in int64, whatever the budget: ids stay
 below p**(n*n); a check is evaluated with its coefficients and the digits as
 residues, so each term of degree 2 is below p**3 and a check of T terms
 below T p**3 (a product of more factors is reduced after each one past the
-second), which is below 2**31 in dim 3 (45 p**3 < 2**27), so the rows are
-widened to int32 there, and to int64 only where that bound needs it; and a,
-b and c are reduced below p before the discriminant, so b**2 - 4ac stays
-within 5 p**2 (the engine adds the residue of -4a times c, below 2 p**2).
+second), far below 2**63 (p**3 < 2**48 in dim 2), so the digit rows are
+widened to int64 once per chunk; and a, b and c are reduced below p before
+the discriminant, so b**2 - 4ac stays within 5 p**2 (the engine adds the
+residue of -4a times c, below 2 p**2).
 Dim 1 has no checks, since antisymmetry makes every one-dimensional algebra
 abelian.  The budget only caps the rows of a search level: parent rows
 times p, checked before each level (see `_surviving_ids`).
@@ -46,9 +46,7 @@ times p, checked before each level (see `_surviving_ids`).
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, product
 from typing import NamedTuple
 
@@ -253,9 +251,9 @@ def _cell_order(reads):
     order, left = [], [set(cells) for cells in reads if cells]
     while left:
         nxt = min(left, key=len)
-        counts = Counter(chain.from_iterable(left))
-        order += sorted(nxt, key=lambda cell: (-counts[cell], cell))
-        left = [cells - nxt for cells in left if cells - nxt]
+        order += sorted(nxt, key=lambda cell: (
+            -sum(cell in cells for cells in left), cell))
+        left = [rest for cells in left if (rest := cells - nxt)]
     return order
 
 
@@ -265,45 +263,33 @@ def _fits(rows, budget):
             f"a search level of {rows} rows exceeds the budget of {budget}")
 
 
-class _Tables:
-    """The tables of GF(p) `_solve_cell` reads, each made the first time
-    it is read: neg_inv[v] = -1/v (neg_inv[0] = 0), and root[v] a square
-    root of v, or -1 where v is not a square."""
+class _Tables(NamedTuple):
+    """The tables of GF(p) `_solve_cell` reads: neg_inv[v] = -1/v
+    (neg_inv[0] = 0), and root[v] a square root of v, or -1 where v is not
+    a square."""
 
-    def __init__(self, p, wide):
-        self.p, self.wide = p, wide
+    neg_inv: np.ndarray
+    root: np.ndarray
 
-    @cached_property
-    def neg_inv(self):
-        p = self.p
-        v, inv, e = np.arange(p, dtype=np.int64), np.ones(p, np.int64), p - 2
-        while e:        # v**(p-2), 0 at 0
-            if e & 1:
-                inv = inv * v % p
-            v, e = v * v % p, e >> 1
-        return (-inv % p).astype(self.wide)
-
-    @cached_property
-    def root(self):
-        v = np.arange(self.p, dtype=np.int64)
-        root = np.full(self.p, -1, dtype=self.wide)
-        root[v * v % self.p] = v
-        return root
+    @classmethod
+    def of(cls, p):
+        v = np.arange(p, dtype=np.int64)
+        root = np.full(p, -1, dtype=np.int64)
+        root[v * v % p] = v
+        return cls(np.array([0] + [p - pow(int(u), -1, p) for u in v[1:]],
+                            dtype=np.int64), root)
 
 
 def _solve_cell(a, b, c, p, tables):
     """The digits x with a x^2 + b x + c = 0 mod p on each row, for a
-    residue a, a residue b or column of them and a column of residues c:
-    (rows, xs, full), the int arrays of each row with a root x, and of the
-    rows that every digit solves; rows and full are None when each row has
-    exactly one root, in xs.
+    residue a and columns of residues b and c: (rows, xs, full), the int
+    arrays of each row with a root x, and of the rows that every digit
+    solves.
 
     a != 0: the roots (-b +- sqrt(b^2 - 4ac)) / 2a, none, one or two (p is
     odd, so 2a is invertible); a = 0, b != 0: one, x = -c/b; a = b = 0:
     every digit if c = 0, none otherwise.
     """
-    if isinstance(b, int):      # a = 0 and b a nonzero constant
-        return None, c * (-pow(b, -1, p) % p) % p, None
     if a:
         # b^2 + (-4a mod p) c < 2 p^2: the discriminant, exact
         r = tables.root[(b * b + (-4 * a % p) * c) % p]
@@ -361,9 +347,9 @@ def _value(poly, grid, p):
 
 class _Level(NamedTuple):
     """How a level assigns cell x: the check solved for it, as (a, b,
-    polynomial) with a an int and b a polynomial, or the constant b at
-    rank 1 (see `_split`), or None; and the other ready checks, which
-    filter the children, as (polynomial, nonzero)."""
+    polynomial) with a an int and b a polynomial (see `_split`), or None;
+    and the other ready checks, which filter the children, as
+    (polynomial, nonzero)."""
 
     x: int
     solver: tuple
@@ -388,30 +374,26 @@ def _plan(checks, order):
             split = None if check.nonzero else _split(check.poly, x)
             if split and (parts is None or split[0] < parts[0]):
                 solver, parts = check, split
+                if split[0] == 1:     # no rank is lower
+                    break
         levels.append(_Level(
-            x, parts and (parts[1], parts[2][()] if parts[0] == 1
-                          else parts[2], solver.poly),
+            x, parts and (parts[1], parts[2], solver.poly),
             [(check.poly, check.nonzero) for check in ready
              if check is not solver]))
     return levels
 
 
-def _every_digit(p, count, dtype):
-    """0..p-1, count times over (np.tile, without its overhead)."""
-    return np.arange(p, dtype=dtype)[None].repeat(count, axis=0).ravel()
-
-
-def _filter(out, cells, x, nn, checks, p, wide):
+def _filter(out, cells, x, nn, checks, p):
     """The columns of out (digits of cells, then of x) that pass every
     check, (polynomial, nonzero), each check seeing the columns the ones
     before it kept: an index array, or None for all of them."""
-    child = np.empty((nn, out.shape[1]), dtype=wide)
+    child = np.empty((nn, out.shape[1]), dtype=np.int64)
     child[cells] = out[:-1]
     child[x] = out[-1]
     keep = None
     for poly, nonzero in checks:
         val = _value(poly, child, p)
-        ok = (val == val // p * p) != nonzero   # % p, by a faster division
+        ok = (val % p == 0) != nonzero
         if not ok.all():
             child = child.compress(ok, axis=1)
             keep = np.flatnonzero(ok) if keep is None else keep[ok]
@@ -432,27 +414,24 @@ def _extend(digits, cells, p, level, nn, tables):
         part = digits[:, start:start + step]
         m = part.shape[1]
         if level.solver is None:
-            rows, xs = np.arange(m).repeat(p), _every_digit(p, m, tables.wide)
+            rows, xs = np.arange(m).repeat(p), np.tile(np.arange(p), m)
         else:
             # rows of cells not yet assigned are never read; the solver
             # is read at x = 0 for its c
             a, b, poly = level.solver
-            grid = np.empty((nn, m), dtype=tables.wide)
+            grid = np.empty((nn, m), dtype=np.int64)
             grid[cells] = part
-            if not isinstance(b, int):
-                b = _value(b, grid, p) % p
             grid[x] = 0
-            rows, xs, full = _solve_cell(a, b, _value(poly, grid, p) % p, p,
-                                         tables)
-            if full is not None and full.size:
+            rows, xs, full = _solve_cell(a, _value(b, grid, p) % p,
+                                         _value(poly, grid, p) % p, p, tables)
+            if full.size:
                 rows = np.concatenate((rows, full.repeat(p)))
-                xs = np.concatenate((xs, _every_digit(p, full.size,
-                                                      xs.dtype)))
+                xs = np.concatenate((xs, np.tile(np.arange(p), full.size)))
         out = np.empty((s + 1, xs.size), dtype=digits.dtype)
-        out[:s] = part if rows is None else part.take(rows, axis=1)
+        out[:s] = part.take(rows, axis=1)
         out[s] = xs
         if level.filters:
-            keep = _filter(out, cells, x, nn, level.filters, p, tables.wide)
+            keep = _filter(out, cells, x, nn, level.filters, p)
             if keep is not None:
                 out = out.take(keep, axis=1)
         kept.append(out)
@@ -476,12 +455,10 @@ def _surviving_ids(n, p, checks, budget):
     nn = n * n
     weight = p ** np.arange(nn - 1, -1, -1, dtype=np.int64)
     order = _cell_order(check.cells for check in checks)
-    # every value `_value` makes is below p**3 times the terms of a check
-    terms = max((len(check.poly) for check in checks), default=1)
-    wide = np.int32 if terms * p ** 3 < 2 ** 31 else np.int64
-    tables = _Tables(p, wide)
     digits = np.zeros((0, 1), dtype=np.min_scalar_type(p - 1))
     levels = _plan(checks, order)
+    solved = any(level.solver for level in levels)
+    tables = _Tables.of(p) if solved else None
     cells = np.array(order, dtype=np.intp)
     for s, level in enumerate(levels):
         _fits(digits.shape[1] * p, budget)
@@ -500,7 +477,6 @@ def _surviving_ids(n, p, checks, budget):
     # rows come out sorted exactly when no level solved for its cell and
     # each cell is less significant than the ones before it, as on a table
     # without checks
-    solved = any(level.solver for level in levels)
     if solved or order + free != sorted(order + free):
         ids.sort()
     return ids
