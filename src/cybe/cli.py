@@ -37,7 +37,6 @@ from .problems import (
 )
 from .scalars import FieldError
 from .solve import (
-    GENERATOR_CASES,
     GENERATORS,
     UncoveredRegime,
     classify_solution,
@@ -68,17 +67,19 @@ def _jacobi_section(L, report):
     return not violations
 
 
-def cmd_check(problem):
+def _head(problem, command):
+    """The algebra of a command that needs one, and its report's head."""
     L = problem.algebra
     if L is None:
-        raise ProblemError('"check" needs an algebra')
+        raise ProblemError(f'"{command}" needs an algebra')
+    return L, {"command": command, "field": problem.field.to_spec(),
+               "algebra": algebra_obj(L)}
+
+
+def cmd_check(problem):
+    L, report = _head(problem, "check")
     if not problem.tensors:
         raise ProblemError('"check" needs a tensor (or tensors)')
-    report = {
-        "command": "check",
-        "field": problem.field.to_spec(),
-        "algebra": algebra_obj(L),
-    }
     ok = _jacobi_section(L, report)
     results = []
     if ok:
@@ -111,16 +112,9 @@ def cmd_check(problem):
 
 
 def cmd_bialgebra(problem):
-    L = problem.algebra
-    if L is None:
-        raise ProblemError('"bialgebra" needs an algebra')
+    L, report = _head(problem, "bialgebra")
     if not problem.tensors:
         raise ProblemError('"bialgebra" needs a tensor (or tensors)')
-    report = {
-        "command": "bialgebra",
-        "field": problem.field.to_spec(),
-        "algebra": algebra_obj(L),
-    }
     ok = _jacobi_section(L, report)
     results = []
     if ok:
@@ -178,9 +172,7 @@ def cmd_bialgebra(problem):
 
 
 def cmd_enumerate(problem, args):
-    L = problem.algebra
-    if L is None:
-        raise ProblemError('"enumerate" needs an algebra')
+    L, report = _head(problem, "enumerate")
     opts = problem.options
     budget = args.budget if args.budget is not None else opts.get(
         "budget", DEFAULT_BUDGET)
@@ -192,11 +184,6 @@ def cmd_enumerate(problem, args):
         if type(opts.get(key, False)) is not bool:
             raise ProblemError(f"options.{key} must be true or false")
     timing = args.timing or opts.get("timing", False)
-    report = {
-        "command": "enumerate",
-        "field": problem.field.to_spec(),
-        "algebra": algebra_obj(L),
-    }
     if not _jacobi_section(L, report):
         report["ok"] = False
         return report, 1
@@ -235,9 +222,7 @@ def cmd_enumerate(problem, args):
 
 
 def cmd_generate(problem, args):
-    L = problem.algebra
-    if L is None:
-        raise ProblemError('"generate" needs an algebra')
+    L, report = _head(problem, "generate")
     opts = problem.options
     case = args.case or opts.get("case")
     if not case or not isinstance(case, str):
@@ -257,16 +242,13 @@ def cmd_generate(problem, args):
             raise ProblemError(f"parameter {name}: {e}") from None
     r = generate_solution(L, case, params)
     ok = is_cybe_solution(L, r)
-    report = {
-        "command": "generate",
-        "field": problem.field.to_spec(),
-        "algebra": algebra_obj(L),
+    report.update({
         "case": case,
         "params": {k: str(v) for k, v in sorted(params.items())},
         "tensor": tensor_obj(r),
         "self_check": ok,
         "ok": ok,
-    }
+    })
     return report, 0 if ok else 1
 
 
@@ -425,7 +407,7 @@ def build_parser():
                         help="include every solution tensor in the report")
     p_gen = sub.add_parser("generate", help="build a closed-form solution")
     common(p_gen)
-    p_gen.add_argument("--case", choices=GENERATOR_CASES, default=None,
+    p_gen.add_argument("--case", choices=GENERATORS, default=None,
                        help="overrides options.case from the problem file")
     common(sub.add_parser("families",
                           help="list the built-in tables and cases"),

@@ -18,9 +18,12 @@ independent because the oracle never sees a label.
 
 The engine assigns the cells the checks read one per level, in the order
 `_cell_order` gives, and runs a check at the level of the last of its
-cells.  It does not try all p digits of the new cell x and filter them: it
-solves one ready equality, written over the rows before it as
-a x^2 + b x + c with a a constant and b, c reduced mod p (`_solve_cell`):
+cells, read in level coordinates (`_plan`): position s stands for the cell
+of level s, so checks read the search rows as they are stored.  A check on
+no cell is a constant, decided before the search.  The engine does not try
+all p digits of the new cell x and filter them: it solves one ready
+equality, written over the rows before it as a x^2 + b x + c with a a
+constant and b, c reduced mod p (`_solve_cell`):
 a = b = 0 gives every digit if c = 0 and none otherwise, a = 0 the one root
 -c/b (from a table of inverses), a != 0 none, one or two roots (from a table
 of square roots; p is odd, so 2a is invertible).  The level's other checks
@@ -197,11 +200,11 @@ class Check(NamedTuple):
     """poly = 0 over GF(p), or poly != 0 when `nonzero` is set.
 
     poly maps monomials (ascending tuples of flat cells i*n + j) to
-    coefficients in 1..p-1.  `cells` holds the flat cells the check waits
-    for: the cells of poly, or all those its condition's text names.
+    coefficients in 1..p-1.  The engine reads it in search-level
+    coordinates (`_plan`), and runs the check once every cell of poly is
+    assigned; a check on no cell is a constant, decided before the search.
     """
 
-    cells: frozenset
     poly: dict
     nonzero: bool = False
 
@@ -219,8 +222,7 @@ def _residual_checks(L, p):
              for _, _, m, _ in consts for a, b in product(range(n), repeat=2)
              for cell in ((m, a, b), (a, m, b), (a, b, m))}
     polys = (_mod(cube[at], p) for at in first)
-    return [Check(frozenset(chain.from_iterable(poly)), poly)
-            for poly in polys if poly]
+    return [Check(poly) for poly in polys if poly]
 
 
 def _label_checks(record, n, p, params):
@@ -234,8 +236,7 @@ def _label_checks(record, n, p, params):
         val = cond.lhs(c)
         if cond.rhs is not None:
             val = val - cond.rhs(c)
-        checks.append(Check(frozenset(i * n + j for i, j in cond.cells),
-                            _mod(val, p), cond.nonzero))
+        checks.append(Check(_mod(val, p), cond.nonzero))
     return checks
 
 
@@ -304,14 +305,15 @@ def _solve_cell(a, b, c, p, tables):
 
 
 def _split(poly, x):
-    """poly as a x^2 + b x + c: (rank, a, b) with the int a and the
-    polynomial b in the other cells, or None if its degree in x exceeds 2
-    or a is not a constant.  Rank 1: a = 0 and b a nonzero constant (one
-    root on every row); 2: a != 0 (at most two); 3: any other (some rows
-    may take every digit)."""
-    a, b = 0, {}
+    """poly as a x^2 + b x + c: (rank, a, b, c) with the int a and the
+    polynomials b and c in the other positions, or None if its degree in x
+    exceeds 2 or a is not a constant.  Rank 1: a = 0 and b a nonzero
+    constant (one root on every row); 2: a != 0 (at most two); 3: any other
+    (some rows may take every digit)."""
+    a, b, c = 0, {}, {}
     for mono, coef in poly.items():
         if x not in mono:
+            c[mono] = coef
             continue
         at = mono.index(x)
         rest = mono[:at] + mono[at + 1:]
@@ -321,14 +323,14 @@ def _split(poly, x):
             a = coef
         else:
             return None
-    return (2 if a else 1 if list(b) == [()] else 3), a, b
+    return (2 if a else 1 if list(b) == [()] else 3), a, b, c
 
 
 def _value(poly, grid, p):
-    """poly on the columns of grid, whose row c holds cell c, not reduced:
-    below p**3 times its number of terms, as coefficients and factors are
-    residues and a product of more than two factors is reduced after each
-    one past the second."""
+    """poly on the columns of grid, whose row s holds position s, not
+    reduced: below p**3 times its number of terms, as coefficients and
+    factors are residues and a product of more than two factors is reduced
+    after each one past the second."""
     acc, const = None, 0
     for mono, coef in poly.items():
         if not mono:
@@ -346,28 +348,33 @@ def _value(poly, grid, p):
 
 
 class _Level(NamedTuple):
-    """How a level assigns cell x: the check solved for it, as (a, b,
-    polynomial) with a an int and b a polynomial (see `_split`), or None;
-    and the other ready checks, which filter the children, as
-    (polynomial, nonzero)."""
+    """How level s assigns position s: the check solved for it as (a, b, c),
+    an int and two polynomials in the positions before s (see `_split`),
+    or None; and the other ready checks, which filter the children."""
 
-    x: int
     solver: tuple
     filters: list
 
 
 def _plan(checks, order):
-    """The _Level of each cell of order.  A check runs at the level of the
-    last of its cells.  The equality of least rank there is solved for
-    the cell, the cheapest of them when several are, and the checks left
-    filter, cheapest first."""
+    """The _Level of each cell of order, the checks in level coordinates:
+    monomials as descending tuples of positions in order, so a check runs
+    at the first position of its largest monomial, the level of the last
+    of its cells (`_surviving_ids` decides the checks on no cell).  There
+    the equality of least rank is solved for the cell, the cheapest of them
+    when several are, and the checks left filter, cheapest first."""
     at = [[] for _ in order]
     position = {cell: s for s, cell in enumerate(order)}
-    for check in checks if order else ():
-        at[max(map(position.__getitem__, check.cells), default=0)].append(
-            check)
+    rename = {mono: tuple(sorted(map(position.__getitem__, mono),
+                                 reverse=True))
+              for mono in set(chain.from_iterable(c.poly for c in checks))}
+    for check in checks:
+        poly = {rename[mono]: coef for mono, coef in check.poly.items()}
+        last = max(poly, default=())
+        if last:
+            at[last[0]].append(Check(poly, check.nonzero))
     levels = []
-    for x, ready in zip(order, at):
+    for x, ready in enumerate(at):
         ready.sort(key=lambda check: (check.nonzero, len(check.poly)))
         solver, parts = None, None
         for check in ready:
@@ -377,19 +384,16 @@ def _plan(checks, order):
                 if split[0] == 1:     # no rank is lower
                     break
         levels.append(_Level(
-            x, parts and (parts[1], parts[2], solver.poly),
-            [(check.poly, check.nonzero) for check in ready
-             if check is not solver]))
+            parts and parts[1:],
+            [check for check in ready if check is not solver]))
     return levels
 
 
-def _filter(out, cells, x, nn, checks, p):
-    """The columns of out (digits of cells, then of x) that pass every
-    check, (polynomial, nonzero), each check seeing the columns the ones
-    before it kept: an index array, or None for all of them."""
-    child = np.empty((nn, out.shape[1]), dtype=np.int64)
-    child[cells] = out[:-1]
-    child[x] = out[-1]
+def _filter(out, checks, p):
+    """The columns of out (digits of positions 0..s, one grid each) that
+    pass every check, (polynomial, nonzero), each check seeing the columns
+    the ones before it kept: an index array, or None for all of them."""
+    child = out.astype(np.int64)
     keep = None
     for poly, nonzero in checks:
         val = _value(poly, child, p)
@@ -400,14 +404,14 @@ def _filter(out, cells, x, nn, checks, p):
     return keep
 
 
-def _extend(digits, cells, p, level, nn, tables):
-    """The columns of digits (the cells `cells` of one grid each), each
-    with every digit of the level's cell x that passes its checks, as a
-    row below them.  The level's solver gives the children, the roots
-    `_solve_cell` finds on each row, or every digit without one; its other
-    checks then filter them (`_filter`).  Checks read grids whose row c
-    holds cell c.  Built about CHUNK children at a time."""
-    s, x = len(cells), level.x
+def _extend(digits, p, level, tables):
+    """The columns of digits (row t the digit of position t, one grid
+    each), each with every digit of the next position that passes its
+    checks, as a row below them.  The level's solver gives the children,
+    the roots `_solve_cell` finds on each row, or every digit without one;
+    its other checks then filter them (`_filter`).  Built about CHUNK
+    children at a time."""
+    s = digits.shape[0]
     step = max(1, CHUNK // p)
     kept = []
     for start in range(0, digits.shape[1], step):
@@ -416,14 +420,10 @@ def _extend(digits, cells, p, level, nn, tables):
         if level.solver is None:
             rows, xs = np.arange(m).repeat(p), np.tile(np.arange(p), m)
         else:
-            # rows of cells not yet assigned are never read; the solver
-            # is read at x = 0 for its c
-            a, b, poly = level.solver
-            grid = np.empty((nn, m), dtype=np.int64)
-            grid[cells] = part
-            grid[x] = 0
+            a, b, c = level.solver
+            grid = part.astype(np.int64)
             rows, xs, full = _solve_cell(a, _value(b, grid, p) % p,
-                                         _value(poly, grid, p) % p, p, tables)
+                                         _value(c, grid, p) % p, p, tables)
             if full.size:
                 rows = np.concatenate((rows, full.repeat(p)))
                 xs = np.concatenate((xs, np.tile(np.arange(p), full.size)))
@@ -431,7 +431,7 @@ def _extend(digits, cells, p, level, nn, tables):
         out[:s] = part.take(rows, axis=1)
         out[s] = xs
         if level.filters:
-            keep = _filter(out, cells, x, nn, level.filters, p)
+            keep = _filter(out, level.filters, p)
             if keep is not None:
                 out = out.take(keep, axis=1)
         kept.append(out)
@@ -444,36 +444,36 @@ def _extend(digits, cells, p, level, nn, tables):
 def _surviving_ids(n, p, checks, budget):
     """Sorted int64 ids of the grids over GF(p) that pass every check.
 
-    Each level assigns one more cell some check reads, to the rows that
-    survived the level before, and runs the checks whose cells are now all
-    assigned: one is solved for the new cell (`_plan`, `_extend`), the
-    others filter the children.  It is built chunk by chunk, so only its
-    survivors are held.  Raises BudgetExceeded before a level whose parent
-    rows times p exceed `budget` (None: no cap).  The other cells are then
-    added to the ids by id arithmetic.
+    A check on no cell is a constant: if one fails, no grid passes.  Each
+    level assigns one more cell some check reads, to the rows that survived
+    the level before, and runs the checks whose cells are now all assigned:
+    one is solved for the new cell (`_plan`, `_extend`), the others filter
+    the children.  It is built chunk by chunk, so only its survivors are
+    held.  Raises BudgetExceeded before a level whose parent rows times p
+    exceed `budget` (None: no cap).  The other cells are then added to the
+    ids by id arithmetic.
     """
     nn = n * n
     weight = p ** np.arange(nn - 1, -1, -1, dtype=np.int64)
-    order = _cell_order(check.cells for check in checks)
+    reads = [set(chain.from_iterable(check.poly)) for check in checks]
+    if any((check.poly.get((), 0) % p == 0) == check.nonzero
+           for check, cells in zip(checks, reads) if not cells):
+        return np.empty(0, dtype=np.int64)
+    order = _cell_order(reads)
     digits = np.zeros((0, 1), dtype=np.min_scalar_type(p - 1))
     levels = _plan(checks, order)
     solved = any(level.solver for level in levels)
     tables = _Tables.of(p) if solved else None
-    cells = np.array(order, dtype=np.intp)
-    for s, level in enumerate(levels):
+    for level in levels:
         _fits(digits.shape[1] * p, budget)
-        digits = _extend(digits, cells[:s], p, level, nn, tables)
+        digits = _extend(digits, p, level, tables)
     ids = weight[order] @ digits.astype(np.int64)
     del digits
     free = sorted(set(range(nn)) - set(order))
     for cell in free:
         _fits(ids.size * p, budget)
         step = np.arange(0, p * weight[cell], weight[cell], dtype=np.int64)
-        if ids.size == 1:   # no second array the size of the result
-            step += ids[0]
-            ids = step
-        else:
-            ids = (ids[:, None] + step).ravel()
+        ids = (ids[:, None] + step).ravel()
     # rows come out sorted exactly when no level solved for its cell and
     # each cell is less significant than the ones before it, as on a table
     # without checks

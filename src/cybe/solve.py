@@ -286,13 +286,11 @@ def _compile(expr):
 class Condition(NamedTuple):
     """lhs = rhs; lhs = 0 when rhs is None; lhs != 0 when nonzero is set.
 
-    `cells` holds the 0-based grid cells (i, j) the condition reads.
     Equations compare the two sides rather than subtracting them, so exact
     scalars are compared, not reduced.
     """
 
     text: str
-    cells: frozenset
     lhs: Callable
     rhs: Callable = None
     nonzero: bool = False
@@ -304,25 +302,17 @@ class Condition(NamedTuple):
         return bool(val) == self.nonzero
 
 
-def _cells(expr):
-    """The grid cells the named coefficients in expr stand for, 0-based."""
-    return frozenset((NAMED_CELLS[tok][0] - 1, NAMED_CELLS[tok][1] - 1)
-                     for tok in _TOKEN.findall(expr) if tok in NAMED_CELLS)
-
-
 def _conditions(text):
     """The conditions of a text like "p != 0, a = b, c = d = 0", in order;
     a chain "c = d = 0" is c = 0 and d = 0."""
     conds = []
     for part in filter(None, text.split(", ")):
         if part.endswith(" != 0"):
-            conds.append(Condition(part, _cells(part), _compile(part[:-5]),
-                                   nonzero=True))
+            conds.append(Condition(part, _compile(part[:-5]), nonzero=True))
             continue
         *sides, last = part.split(" = ")
         rhs = None if last == "0" else _compile(last)
-        conds += [Condition(f"{side} = {last}", _cells(f"{side} {last}"),
-                            _compile(side), rhs)
+        conds += [Condition(f"{side} = {last}", _compile(side), rhs)
                   for side in sides]
     return tuple(conds)
 
@@ -384,19 +374,16 @@ def _product(i, j, l, m):
 def _strong_conditions(n):
     pairs = list(combinations(range(n), 2))
     for i, j in pairs:
-        yield Condition("k[i][j] = k[j][i]", frozenset({(i, j), (j, i)}),
-                        _entry(i, j), _entry(j, i))
+        yield Condition("k[i][j] = k[j][i]", _entry(i, j), _entry(j, i))
     for (i, l), (j, m) in combinations_with_replacement(pairs, 2):
         yield Condition("k[i][j] k[l][m] = k[i][m] k[l][j]",
-                        frozenset({(i, j), (l, m), (i, m), (l, j)}),
                         _product(i, j, l, m), _product(i, m, l, j))
 
 
 def _skew_conditions(n):
     for i in range(n):
         for j in range(i, n):
-            yield Condition("k[i][j] = -k[j][i]", frozenset({(i, j), (j, i)}),
-                            _entry(i, j), _negated(j, i))
+            yield Condition("k[i][j] = -k[j][i]", _entry(i, j), _negated(j, i))
 
 
 def strong_record(n):
@@ -623,8 +610,6 @@ GENERATORS = {
         "0, p, 0; -p, 0, 0; 0, 0, 0"),
 }
 
-GENERATOR_CASES = tuple(GENERATORS)
-
 
 def _get(params, field, name):
     val = params.get(name, field.zero())
@@ -648,7 +633,7 @@ def generate_solution(L, case, params):
     gen = GENERATORS.get(case)
     if gen is None:
         raise SideConditionError(
-            f"unknown case {case!r} (have {', '.join(GENERATOR_CASES)})")
+            f"unknown case {case!r} (have {', '.join(GENERATORS)})")
     reg = recognize_table(L)
     if not gen.on_table(L, reg):
         raise SideConditionError(gen.needs)

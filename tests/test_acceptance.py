@@ -206,7 +206,6 @@ def test_criterion_05_solvable_covered_regimes():
 
 
 def test_criterion_06_transcribed_systems_audit():
-    tensors3 = list(all_tensors(3, F3))
     tables = [
         family_ii(F3.from_int(1), F3.from_int(1), F3),
         family_ii(F3.from_int(2), F3.from_int(1), F3),
@@ -221,14 +220,17 @@ def test_criterion_06_transcribed_systems_audit():
                       "over exhaustive F_3 grids") as c:
         for L in tables:
             ids, _ = scan_solution_ids(L)
-            sols = set(int(i) for i in ids)
-            for idx, r in enumerate(tensors3):
-                eqs = family_equations(L, r)
-                assert (not any(v for _, _, v in eqs)) == (idx in sols), \
+            sols = set(ids.tolist())
+            # every grid in candidate-id order, its entries int residues
+            for idx, d in enumerate(product(range(3), repeat=9)):
+                rows = (d[0:3], d[3:6], d[6:9])
+                eqs = family_equations(L, Tensor2(3, rows, F3))
+                assert (not any(v % 3 for _, _, v in eqs)) == (idx in sols), \
                     (L.label, idx)
                 if idx % 97 == 0:
                     # spot check the cell-by-cell identity, not just zero sets
-                    rep = cybe_residual(L, r)
+                    rep = cybe_residual(L, Tensor2.from_rows(
+                        [[F3.from_int(v) for v in row] for row in rows], F3))
                     for _, (a, b, cc), v in eqs:
                         assert rep.residual.t[a - 1][b - 1][cc - 1] == v
         c.note(f"8 tables x 19683 grids, zero sets identical, "

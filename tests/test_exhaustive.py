@@ -281,15 +281,32 @@ def test_checks_stay_exact_past_2_to_the_31():
     # but its value from residues is (p-1) p^2 = 2.18e9 > 2^31 at p = 1297,
     # so rows of 32-bit ints would wrap and drop all but t = 0
     p = 1297
-    checks = [Check(frozenset({0, 1}), {(0,): p - 1, (1,): 1}),
-              Check(frozenset({0, 2}), {(0,): 1, (2,): 1}),
-              Check(frozenset({0, 1, 2}), {(0, 2): p - 1, (1, 2): p - 1,
-                                           (2, 2): p - 1, (0, 1): p - 1})]
+    checks = [Check({(0,): p - 1, (1,): 1}),
+              Check({(0,): 1, (2,): 1}),
+              Check({(0, 2): p - 1, (1, 2): p - 1, (2, 2): p - 1,
+                     (0, 1): p - 1})]
     ids = _surviving_ids(2, p, checks, None)
     t, k3 = np.divmod(np.arange(p * p), p)
     want = ((t * p + t) * p + (-t % p)) * p + k3     # (t, t, -t, k3)
     assert (p - 1) * p * p > 2 ** 31
     assert np.array_equal(ids, np.sort(want))
+
+
+@pytest.mark.parametrize("constant, holds", [
+    (Check({(): 1}), False),          # 1 = 0
+    (Check({}, True), False),         # 0 != 0
+    (Check({(): 2}, True), True),     # 2 != 0
+])
+def test_checks_on_no_cell_are_decided(constant, holds):
+    # a check that reads no cell is true for every grid or for none, alone
+    # and beside a check that reads a cell (k[0][1] = 0 over F_3 in dim 2)
+    every = np.arange(3 ** 4)
+    beside = Check({(1,): 1})
+    for checks, want in (([constant], every),
+                         ([constant, beside], every[every // 9 % 3 == 0]),
+                         ([beside, constant], every[every // 9 % 3 == 0])):
+        ids = _surviving_ids(2, 3, checks, None)
+        assert np.array_equal(ids, want if holds else every[:0]), checks
 
 
 def test_int64_id_ceiling():
@@ -302,7 +319,7 @@ def test_int64_id_ceiling():
 def test_vectorized_predicates_match_scalar_classification():
     # per regime: every F_3 candidate is in the engine's truth set of a
     # label exactly when the scalar evaluation of the same record on ModP
-    # grids gives it that label (a wrong `cells` set shows up here)
+    # grids gives it that label (a wrong polynomial shows up here)
     tables = [
         family_vi(F3),
         family_ii(F3.one(), F3.from_int(2), F3),

@@ -84,6 +84,10 @@ def family_equations(L, r):
     equals.  Supported tables: the dim-3 II table (any alpha, beta; 27
     equations, one per cell) and the dim-3 solvable table (any beta, delta;
     21 equations, the remaining 6 cells vanish identically).
+
+    r holds field scalars, or int residues over a prime field: then the
+    table's parameters are taken as residues too, so no field scalar is
+    made and each value is an int to reduce mod p.
     """
     if r.n != L.n:
         raise ValueError(f"dimension mismatch: algebra {L.n}, tensor {r.n}")
@@ -95,10 +99,13 @@ def family_equations(L, r):
         # the II table with alpha = beta = 0 is NOT abelian ([e1,e2]=e3);
         # a fully abelian table has no system to evaluate
         raise ValueError("no transcribed system for the abelian table")
+    params = reg[1:]
+    if isinstance(r.k[0][0], int):
+        params, _ = L.field.lift(params)
     if kind == "ii":
-        eqs = _ii_equations(reg[1], reg[2], r)
+        eqs = _ii_equations(*params, r)
     elif kind == "solvable":
-        eqs = _solvable_equations(reg[1], reg[2], r)
+        eqs = _solvable_equations(*params, r)
     else:
         raise ValueError(f"no transcribed system for table {kind!r}")
     return [(idx + 1, cell, value) for idx, (cell, value) in enumerate(eqs)]
