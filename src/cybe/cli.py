@@ -16,8 +16,10 @@ are deterministic; opt into wall-clock timing with --timing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
+import time
 
 from .bialgebra import bialgebra_check, coboundary_predicate, triangular_predicate
 from .exhaustive import (
@@ -50,8 +52,10 @@ from .solve import (
 )
 
 RESIDUAL_WITNESS_CAP = 100
-# a listed solution costs about 3 KB of peak memory, so the cap holds a
-# listing near 300 MB; larger solution sets are counted but not listed
+# a listed dim-2 solution costs about 270 bytes of JSON and about 0.6 KB
+# of peak memory (the text, and the copy the buffer returns), so the cap
+# bounds the size of the report rather than the memory; larger solution
+# sets are counted but not listed
 LIST_SOLUTIONS_CAP = 100_000
 
 
@@ -187,13 +191,15 @@ def cmd_enumerate(problem, args):
     if not _jacobi_section(L, report):
         report["ok"] = False
         return report, 1
+    t0 = time.perf_counter()
     try:
-        enum = verify_classification(L, budget=budget, timing=timing)
+        enum = verify_classification(L, budget=budget)
     except BudgetExceeded as e:
         report["error"] = str(e)
         report["partial"] = False
         report["ok"] = False
         return report, 1
+    wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     report.update({
         "total": enum.total,
         "backend": "frontier",
@@ -201,11 +207,11 @@ def cmd_enumerate(problem, args):
         "predicate_count": enum.predicate_count,
         "matched": enum.matched,
         "label_counts": dict(sorted(enum.label_counts.items())),
-        "missed_by_predicate": list(enum.missed_by_predicate),
-        "false_positives": list(enum.false_positives),
+        "missed_by_predicate": enum.missed_by_predicate,
+        "false_positives": enum.false_positives,
         "confirmed": enum.confirmed,
         "empirical_only": enum.empirical_only,
-        "wall_time_ms": enum.wall_time_ms,
+        "wall_time_ms": wall_ms if timing else None,
     })
     ok = enum.confirmed
     if opts.get("list_solutions") or args.list_solutions:
@@ -362,19 +368,13 @@ def _render_text(report, out):
 
 
 def _emit(report, args):
-    if args.format == "json":
-        text = dumps_report(report)
-    else:
-        import io
-
-        buf = io.StringIO()
-        _render_text(report, buf)
-        text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the report to --output, opened once, or to stdout."""
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "json":
+            fh.write(dumps_report(report))
+        else:
+            _render_text(report, fh)
 
 
 @functools.cache   # one parser per process: building it takes about 1.3 ms
@@ -435,7 +435,12 @@ def run(argv=None):
         # the plain dimension/field guards all land here: usage errors
         sys.stderr.write(f"error: {e}\n")
         return 2
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as e:
+        sys.stderr.write(f"error: cannot write {args.output or 'stdout'}: "
+                         f"{e.strerror}\n")
+        return 2
     return code
 
 

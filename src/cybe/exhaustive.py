@@ -48,7 +48,6 @@ times p, checked before each level (see `_surviving_ids`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import NamedTuple
@@ -80,32 +79,9 @@ def candidate_count(n, p):
     return p ** (n * n)
 
 
-def encode_tensor(r):
-    """Tensor over GF(p) -> its candidate id."""
-    p = r.field.p
-    acc = 0
-    for i in range(r.n):
-        for j in range(r.n):
-            acc = acc * p + int(r.k[i][j])
-    return acc
-
-
-def decode_tensor(idx, n, field):
-    """Candidate id -> tensor over GF(p)."""
-    p = field.p
-    digits = []
-    for _ in range(n * n):
-        digits.append(idx % p)
-        idx //= p
-    digits.reverse()
-    rows = [[field.from_int(digits[i * n + j]) for j in range(n)]
-            for i in range(n)]
-    return Tensor2.from_rows(rows, field)
-
-
 def decode_ids(ids, n, p):
     """Candidate ids -> their base-p digits as an (len(ids), n*n) int64
-    array, one grid per row, row-major: `decode_tensor` for many ids."""
+    array, one grid per row, row-major."""
     powers = p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
     return ids[:, None] // powers % p
 
@@ -495,7 +471,9 @@ def scan_solution_ids(L, budget=DEFAULT_BUDGET):
 def enumerate_solutions(L, budget=DEFAULT_BUDGET):
     """Every CYBE solution tensor on L over GF(p), in candidate-id order."""
     ids, _ = scan_solution_ids(L, budget=budget)
-    return [decode_tensor(int(i), L.n, L.field) for i in ids]
+    n, F = L.n, L.field
+    return [Tensor2.from_rows([[F.from_int(d) for d in row] for row in g], F)
+            for g in decode_ids(ids, n, F.p).reshape(-1, n, n).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +494,6 @@ class EnumerationReport:
     confirmed: bool
     empirical_only: bool
     solution_ids: np.ndarray = field(repr=False, compare=False)
-    wall_time_ms: object = None
 
 
 WITNESS_CAP = 100
@@ -526,11 +503,9 @@ def _witnesses(ids, n, p):
     """{"id", "grid"} of each id, the grid's entries as the str of their
     residues: one `decode_ids` for them all."""
     ids = ids[:WITNESS_CAP]
-    text = [str(d) for d in range(p)]
-    grids = [[text[d] for d in row] for row in
-             decode_ids(ids, n, p).reshape(-1, n).tolist()]
-    return tuple({"id": idx, "grid": grids[i * n:i * n + n]}
-                 for i, idx in enumerate(ids.tolist()))
+    grids = decode_ids(ids, n, p).astype(str).reshape(-1, n, n).tolist()
+    return tuple({"id": idx, "grid": grid}
+                 for idx, grid in zip(ids.tolist(), grids))
 
 
 def _compare(sol, truth, covered, outside):
@@ -555,7 +530,7 @@ def _union(arrays):
     return ids[np.diff(ids, prepend=-1) != 0]
 
 
-def verify_classification(L, budget=DEFAULT_BUDGET, timing=False):
+def verify_classification(L, budget=DEFAULT_BUDGET):
     """Enumerate the solutions over GF(p) and compare with the classification.
 
     Confirmation means the oracle solution set equals the union of the
@@ -563,7 +538,6 @@ def verify_classification(L, budget=DEFAULT_BUDGET, timing=False):
     the report is marked empirical_only and the predicate side degrades to
     the sufficient strong-symmetry condition.
     """
-    t0 = time.perf_counter()
     p = _require_prime_field(L)
     ids, _ = scan_solution_ids(L, budget=budget)
     reg = recognize_table(L)
@@ -606,6 +580,4 @@ def verify_classification(L, budget=DEFAULT_BUDGET, timing=False):
                    and extra.size == 0),
         empirical_only=empirical_only,
         solution_ids=ids,
-        wall_time_ms=(round((time.perf_counter() - t0) * 1000.0, 3)
-                      if timing else None),
     )

@@ -22,9 +22,11 @@ alias and an explicit entry for the same cell is a duplicate and an error.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring
+from types import GeneratorType
 
 from .liealg import from_constants, make_family
 from .scalars import FieldError, make_field, parse_scalar
@@ -217,6 +219,8 @@ def load_problem(path):
         raise ProblemError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ProblemError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ProblemError(f"{path} nests too deeply") from None
     return parse_problem(doc)
 
 
@@ -240,48 +244,42 @@ def algebra_obj(L):
 def tensor_objs(digits, n):
     """`tensor_obj` of each grid in `digits`, an (N, n*n) array of base-p
     digits with one grid per row, row-major (`exhaustive.decode_ids`):
-    the nonzero cells, each as the str of its canonical residue."""
+    the nonzero cells, each as the str of its canonical residue.  A
+    generator, so a listing holds one solution's objects at a time."""
     cells = [(i + 1, j + 1) for i in range(n) for j in range(n)]
-    return [{"entries": [[i, j, str(d)] for (i, j), d in zip(cells, row) if d]}
-            for row in digits.tolist()]
+    for row in digits:
+        yield {"entries": [[i, j, str(d)]
+                           for (i, j), d in zip(cells, row.tolist()) if d]}
 
 
 def dumps_report(report):
     """The report as JSON text: byte for byte
     json.dumps(report, indent=2, ensure_ascii=False) + "\n", so two-space
     indent, non-ASCII characters as they are, keys in insertion order and
-    a trailing newline.
+    a trailing newline, written by `_write_json` into one buffer.
 
     Under any indent json runs its pure-Python generator, which takes
-    about 2.6 times as long as `_write_json` on report-shaped values
-    (dicts with str keys, lists, str, int, bool, None, float).  Anything
-    else (a tuple, a non-str key, another type, a cycle) is left to
-    json.dumps itself.
+    about 2.6 times as long as `_write_json` on report-shaped values.
     """
-    out = []
-    try:
-        _write_json(report, "\n", out)
-    except (TypeError, RecursionError):
-        return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    out.append("\n")
-    return "".join(out)
+    buf = io.StringIO()
+    _write_json(report, "\n", buf.write)
+    buf.write("\n")
+    return buf.getvalue()
 
 
-def _write_json(obj, nl, out):
-    """Append the text of dict or list `obj` to `out` in pieces; `nl` is
-    the newline and indent of the line `obj` starts on.  Scalars are the
-    texts json writes: str through its C string encoder, int through
-    int.__repr__, float through json.dumps (NaN and the infinities as
-    json spells them).  Raises TypeError on anything json's own
-    generator would not write the same way."""
-    add = out.append
+def _write_json(obj, nl, add):
+    """Write the text of `obj` through `add` in pieces: a dict with str
+    keys, or a list, tuple or generator, as an array; `nl` is the newline
+    and indent of the line `obj` starts on.  Scalars are the texts json
+    writes: str through its C string encoder, int through int.__repr__,
+    float through json.dumps (NaN and the infinities as json spells
+    them).  Raises TypeError on a non-str key or on any other type, and
+    RecursionError on a cycle."""
     inner = nl + "  "
     sep = "," + inner
-    if type(obj) is list:
-        if not obj:
-            add("[]")
-            return
-        head = "[" + inner
+    t = type(obj)
+    if t is list or t is tuple or t is GeneratorType:
+        head = first = "[" + inner
         for v in obj:
             t = type(v)
             if t is str:
@@ -296,14 +294,11 @@ def _write_json(obj, nl, out):
                 add(head + json.dumps(v))
             else:
                 add(head)
-                _write_json(v, inner, out)
+                _write_json(v, inner, add)
             head = sep
-        add(nl + "]")
-    elif type(obj) is dict:
-        if not obj:
-            add("{}")
-            return
-        head = "{" + inner
+        add("[]" if head is first else nl + "]")
+    elif t is dict:
+        head = first = "{" + inner
         for k, v in obj.items():
             if type(k) is not str:
                 raise TypeError("json converts non-str keys")
@@ -321,8 +316,8 @@ def _write_json(obj, nl, out):
                 add(key + json.dumps(v))
             else:
                 add(key)
-                _write_json(v, inner, out)
+                _write_json(v, inner, add)
             head = sep
-        add(nl + "}")
+        add("{}" if head is first else nl + "}")
     else:
-        raise TypeError(f"not a dict or list: {type(obj).__name__}")
+        raise TypeError(f"not a dict or an array: {t.__name__}")

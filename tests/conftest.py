@@ -223,6 +223,14 @@ def decode_grids(ids, n, p):
     return grids
 
 
+def decoded_tensors(ids, n, field):
+    """The Tensor2 over the prime field of each candidate id, decoded by
+    `decode_grids`: the reference for the id decoding of cybe."""
+    return [Tensor2.from_rows([[field.from_int(int(v)) for v in row]
+                               for row in grid], field)
+            for grid in decode_grids(ids, n, field.p)]
+
+
 def brute_force_solution_ids(L, chunk=1 << 16):
     """Every candidate id over GF(p) whose CYBE residual vanishes, ascending:
     all p^(n*n) grids, each residual cell summed over the constants."""

@@ -16,7 +16,6 @@ from cybe import (
     PrimeField,
     abelian,
     cli,
-    decode_tensor,
     enumerate_solutions,
     exhaustive,
     family_ii,
@@ -28,6 +27,7 @@ from cybe import (
 from cybe.cli import run
 from cybe.exhaustive import decode_ids
 from cybe.problems import tensor_obj, tensor_objs
+from conftest import decoded_tensors
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -387,6 +387,28 @@ def test_output_file_and_stdout_silence(capsys, tmp_path):
     assert rep["command"] == "check" and rep["ok"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, where, fmt):
+    out = tmp_path / "missing" / "x.json" if where != "directory" else tmp_path
+    code = run(["families", "-o", str(out), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_problem_exits_2(capsys, tmp_path, depth):
+    # valid JSON that json.load cannot take apart within its recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": ' + "[" * depth + "]" * depth + "}")
+    code = run(["check", "-i", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: {path} nests too deeply\n"
+
+
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     texts = []
     for _ in range(2):
@@ -469,8 +491,43 @@ def test_listed_solutions_match_decoded_tensors(L):
     # --list-solutions writes each id from its digit row; the reference
     # decodes each id to a Tensor2 of ModP and echoes it
     ids, _ = scan_solution_ids(L)
-    want = [tensor_obj(decode_tensor(int(i), L.n, L.field)) for i in ids]
-    assert tensor_objs(decode_ids(ids, L.n, L.field.p), L.n) == want
+    want = [tensor_obj(r) for r in decoded_tensors(ids, L.n, L.field)]
+    assert list(tensor_objs(decode_ids(ids, L.n, L.field.p), L.n)) == want
+
+
+# the peak RSS of this process in KiB: VmHWM, as ru_maxrss counts the RSS
+# of the process that started it
+LISTING_MEMORY = """
+import sys
+from cybe.cli import run
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh
+                    if line.startswith("VmHWM:"))
+
+base = peak()
+code = run(sys.argv[1:])
+sys.stderr.write(f"{code} {peak() - base}")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+def test_listing_memory_is_flat(tmp_path):
+    # 28,561 solutions, 7.6 MB of JSON: the listing is written one solution
+    # at a time, so the peak grows by about the text and not by a report
+    # object per solution (75 MB when each was held until the end)
+    doc = {"field": {"kind": "prime", "p": 13},
+           "algebra": {"family": "I", "params": {"dim": 2}}}
+    proc = subprocess.run(
+        [sys.executable, "-c", LISTING_MEMORY, "enumerate", "-i",
+         write_problem(tmp_path, doc), "--list-solutions"],
+        capture_output=True, text=True, env=checkout_env())
+    code, grown_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert len(json.loads(proc.stdout)["solutions"]) == 28561
+    assert grown_kib <= 40 * 1024
 
 
 def test_list_solutions_cap(capsys, tmp_path, monkeypatch):

@@ -5,11 +5,10 @@ import pytest
 
 from cybe import (
     BudgetExceeded,
+    ModP,
     PrimeField,
     abelian,
     classify_solution,
-    decode_tensor,
-    encode_tensor,
     enumerate_solutions,
     family_iii,
     family_ii,
@@ -25,6 +24,7 @@ from cybe.exhaustive import (
     _label_checks,
     _surviving_ids,
     candidate_count,
+    decode_ids,
 )
 from cybe.solve import (
     Coefficients,
@@ -37,6 +37,7 @@ from conftest import (
     brute_force_solution_ids,
     constants_arrays,
     decode_grids,
+    decoded_tensors,
 )
 
 F3 = PrimeField(3)
@@ -217,14 +218,11 @@ def test_uncovered_solvable_regime_is_empirical_only():
 
 def test_report_metadata_fields():
     L = family_vi(F3)
-    report = verify_classification(L, timing=True)
+    report = verify_classification(L)
     assert (report.p, report.dim) == (3, 2)
     assert report.algebra == L.label
     assert report.total == 81
     assert scan_solution_ids(L)[1] == "frontier"
-    assert report.wall_time_ms is not None and report.wall_time_ms >= 0
-    report = verify_classification(L)
-    assert report.wall_time_ms is None
 
 
 # the engine against the brute-force reference scan in conftest
@@ -343,10 +341,15 @@ def test_vectorized_predicates_match_scalar_classification():
                 assert (idx in hits) == (label in labels), (L, idx, label)
 
 
-def test_decode_tensor_field_entries():
-    r = decode_tensor(80, 2, F3)   # 80 = 2222 base 3
-    assert all(int(r.k[i][j]) == 2 for i in range(2) for j in range(2))
-    assert r.field is F3 or r.field == F3
+def test_enumerated_tensors_match_decoded_grids():
+    # enumerate_solutions decodes every id at once, the reference one at a
+    # time; both give tensors of field entries
+    for L in (family_vi(F3), family_iii(F3)):
+        ids, _ = scan_solution_ids(L)
+        sols = enumerate_solutions(L)
+        assert sols == decoded_tensors(ids, L.n, L.field)
+        assert all(r.field == L.field and isinstance(v, ModP)
+                   for r in sols for row in r.k for v in row)
 
 
 # the id encoding, and the brute-force reference in conftest that the
@@ -366,24 +369,26 @@ def test_constants_arrays_shapes():
 def test_encode_decode_round_trip():
     for field, n in ((F3, 2), (F5, 2), (F3, 3)):
         total = field.p ** (n * n)
-        for idx in (0, 1, total // 2, total - 1):
-            r = decode_tensor(idx, n, field)
-            assert encode_tensor(r) == idx
+        ids = np.array([0, 1, total // 2, total - 1], dtype=np.int64)
+        for idx, r in zip(ids.tolist(), decoded_tensors(ids, n, field)):
+            acc = 0
+            for row in r.k:
+                for v in row:
+                    acc = acc * field.p + int(v)
+            assert acc == idx
     # entry (0,0) is the most significant digit
-    r = decode_tensor(F3.p ** (2 * 2 - 1) * 2, 2, F3)
+    r, = decoded_tensors([F3.p ** (2 * 2 - 1) * 2], 2, F3)
     assert int(r.k[0][0]) == 2 and r.k[0][1] == F3.zero()
+    r, = decoded_tensors([80], 2, F3)   # 80 = 2222 base 3
+    assert all(int(v) == 2 for row in r.k for v in row)
 
 
-def test_decode_grids_matches_decode_tensor():
-    n, p = 2, 5
-    ids = np.array([0, 1, 7, 23, 5**4 - 1], dtype=np.int64)
-    grids = decode_grids(ids, n, p)
-    field = PrimeField(p)
-    for row, idx in enumerate(ids):
-        r = decode_tensor(int(idx), n, field)
-        for i in range(n):
-            for j in range(n):
-                assert grids[row, i, j] == int(r.k[i][j])
+def test_decode_grids_matches_decode_ids():
+    for n, p in ((2, 5), (3, 3), (3, 127)):
+        total = p ** (n * n)
+        ids = np.array([0, 1, 7, 23, total // 3, total - 1], dtype=np.int64)
+        assert np.array_equal(decode_ids(ids, n, p),
+                              decode_grids(ids, n, p).reshape(-1, n * n))
 
 
 def test_brute_force_reference_agrees_with_scalar_path():
@@ -516,8 +521,8 @@ def test_witnesses_are_ids_and_residue_grids():
     L = solvable_table(F3.from_int(1), F3.from_int(0), F3)
     report = verify_classification(L)
     assert len(report.missed_by_predicate) == exhaustive.WITNESS_CAP
-    for w in report.missed_by_predicate:
-        r = decode_tensor(w["id"], 3, F3)
+    ids = [w["id"] for w in report.missed_by_predicate]
+    for w, r in zip(report.missed_by_predicate, decoded_tensors(ids, 3, F3)):
         assert w == {"id": w["id"],
                      "grid": [[str(v) for v in row] for row in r.k]}
         assert type(w["id"]) is int

@@ -207,8 +207,8 @@ def test_serialization_helpers():
 
 
 # dumps_report is json.dumps(indent=2, ensure_ascii=False) + "\n", byte for
-# byte, whatever it is given: report-shaped values take the fast encoder,
-# anything else (tuples, non-str keys) falls back to json.dumps
+# byte, on dicts with str keys and on lists, tuples and generators as arrays;
+# it raises TypeError on anything else, a non-str key included
 
 json_text = st.text(st.characters() | st.sampled_from(
     ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "\ud800",
@@ -232,18 +232,43 @@ json_like = st.recursive(
     max_leaves=12)
 
 
+def has_non_str_key(value):
+    if type(value) is dict:
+        return any(type(k) is not str or has_non_str_key(v)
+                   for k, v in value.items())
+    return type(value) in (list, tuple) and any(map(has_non_str_key, value))
+
+
+def lists_as_generators(value):
+    """value with each list a generator of the same items."""
+    if type(value) is list:
+        return (lists_as_generators(v) for v in value)
+    if type(value) is dict:
+        return {k: lists_as_generators(v) for k, v in value.items()}
+    return value
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(report_like | json_like)
 def test_dumps_report_is_json_dumps_indent_2(value):
     for report in (value, {"report": [value]}):
+        if has_non_str_key(report) or type(report) not in (dict, list, tuple):
+            with pytest.raises(TypeError):
+                dumps_report(report)
+            continue
         want = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
         assert dumps_report(report) == want
+        assert dumps_report(lists_as_generators(report)) == want
 
 
-def test_dumps_report_raises_as_json_does():
+def test_dumps_report_raises_on_other_values():
     loop = {"a": []}
     loop["a"].append(loop)
-    with pytest.raises(ValueError, match="Circular reference"):
+    with pytest.raises(RecursionError):
         dumps_report(loop)
-    with pytest.raises(TypeError, match="not JSON serializable"):
+    with pytest.raises(TypeError):
+        dumps_report({"x": {1, 2}})
+    with pytest.raises(TypeError):
         dumps_report({"x": Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        dumps_report({"x": {1: "y"}})
