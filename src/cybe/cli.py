@@ -64,8 +64,7 @@ def _jacobi_section(L, report):
     report["jacobi_ok"] = not violations
     if violations:
         report["jacobi_violations"] = [
-            {"triple": list(tri),
-             "residual": [str(v) for v in vec]}
+            {"triple": tri, "residual": [str(v) for v in vec]}
             for tri, vec in violations
         ]
     return not violations
@@ -135,20 +134,17 @@ def cmd_bialgebra(problem):
             }
             witnesses = {}
             if not b.coantisymmetry_ok:
-                witnesses["coantisymmetry"] = list(
-                    b.witnesses["coantisymmetry"])
+                witnesses["coantisymmetry"] = b.witnesses["coantisymmetry"]
             if not b.cojacobi_ok:
                 witnesses["cojacobi"] = [
                     {"basis_index": i,
-                     "entries": [[list(cell), str(v)]
-                                 for cell, v in entries]}
+                     "entries": [[cell, str(v)] for cell, v in entries]}
                     for i, entries in b.witnesses["cojacobi"]
                 ]
             if not b.compatibility_ok:
                 witnesses["compatibility"] = [
-                    {"pair": list(pair),
-                     "entries": [[list(cell), str(v)]
-                                 for cell, v in entries]}
+                    {"pair": pair,
+                     "entries": [[cell, str(v)] for cell, v in entries]}
                     for pair, entries in b.witnesses["compatibility"]
                 ]
             if witnesses:
