@@ -246,6 +246,25 @@ def _skew_named(r):
     return None, None, None   # no named coefficients in other dims
 
 
+def _closed_form_regime(L, r):
+    """(kind, a, b, (p, s, u)): "vi", "ii" with alpha, beta both zero or
+    both nonzero, or "solvable" with beta, delta, and the named coefficients
+    of skew r.  Raises ValueError if r is not skew, else UncoveredRegime."""
+    named = _skew_named(r)
+    reg = recognize_table(L)
+    if reg is None:
+        raise UncoveredRegime(f"no closed form for {L!r}")
+    kind = reg[0]
+    if kind == "vi":
+        return kind, None, None, named
+    if kind == "ii" and bool(reg[1]) != bool(reg[2]):
+        raise UncoveredRegime(
+            "no closed form when exactly one of alpha, beta is zero")
+    if kind in ("ii", "solvable"):
+        return kind, reg[1], reg[2], named
+    raise UncoveredRegime(f"no closed form for table {kind!r}")
+
+
 def coboundary_predicate(L, r):
     """Closed form: does skew r induce a Lie bialgebra on L?
 
@@ -253,24 +272,11 @@ def coboundary_predicate(L, r):
     with alpha*beta != 0 or alpha = beta = 0 (always a bialgebra); the dim-3
     solvable table for every (beta, delta); the dim-2 table (always).
     """
-    p, s, u = _skew_named(r)
-    reg = recognize_table(L)
-    if reg is None:
-        raise UncoveredRegime(f"no closed form for {L!r}")
-    kind = reg[0]
-    if kind == "vi":
-        return True
-    if kind == "ii":
-        alpha, beta = reg[1], reg[2]
-        if (alpha and beta) or (not alpha and not beta):
-            return True
-        raise UncoveredRegime(
-            "no closed form when exactly one of alpha, beta is zero")
+    kind, beta, delta, (_, s, u) = _closed_form_regime(L, r)
     if kind == "solvable":
-        beta, delta = reg[1], reg[2]
         one = L.field.one()
         return not ((delta + one) * ((delta - one) * u + beta * s) * s)
-    raise UncoveredRegime(f"no closed form for table {kind!r}")
+    return True
 
 
 def triangular_predicate(L, r):
@@ -281,26 +287,15 @@ def triangular_predicate(L, r):
     beta = 0 (condition (1-delta)us = 0) or beta != 0, delta = 1 (s = 0);
     the dim-2 table (always).
     """
-    p, s, u = _skew_named(r)
-    reg = recognize_table(L)
-    if reg is None:
-        raise UncoveredRegime(f"no closed form for {L!r}")
-    kind = reg[0]
-    if kind == "vi":
-        return True
-    if kind == "ii":
-        alpha, beta = reg[1], reg[2]
-        if (alpha and beta) or (not alpha and not beta):
-            return not (beta * s * s + alpha * u * u + p * p)
-        raise UncoveredRegime(
-            "no closed form when exactly one of alpha, beta is zero")
-    if kind == "solvable":
-        beta, delta = reg[1], reg[2]
-        one = L.field.one()
-        if not beta:
-            return not ((one - delta) * u * s)
-        if delta == one:
+    kind, a, b, (p, s, u) = _closed_form_regime(L, r)
+    one = L.field.one()
+    if kind == "ii":            # a, b = alpha, beta
+        return not (b * s * s + a * u * u + p * p)
+    if kind == "solvable":      # a, b = beta, delta
+        if not a:
+            return not ((one - b) * u * s)
+        if b == one:
             return not s
         raise UncoveredRegime(
-            f"no triangular closed form for beta={beta}, delta={delta}")
-    raise UncoveredRegime(f"no closed form for table {kind!r}")
+            f"no triangular closed form for beta={a}, delta={b}")
+    return True

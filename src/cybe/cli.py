@@ -37,7 +37,7 @@ from .problems import (
     tensor_obj,
     tensor_objs,
 )
-from .scalars import FieldError
+from .scalars import FieldError, clip
 from .solve import (
     GENERATORS,
     UncoveredRegime,
@@ -237,11 +237,11 @@ def cmd_generate(problem, args):
     for name, text in params_in.items():
         if not isinstance(text, str):
             raise ProblemError(
-                f"generator parameter {name} must be a string")
+                f"generator parameter {clip(name)} must be a string")
         try:
             params[name] = problem.field.parse(text)
         except FieldError as e:
-            raise ProblemError(f"parameter {name}: {e}") from None
+            raise ProblemError(f"parameter {clip(name)}: {e}") from None
     r = generate_solution(L, case, params)
     ok = is_cybe_solution(L, r)
     report.update({

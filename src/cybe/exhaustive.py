@@ -16,12 +16,15 @@ evaluates on exact scalars), each compiled lambda evaluated, lhs - rhs, on
 the same polynomial grid, and compares the sorted id arrays.  The check is
 independent because the oracle never sees a label.
 
-The engine assigns the cells the checks read one per level, in the order
-`_cell_order` gives, and runs a check at the level of the last of its
-cells, read in level coordinates (`_plan`): position s stands for the cell
-of level s, so checks read the search rows as they are stored.  A check on
-no cell is a constant, decided before the search.  The engine does not try
-all p digits of the new cell x and filter them: it solves one ready
+The engine lists the checks by a key of each check alone: equalities
+first, then fewer terms, then the sorted terms.  Every tie below breaks by
+that listing, so the search depends only on the set of checks, not on how a
+caller lists them.  It assigns the cells the checks read one per level, in
+the order `_cell_order` gives, and runs a check at the level of the last of
+its cells, read in level coordinates (`_plan`): position s stands for the
+cell of level s, so checks read the search rows as they are stored.  A
+check on no cell is a constant, decided before the search.  The engine does
+not try all p digits of the new cell x and filter them: it solves one ready
 equality, written over the rows before it as a x^2 + b x + c with a a
 constant and b, c reduced mod p (`_solve_cell`):
 a = b = 0 gives every digit if c = 0 and none otherwise, a = 0 the one root
@@ -49,7 +52,7 @@ times p, checked before each level (see `_surviving_ids`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -191,14 +194,7 @@ def _residual_checks(L, p):
     n = L.n
     consts, _ = _int_constants(L)
     cube = _residual_ints(n, consts, _cell_polys(n))
-    # listed as the constants, row by row, first touch each cell: on the II
-    # tables with one parameter zero, `_cell_order` then keeps the largest
-    # search level 3.5-6.5 times smaller at F_7 to F_13 than flat cell order
-    first = {(cell[0] * n + cell[1]) * n + cell[2]: None
-             for _, _, m, _ in consts for a, b in product(range(n), repeat=2)
-             for cell in ((m, a, b), (a, m, b), (a, b, m))}
-    polys = (_mod(cube[at], p) for at in first)
-    return [Check(poly) for poly in polys if poly]
+    return [Check(poly) for poly in (_mod(v, p) for v in cube) if poly]
 
 
 def _label_checks(record, n, p, params):
@@ -222,8 +218,9 @@ def _label_checks(record, n, p, params):
 def _cell_order(reads):
     """The cells the checks read, in the order the engine assigns them.
 
-    Greedy: finish the check with the fewest cells still open, opening its
-    cells most-read first, so that checks become decidable early.
+    Greedy: finish the check with the fewest cells still open, the first
+    listed of them on a tie, opening its cells most-read first, then in
+    flat order, so that checks become decidable early.
     """
     order, left = [], [set(cells) for cells in reads if cells]
     while left:
@@ -337,8 +334,9 @@ def _plan(checks, order):
     monomials as descending tuples of positions in order, so a check runs
     at the first position of its largest monomial, the level of the last
     of its cells (`_surviving_ids` decides the checks on no cell).  There
-    the equality of least rank is solved for the cell, the cheapest of them
-    when several are, and the checks left filter, cheapest first."""
+    the first listed equality of least rank is solved for the cell, and the
+    checks left filter in their listed order; the canonical listing puts
+    the cheapest first, and renaming keeps each check's number of terms."""
     at = [[] for _ in order]
     position = {cell: s for s, cell in enumerate(order)}
     rename = {mono: tuple(sorted(map(position.__getitem__, mono),
@@ -351,7 +349,6 @@ def _plan(checks, order):
             at[last[0]].append(Check(poly, check.nonzero))
     levels = []
     for x, ready in enumerate(at):
-        ready.sort(key=lambda check: (check.nonzero, len(check.poly)))
         solver, parts = None, None
         for check in ready:
             split = None if check.nonzero else _split(check.poly, x)
@@ -411,10 +408,7 @@ def _extend(digits, p, level, tables):
             if keep is not None:
                 out = out.take(keep, axis=1)
         kept.append(out)
-    if len(kept) == 1:
-        return kept[0]
-    return (np.concatenate(kept, axis=1) if kept
-            else np.empty((s + 1, 0), dtype=digits.dtype))
+    return kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1)
 
 
 def _surviving_ids(n, p, checks, budget):
@@ -425,35 +419,33 @@ def _surviving_ids(n, p, checks, budget):
     the level before, and runs the checks whose cells are now all assigned:
     one is solved for the new cell (`_plan`, `_extend`), the others filter
     the children.  It is built chunk by chunk, so only its survivors are
-    held.  Raises BudgetExceeded before a level whose parent rows times p
-    exceed `budget` (None: no cap).  The other cells are then added to the
-    ids by id arithmetic.
+    held; a level that keeps none ends the search.  Raises BudgetExceeded
+    before a level whose parent rows times p exceed `budget` (None: no
+    cap).  The other cells are then added to the ids by id arithmetic.
     """
     nn = n * n
     weight = p ** np.arange(nn - 1, -1, -1, dtype=np.int64)
+    checks = sorted(checks, key=lambda check: (
+        check.nonzero, len(check.poly), sorted(check.poly.items())))
     reads = [set(chain.from_iterable(check.poly)) for check in checks]
     if any((check.poly.get((), 0) % p == 0) == check.nonzero
            for check, cells in zip(checks, reads) if not cells):
         return np.empty(0, dtype=np.int64)
     order = _cell_order(reads)
     digits = np.zeros((0, 1), dtype=np.min_scalar_type(p - 1))
-    levels = _plan(checks, order)
-    solved = any(level.solver for level in levels)
-    tables = _Tables.of(p) if solved else None
-    for level in levels:
+    tables = _Tables.of(p) if order else None
+    for level in _plan(checks, order):
         _fits(digits.shape[1] * p, budget)
         digits = _extend(digits, p, level, tables)
+        if not digits.shape[1]:
+            return np.empty(0, dtype=np.int64)
     ids = weight[order] @ digits.astype(np.int64)
     del digits
-    free = sorted(set(range(nn)) - set(order))
-    for cell in free:
+    for cell in sorted(set(range(nn)) - set(order)):
         _fits(ids.size * p, budget)
         step = np.arange(0, p * weight[cell], weight[cell], dtype=np.int64)
         ids = (ids[:, None] + step).ravel()
-    # rows come out sorted exactly when no level solved for its cell and
-    # each cell is less significant than the ones before it, as on a table
-    # without checks
-    if solved or order + free != sorted(order + free):
+    if order:   # free cells alone come out in id order
         ids.sort()
     return ids
 

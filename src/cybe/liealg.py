@@ -22,7 +22,7 @@ non-Lie table).
 
 from __future__ import annotations
 
-from .scalars import QQ, FieldError
+from .scalars import QQ, FieldError, clip
 
 
 class LieAlgebra:
@@ -239,7 +239,8 @@ def make_family(name, field=QQ, **params):
     III, V, VI and sl2 take nothing.
     """
     if name not in FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {name!r} (have {sorted(FAMILY_BUILDERS)})")
+        raise ValueError(f"unknown family {clip(repr(name))} "
+                         f"(have {sorted(FAMILY_BUILDERS)})")
     if name == "I":
         return abelian(params.pop("dim", 3), field, **_none(params))
     if name == "II":
@@ -259,7 +260,8 @@ def make_family(name, field=QQ, **params):
 
 def _none(params):
     if params:
-        raise ValueError(f"unexpected family parameters {sorted(params)}")
+        raise ValueError(
+            f"unexpected family parameters {clip(str(sorted(params)))}")
     return {}
 
 

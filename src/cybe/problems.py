@@ -29,7 +29,7 @@ from json.encoder import encode_basestring
 from types import GeneratorType
 
 from .liealg import from_constants, make_family
-from .scalars import FieldError, make_field, parse_scalar
+from .scalars import FieldError, clip, make_field, parse_scalar
 from .tensor import NAMED_CELLS, Tensor2
 
 # Larger dims are refused before any table is built: `check` of one tensor
@@ -55,11 +55,17 @@ def _expect_dict(obj, what):
     return obj
 
 
+def _only(obj, keys, what):
+    extra = set(obj) - keys
+    if extra:
+        raise ProblemError(f"unknown {what} keys: {clip(str(sorted(extra)))}")
+
+
 def _coeff(text, field, where):
     if not isinstance(text, str):
         raise ProblemError(
             f"{where}: coefficients must be strings, got "
-            f"{type(text).__name__} ({text!r})")
+            f"{type(text).__name__} ({clip(repr(text))})")
     try:
         return parse_scalar(text, field)
     except FieldError as e:
@@ -69,9 +75,7 @@ def _coeff(text, field, where):
 def parse_field(obj):
     obj = _expect_dict(obj, '"field"')
     kind = obj.get("kind")
-    extra = set(obj) - {"kind", "p"}
-    if extra:
-        raise ProblemError(f'unknown "field" keys: {sorted(extra)}')
+    _only(obj, {"kind", "p"}, '"field"')
     try:
         return make_field(kind, obj.get("p"))
     except FieldError as e:
@@ -81,9 +85,7 @@ def parse_field(obj):
 def parse_algebra(obj, field):
     obj = _expect_dict(obj, '"algebra"')
     if "family" in obj:
-        extra = set(obj) - {"family", "params"}
-        if extra:
-            raise ProblemError(f'unknown "algebra" keys: {sorted(extra)}')
+        _only(obj, {"family", "params"}, '"algebra"')
         params_in = obj.get("params", {})
         _expect_dict(params_in, '"algebra.params"')
         params = {}
@@ -95,15 +97,14 @@ def parse_algebra(obj, field):
                         f'"dim" must be an integer from 1 to {MAX_DIM}')
                 params[name] = val
             else:
-                params[name] = _coeff(val, field, f"algebra param {name}")
+                params[name] = _coeff(val, field,
+                                      f"algebra param {clip(name)}")
         try:
             return make_family(obj["family"], field, **params)
         except (FieldError, ValueError, TypeError) as e:
             raise ProblemError(f"bad algebra spec: {e}") from None
     if "brackets" in obj or "dim" in obj:
-        extra = set(obj) - {"dim", "brackets"}
-        if extra:
-            raise ProblemError(f'unknown "algebra" keys: {sorted(extra)}')
+        _only(obj, {"dim", "brackets"}, '"algebra"')
         n = obj.get("dim")
         if type(n) is not int or not 1 <= n <= MAX_DIM:
             raise ProblemError('"algebra.dim" must be a positive integer '
@@ -118,12 +119,13 @@ def parse_algebra(obj, field):
                     or type(ent[0]) is not int
                     or type(ent[1]) is not int
                     or not isinstance(ent[2], list)):
-                raise ProblemError(
-                    f"bracket entries are [i, j, [coeffs]], got {ent!r}")
+                raise ProblemError("bracket entries are [i, j, [coeffs]], "
+                                   f"got {clip(repr(ent))}")
             i, j, coeffs = ent
             if not (1 <= i < j <= n):
                 raise ProblemError(
-                    f"bracket indices need 1 <= i < j <= {n}, got ({i}, {j})")
+                    f"bracket indices need 1 <= i < j <= {n}, got "
+                    f"{clip(f'({i}, {j})')}")
             if len(coeffs) != n:
                 raise ProblemError(
                     f"bracket [{i}, {j}] needs {n} coefficients")
@@ -146,9 +148,7 @@ def parse_algebra(obj, field):
 
 def parse_tensor(obj, n, field):
     obj = _expect_dict(obj, "tensor")
-    extra = set(obj) - {"entries", "named"}
-    if extra:
-        raise ProblemError(f"unknown tensor keys: {sorted(extra)}")
+    _only(obj, {"entries", "named"}, "tensor")
     seen = {}
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
@@ -156,13 +156,14 @@ def parse_tensor(obj, n, field):
     for ent in entries:
         if not isinstance(ent, list) or len(ent) != 3:
             raise ProblemError(
-                f'tensor entries are [i, j, "coeff"], got {ent!r}')
+                f'tensor entries are [i, j, "coeff"], got {clip(repr(ent))}')
         i, j, text = ent
         if type(i) is not int or type(j) is not int:
-            raise ProblemError(f"tensor entry indices must be ints: {ent!r}")
-        if not (1 <= i <= n and 1 <= j <= n):
             raise ProblemError(
-                f"tensor entry ({i}, {j}) out of range for dim {n}")
+                f"tensor entry indices must be ints: {clip(repr(ent))}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ProblemError(f"tensor entry {clip(f'({i}, {j})')} "
+                               f"out of range for dim {n}")
         if (i, j) in seen:
             raise ProblemError(f"duplicate tensor entry ({i}, {j})")
         seen[(i, j)] = _coeff(text, field, f"tensor entry ({i}, {j})")
@@ -171,7 +172,8 @@ def parse_tensor(obj, n, field):
     for name, text in named.items():
         cell = NAMED_CELLS.get(name)
         if cell is None:
-            raise ProblemError(f"unknown coefficient name {name!r}")
+            raise ProblemError(
+                f"unknown coefficient name {clip(repr(name))}")
         if cell[0] > n or cell[1] > n:
             raise ProblemError(
                 f"coefficient {name!r} needs dim {max(cell)}, have {n}")
@@ -185,9 +187,8 @@ def parse_tensor(obj, n, field):
 
 def parse_problem(doc):
     doc = _expect_dict(doc, "problem file")
-    extra = set(doc) - {"field", "algebra", "tensor", "tensors", "options"}
-    if extra:
-        raise ProblemError(f"unknown top-level keys: {sorted(extra)}")
+    _only(doc, {"field", "algebra", "tensor", "tensors", "options"},
+          "top-level")
     if "field" not in doc:
         raise ProblemError('problem file needs a "field"')
     field = parse_field(doc["field"])

@@ -27,6 +27,17 @@ class FieldError(ValueError):
     """Bad field spec, malformed scalar text, or mixed-field arithmetic."""
 
 
+ECHO_CAP = 80
+
+
+def clip(text):
+    """text as an error message echoes input: past ECHO_CAP characters,
+    its head and its length, so no error line grows with the input."""
+    if len(text) <= ECHO_CAP:
+        return text
+    return f"{text[:ECHO_CAP]}... ({len(text)} characters)"
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LIMIT = 2 ** 64
 
@@ -173,20 +184,14 @@ class RationalField:
         text = text.strip()
         num, slash, den = text.partition("/")
         try:
-            n = int(num)
+            n, d = int(num), int(den) if slash else 1
         except ValueError:
-            raise FieldError(f"malformed rational {text!r}") from None
-        if not slash:
-            return Fraction(n)
-        try:
-            d = int(den)
-        except ValueError:
-            raise FieldError(f"malformed rational {text!r}") from None
+            d = None
         if d == 0:
-            raise FieldError(f"zero denominator in {text!r}")
-        if d < 0:
-            # keep the accepted grammar strict: denominator is digits only
-            raise FieldError(f"malformed rational {text!r}")
+            raise FieldError(f"zero denominator in {clip(repr(text))}")
+        # keep the accepted grammar strict: denominator is digits only
+        if d is None or d < 0:
+            raise FieldError(f"malformed rational {clip(repr(text))}")
         return Fraction(n, d)
 
     def contains(self, value):
@@ -220,9 +225,9 @@ class PrimeField:
 
     def __init__(self, p):
         if isinstance(p, int) and p >= PRIME_LIMIT:
-            raise FieldError(f"p must be below 2**64, got {p}")
+            raise FieldError(f"p must be below 2**64, got {clip(str(p))}")
         if not isinstance(p, int) or not is_prime(p):
-            raise FieldError(f"{p!r} is not prime")
+            raise FieldError(f"{clip(repr(p))} is not prime")
         if p == 2:
             raise FieldError("characteristic 2 is excluded (p must be odd)")
         self.p = p
@@ -242,7 +247,8 @@ class PrimeField:
         try:
             n = int(text)
         except ValueError:
-            raise FieldError(f"malformed residue {text!r} for F_{self.p}") from None
+            raise FieldError(f"malformed residue {clip(repr(text))} "
+                             f"for F_{self.p}") from None
         return ModP(n, self.p)
 
     def contains(self, value):
@@ -284,7 +290,7 @@ def make_field(kind, p=None):
         if p is None:
             raise FieldError("prime field needs p")
         return PrimeField(p)
-    raise FieldError(f"unknown field kind {kind!r}")
+    raise FieldError(f"unknown field kind {clip(repr(kind))}")
 
 
 def parse_scalar(text, field):

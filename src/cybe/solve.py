@@ -52,7 +52,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from .liealg import LieAlgebra, family_ii, family_vi, solvable_table
-from .scalars import FieldError
+from .scalars import FieldError, clip
 from .tensor import NAMED_CELLS, Tensor2, Tensor3
 
 
@@ -633,7 +633,7 @@ def generate_solution(L, case, params):
     gen = GENERATORS.get(case)
     if gen is None:
         raise SideConditionError(
-            f"unknown case {case!r} (have {', '.join(GENERATORS)})")
+            f"unknown case {clip(repr(case))} (have {', '.join(GENERATORS)})")
     reg = recognize_table(L)
     if not gen.on_table(L, reg):
         raise SideConditionError(gen.needs)

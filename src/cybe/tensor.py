@@ -16,7 +16,6 @@ is_alpha_beta_skew) are evaluations of solution-label records and live in
 
 from __future__ import annotations
 
-from itertools import permutations
 
 # 1-based (row, column) of each named dim-3 coefficient
 NAMED_CELLS = {
@@ -151,22 +150,24 @@ def cycle_xi(t):
 
 
 def determinant(rows, field):
-    """Exact determinant by permutation expansion (fine for the small n here)."""
-    n = len(rows)
-    total = field.zero()
-    for perm in permutations(range(n)):
-        term = field.one()
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        # sign of the permutation by inversion count
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if perm[a] > perm[b]
-        )
-        total = total + (term if inv % 2 == 0 else -term)
-    return total
+    """Exact determinant by elimination over the field, O(n^3)."""
+    m = [[field.zero() + v for v in row] for row in rows]
+    n, det = len(m), field.one()
+    for c in range(n):
+        at = next((i for i in range(c, n) if m[i][c]), None)
+        if at is None:
+            return field.zero()
+        if at != c:
+            m[c], m[at] = m[at], m[c]
+            det = -det
+        pivot = m[c]
+        det = det * pivot[c]
+        for row in m[c + 1:]:
+            if row[c]:
+                f = row[c] / pivot[c]
+                for j in range(c + 1, n):
+                    row[j] = row[j] - f * pivot[j]
+    return det
 
 
 def change_basis(r, q_rows):

@@ -415,6 +415,26 @@ def test_deeply_nested_problem_exits_2(capsys, tmp_path, depth):
         assert captured.err == f"error: {path} nests too deeply\n"
 
 
+@pytest.mark.parametrize("doc", [
+    {"field": {"kind": "prime", "p": 5}, "algebra": {"family": "VI"},
+     "tensor": {"entries": [[1, 2, "1"] + ["x"] * 100_000]}},
+    {"field": {"kind": "prime", "p": 5}, "algebra": {
+        "dim": 3, "brackets": [[1, 2, ["0", "0", "1"]] + ["0"] * 50_000]}},
+    {"field": {"kind": "rational"}, "algebra": {"family": "VI"},
+     "tensor": {"named": {"x": "1/" + "2" * 100_000 + "x" * 100_000}}},
+], ids=["tensor-entry", "bracket-entry", "named-rational"])
+def test_oversized_malformed_values_make_one_short_error_line(
+        capsys, tmp_path, doc):
+    # the message echoes the head of the offending value and its length,
+    # not the whole value
+    code = run(["check", "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    assert "characters)" in captured.err
+
+
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):
     texts = []
     for _ in range(2):

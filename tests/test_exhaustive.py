@@ -1,3 +1,4 @@
+import random
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from cybe import (
     enumerate_solutions,
     family_iii,
     family_ii,
+    family_iv,
     family_vi,
     is_cybe_solution,
     scan_solution_ids,
@@ -28,8 +30,10 @@ from cybe.exhaustive import (
 )
 from cybe.solve import (
     Coefficients,
+    UncoveredRegime,
     recognize_table,
     regime_records,
+    strong_record,
     table_params,
 )
 from conftest import (
@@ -471,12 +475,13 @@ def _child_counts(monkeypatch):
 
 
 def test_residual_scan_takes_every_branch(monkeypatch):
-    # [e1,e3] = -e1, [e2,e3] = e2 over F_3: rows with no root, one, two and
-    # every digit, and still exactly the brute-force solutions
+    # [e1,e2] = e2, [e1,e3] = 2e3, [e2,e3] = e1 over F_3: rows with no
+    # root, one, two and every digit, and still exactly the brute-force
+    # solutions
     from cybe.liealg import check_jacobi, from_constants
-    L = from_constants(3, [(0, 2, 0, F3.from_int(-1)), (2, 0, 0, F3.one()),
-                           (1, 2, 1, F3.one()), (2, 1, 1, F3.from_int(-1))],
-                       F3)
+    brackets = [(0, 1, 1, 1), (0, 2, 2, 2), (1, 2, 0, 1)]
+    L = from_constants(3, [const for i, j, m, c in brackets for const in (
+        (i, j, m, F3.from_int(c)), (j, i, m, F3.from_int(-c)))], F3)
     assert not check_jacobi(L)
     seen = _child_counts(monkeypatch)
     ids, _ = scan_solution_ids(L)
@@ -500,19 +505,52 @@ def test_label_searches_take_every_branch(monkeypatch):
 
 
 def test_cell_order_keeps_ii10_f13_levels_small():
-    # the residual checks are listed in the order the constants first touch
-    # their cells, not in flat cell order, which `_cell_order` would turn
-    # into a largest level of 5.17M rows on this table; built from brackets,
-    # as a problem file gives it.  The budget admits no level above the
-    # 791,089 rows of that listing.
+    # with the checks listed canonically, fewest terms first, `_cell_order`
+    # opens the cells of the short residual checks first, which keeps this
+    # table's largest level at 501,085 rows; the budget admits no level
+    # above that.  Built from brackets, as a problem file gives it.
     from cybe.problems import parse_algebra
     F13 = PrimeField(13)
     L = parse_algebra({"dim": 3, "brackets": [
         [1, 3, ["0", "0", "0"]], [2, 3, ["1", "0", "0"]],
         [1, 2, ["0", "0", "1"]]]}, F13)
     assert recognize_table(L) == ("ii", F13.one(), F13.zero())
-    ids, _ = scan_solution_ids(L, budget=791_089)
+    ids, _ = scan_solution_ids(L, budget=501_085)
     assert ids.size == 34645
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("make", [
+    lambda F: family_ii(F.one(), F.zero(), F, strict=False),
+    lambda F: family_ii(F.one(), F.one(), F),
+    lambda F: family_iv(F.zero(), F.one(), F),
+    family_iii,
+], ids=["II(1,0)", "II(1,1)", "IV(0,1)", "III"])
+def test_search_depends_only_on_the_set_of_checks(monkeypatch, make, p):
+    # the residual search and each label search of the table, its checks
+    # shuffled: the same ids and the same level sizes every time
+    F = PrimeField(p)
+    L = make(F)
+    reg = recognize_table(L)
+    try:
+        records = regime_records(L, reg)
+    except UncoveredRegime:
+        records = (strong_record(3),)
+    params = tuple(None if v is None else int(v) for v in table_params(reg))
+    searches = [exhaustive._residual_checks(L, p)] + [
+        _label_checks(rec, 3, p, params) for rec in records]
+    sizes = []
+    monkeypatch.setattr(exhaustive, "_fits",
+                        lambda rows, budget: sizes.append(rows))
+    rng = random.Random(p)
+    for checks in searches:
+        runs = set()
+        for _ in range(6):
+            sizes.clear()
+            ids = _surviving_ids(3, p, checks, None)
+            runs.add((ids.tobytes(), tuple(sizes)))
+            checks = rng.sample(checks, len(checks))
+        assert len(runs) == 1
 
 
 def test_witnesses_are_ids_and_residue_grids():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -289,6 +290,30 @@ def test_determinant_matches_cofactor_expansion(rng):
         g, h, i = rows[2]
         want = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         assert determinant(rows, QQ) == want
+
+
+def test_change_basis_on_a_dim_12_grid(rng):
+    # q = lower * upper, both unitriangular, so det q = 1; elimination
+    # decides it in O(n^3), where the expansion over 12! permutations
+    # would run for hours
+    n, one, zero = 12, QQ.one(), QQ.zero()
+    lower = [[one if i == j else rand_fraction(rng, 3) if j < i else zero
+              for j in range(n)] for i in range(n)]
+    upper = [list(col) for col in zip(*lower)]
+    q = [[sum((lower[i][m] * upper[m][j] for m in range(n)), zero)
+          for j in range(n)] for i in range(n)]
+    r = rand_tensor(rng, n, QQ)
+    start = time.perf_counter()
+    assert determinant(q, QQ) == one
+    got = change_basis(r, q)
+    assert time.perf_counter() - start < 2.0
+    assert got.k == tuple(tuple(
+        sum((r.k[i][j] * q[s][i] * q[t][j]
+             for i in range(n) for j in range(n)), zero)
+        for t in range(n)) for s in range(n))
+    singular = q[:-1] + [[a + b for a, b in zip(q[0], q[1])]]
+    with pytest.raises(ValueError, match="singular"):
+        change_basis(r, singular)
 
 
 # plain container behaviour
