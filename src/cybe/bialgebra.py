@@ -36,6 +36,7 @@ from .solve import (
     _lift_grid,
     _nonzero_entries,
     _residual_ints,
+    _same_space,
     is_skew_symmetric,
     recognize_table,
 )
@@ -67,8 +68,9 @@ def _tensor2(field, n, ints, scale):
         n, field, {(i - 1, j - 1): v for (i, j), v in entries})
 
 
-def _lift_images(delta, field):
+def _lift_images(delta):
     """delta's images as flat int grids over one common denominator E."""
+    field = delta.field
     if any(img.field != field for img in delta.images):
         raise FieldError(f"cobracket images not all over {field!r}")
     nn = delta.n * delta.n
@@ -89,12 +91,17 @@ class Cobracket:
     n: int
     images: tuple
 
+    @property
+    def field(self):
+        """The field of the images; the checks refuse images over two."""
+        return self.images[0].field
+
     def of_vector(self, coords):
         """The linear extension: sum_i coords[i] delta(e_i)."""
         if len(coords) != self.n:
             raise ValueError("dimension mismatch")
-        field = self.images[0].field
-        imgs, scale = _lift_images(self, field)
+        field = self.field
+        imgs, scale = _lift_images(self)
         x, x_scale = field.lift(coords)
         out = [sum(xw * img[ab] for xw, img in zip(x, imgs))
                for ab in range(self.n * self.n)]
@@ -165,20 +172,19 @@ def _compatibility_witnesses(field, n, consts, imgs, scale):
 
 def check_coantisymmetry(delta):
     """Every basis image skew?  Returns (ok, failing 1-based indices)."""
-    field = delta.images[0].field
-    bad = _coantisymmetry_failures(field, delta.n,
-                                   _lift_images(delta, field)[0])
+    bad = _coantisymmetry_failures(delta.field, delta.n,
+                                   _lift_images(delta)[0])
     return not bad, bad
 
 
-def check_cojacobi(delta, field):
+def check_cojacobi(delta):
     """Cyclic sum of (1 (x) delta) delta(e_i) vanishes for every i?
 
     Returns (ok, witnesses) with witnesses = ((i, nonzero entries), ...) for
     the failing basis elements, entries 1-based.
     """
-    imgs, scale = _lift_images(delta, field)
-    witnesses = _cojacobi_witnesses(field, delta.n, imgs, scale * scale)
+    imgs, scale = _lift_images(delta)
+    witnesses = _cojacobi_witnesses(delta.field, delta.n, imgs, scale * scale)
     return not witnesses, witnesses
 
 
@@ -186,10 +192,12 @@ def check_compatibility(L, delta):
     """delta([e_i, e_j]) = e_i . delta(e_j) - e_j . delta(e_i) on all pairs?
 
     Returns (ok, witnesses) with witnesses = (((i, j), nonzero entries), ...),
-    all indices 1-based.
+    all indices 1-based.  Raises ValueError or FieldError when delta does
+    not live on L.
     """
+    _same_space(L, delta, "cobracket")
     consts, c_scale = _int_constants(L)
-    imgs, scale = _lift_images(delta, L.field)
+    imgs, scale = _lift_images(delta)
     witnesses = _compatibility_witnesses(L.field, L.n, consts, imgs,
                                          c_scale * scale)
     return not witnesses, witnesses
@@ -236,33 +244,24 @@ def bialgebra_check(L, r):
     )
 
 
-def _skew_named(r):
+def _closed_form_regime(L, r):
+    """L's Table when a closed form covers it: "vi", "ii" with alpha, beta
+    both zero or both nonzero, or "solvable".  Raises ValueError or
+    FieldError if r does not live on L, ValueError if r is not skew, else
+    UncoveredRegime.  The "ii" and "solvable" tables are dim 3, so there r
+    has the named coefficients p, s and u."""
+    _same_space(L, r)
     if not is_skew_symmetric(r):
         raise ValueError("closed-form predicates apply to skew tensors only")
-    if r.n == 3:
-        return r.p, r.s, r.u
-    if r.n == 2:
-        return r.p, None, None
-    return None, None, None   # no named coefficients in other dims
-
-
-def _closed_form_regime(L, r):
-    """(kind, a, b, (p, s, u)): "vi", "ii" with alpha, beta both zero or
-    both nonzero, or "solvable" with beta, delta, and the named coefficients
-    of skew r.  Raises ValueError if r is not skew, else UncoveredRegime."""
-    named = _skew_named(r)
-    reg = recognize_table(L)
-    if reg is None:
+    table = recognize_table(L)
+    if table.kind is None:
         raise UncoveredRegime(f"no closed form for {L!r}")
-    kind = reg[0]
-    if kind == "vi":
-        return kind, None, None, named
-    if kind == "ii" and bool(reg[1]) != bool(reg[2]):
+    if table.kind == "ii" and bool(table.alpha) != bool(table.beta):
         raise UncoveredRegime(
             "no closed form when exactly one of alpha, beta is zero")
-    if kind in ("ii", "solvable"):
-        return kind, reg[1], reg[2], named
-    raise UncoveredRegime(f"no closed form for table {kind!r}")
+    if table.kind not in ("vi", "ii", "solvable"):
+        raise UncoveredRegime(f"no closed form for table {table.kind!r}")
+    return table
 
 
 def coboundary_predicate(L, r):
@@ -272,10 +271,10 @@ def coboundary_predicate(L, r):
     with alpha*beta != 0 or alpha = beta = 0 (always a bialgebra); the dim-3
     solvable table for every (beta, delta); the dim-2 table (always).
     """
-    kind, beta, delta, (_, s, u) = _closed_form_regime(L, r)
+    kind, _, beta, delta = _closed_form_regime(L, r)
     if kind == "solvable":
-        one = L.field.one()
-        return not ((delta + one) * ((delta - one) * u + beta * s) * s)
+        one, s = L.field.one(), r.s
+        return not ((delta + one) * ((delta - one) * r.u + beta * s) * s)
     return True
 
 
@@ -287,15 +286,14 @@ def triangular_predicate(L, r):
     beta = 0 (condition (1-delta)us = 0) or beta != 0, delta = 1 (s = 0);
     the dim-2 table (always).
     """
-    kind, a, b, (p, s, u) = _closed_form_regime(L, r)
-    one = L.field.one()
-    if kind == "ii":            # a, b = alpha, beta
-        return not (b * s * s + a * u * u + p * p)
-    if kind == "solvable":      # a, b = beta, delta
-        if not a:
-            return not ((one - b) * u * s)
-        if b == one:
-            return not s
+    kind, alpha, beta, delta = _closed_form_regime(L, r)
+    if kind == "ii":
+        return not (beta * r.s * r.s + alpha * r.u * r.u + r.p * r.p)
+    if kind == "solvable":
+        if not beta:
+            return not ((L.field.one() - delta) * r.u * r.s)
+        if delta == L.field.one():
+            return not r.s
         raise UncoveredRegime(
-            f"no triangular closed form for beta={a}, delta={b}")
+            f"no triangular closed form for beta={beta}, delta={delta}")
     return True

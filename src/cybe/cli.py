@@ -28,7 +28,7 @@ from .exhaustive import (
     decode_ids,
     verify_classification,
 )
-from .liealg import check_jacobi
+from .liealg import FAMILIES, check_jacobi
 from .problems import (
     ProblemError,
     algebra_obj,
@@ -48,7 +48,6 @@ from .solve import (
     is_skew_symmetric,
     recognize_table,
     symmetry_flags,
-    table_params,
 )
 
 RESIDUAL_WITNESS_CAP = 100
@@ -86,13 +85,13 @@ def cmd_check(problem):
     ok = _jacobi_section(L, report)
     results = []
     if ok:
-        alpha, beta, _ = table_params(recognize_table(L))
+        table = recognize_table(L)
         for r in problem.tensors:
             res = cybe_residual(L, r)
             entry = {
                 "tensor": tensor_obj(r),
                 "is_solution": res.is_zero,
-                "symmetry": symmetry_flags(r, alpha, beta),
+                "symmetry": symmetry_flags(r, table.alpha, table.beta),
             }
             if not res.is_zero:
                 entry["residual_entries"] = [
@@ -255,24 +254,8 @@ def cmd_generate(problem, args):
 
 
 def cmd_families():
-    fams = [
-        {"name": "I", "dim": "any (default 3)", "params": ["dim"],
-         "bracket": "abelian: every bracket vanishes"},
-        {"name": "II", "dim": 3, "params": ["alpha", "beta"],
-         "bracket": "[e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2 "
-                    "(alpha*beta != 0)"},
-        {"name": "III", "dim": 3, "params": [],
-         "bracket": "[e1,e2]=e3, e3 central (the II table at "
-                    "alpha=beta=0)"},
-        {"name": "IV", "dim": 3, "params": ["beta", "delta"],
-         "bracket": "[e1,e3]=e1+beta e2, [e2,e3]=delta e2 (delta != 0)"},
-        {"name": "V", "dim": 3, "params": [],
-         "bracket": "[e1,e3]=e1 (the solvable table at beta=delta=0)"},
-        {"name": "VI", "dim": 2, "params": [],
-         "bracket": "[e1,e2]=e1"},
-        {"name": "sl2", "dim": 3, "params": [],
-         "bracket": "the II table at alpha=4, beta=-4"},
-    ]
+    fams = [{"name": name, "dim": fam.dim, "params": list(fam.params),
+             "bracket": fam.bracket} for name, fam in FAMILIES.items()]
     cases = [
         {"name": name, "algebra": gen.algebra, "params": list(gen.params),
          "conditions": gen.text}

@@ -66,7 +66,6 @@ from .solve import (
     recognize_table,
     regime_records,
     strong_record,
-    table_params,
 )
 from .tensor import Tensor2
 
@@ -532,15 +531,15 @@ def verify_classification(L, budget=DEFAULT_BUDGET):
     """
     p = _require_prime_field(L)
     ids, _ = scan_solution_ids(L, budget=budget)
-    reg = recognize_table(L)
+    table = recognize_table(L)
     try:
-        records = regime_records(L, reg)
+        records = regime_records(L, table)
         empirical_only = False
     except UncoveredRegime:
         # strong symmetry is sufficient on every table: a partial check
         records = (strong_record(L.n),)
         empirical_only = True
-    params = tuple(None if v is None else int(v) for v in table_params(reg))
+    params = tuple(None if v is None else int(v) for v in table[1:])
     total = candidate_count(L.n, p)
 
     covered = np.zeros(ids.size, dtype=bool)

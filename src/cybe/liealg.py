@@ -14,6 +14,9 @@ classical list of Lie algebras of dimension <= 3:
 sl2 (trace-zero 2x2 matrices in the basis {[[0,1],[1,0]], [[0,-1],[1,0]],
 [[2,0],[0,-2]]}) is the family II table with a=4, b=-4.
 
+FAMILIES names each built-in family's constructor and parameters, for
+make_family and `cybe families`.
+
 Custom tables are accepted from input files; antisymmetry is enforced at
 construction, the Jacobi identity via check_jacobi (callers must treat a
 nonempty violation list as fatal: nothing downstream is meaningful on a
@@ -21,6 +24,9 @@ non-Lie table).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .scalars import QQ, FieldError, clip
 
@@ -221,48 +227,54 @@ def check_jacobi(L):
     return out
 
 
-FAMILY_BUILDERS = {
-    "I": abelian,
-    "II": family_ii,
-    "III": family_iii,
-    "IV": family_iv,
-    "V": family_v,
-    "VI": family_vi,
-    "sl2": sl2,
+class Family(NamedTuple):
+    """A built-in family: its constructor, called as build(*params, field),
+    the names of its parameters, and its dimension and brackets as
+    `cybe families` prints them."""
+
+    build: Callable
+    params: tuple
+    dim: object
+    bracket: str
+
+
+FAMILIES = {
+    "I": Family(abelian, ("dim",), "any (default 3)",
+                "abelian: every bracket vanishes"),
+    "II": Family(family_ii, ("alpha", "beta"), 3,
+                 "[e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2 "
+                 "(alpha*beta != 0)"),
+    "III": Family(family_iii, (), 3,
+                  "[e1,e2]=e3, e3 central (the II table at alpha=beta=0)"),
+    "IV": Family(family_iv, ("beta", "delta"), 3,
+                 "[e1,e3]=e1+beta e2, [e2,e3]=delta e2 (delta != 0)"),
+    "V": Family(family_v, (), 3,
+                "[e1,e3]=e1 (the solvable table at beta=delta=0)"),
+    "VI": Family(family_vi, (), 2, "[e1,e2]=e1"),
+    "sl2": Family(sl2, (), 3, "the II table at alpha=4, beta=-4"),
 }
 
 
 def make_family(name, field=QQ, **params):
     """Dispatch on a family name; params are ints or field scalars.
 
-    I takes dim (default 3); II takes alpha, beta; IV takes beta, delta;
-    III, V, VI and sl2 take nothing.
+    Each family takes exactly the parameters FAMILIES names, except that
+    I's dim defaults to 3.
     """
-    if name not in FAMILY_BUILDERS:
+    family = FAMILIES.get(name)
+    if family is None:
         raise ValueError(f"unknown family {clip(repr(name))} "
-                         f"(have {sorted(FAMILY_BUILDERS)})")
+                         f"(have {sorted(FAMILIES)})")
     if name == "I":
-        return abelian(params.pop("dim", 3), field, **_none(params))
-    if name == "II":
-        try:
-            alpha, beta = params.pop("alpha"), params.pop("beta")
-        except KeyError as e:
-            raise ValueError(f"family II needs parameter {e.args[0]}") from None
-        return family_ii(alpha, beta, field, **_none(params))
-    if name == "IV":
-        try:
-            beta, delta = params.pop("beta"), params.pop("delta")
-        except KeyError as e:
-            raise ValueError(f"family IV needs parameter {e.args[0]}") from None
-        return family_iv(beta, delta, field, **_none(params))
-    return FAMILY_BUILDERS[name](field, **_none(params))
-
-
-def _none(params):
+        params.setdefault("dim", 3)
+    try:
+        args = [params.pop(param) for param in family.params]
+    except KeyError as e:
+        raise ValueError(f"family {name} needs parameter {e.args[0]}") from None
     if params:
         raise ValueError(
             f"unexpected family parameters {clip(str(sorted(params)))}")
-    return {}
+    return family.build(*args, field)
 
 
 def _as_scalar(v, field):

@@ -81,14 +81,21 @@ def _int_constants(L):
     return tuple((i, j, m, v) for (i, j, m, _), v in zip(nz, ints)), scale
 
 
+def _same_space(L, x, what="tensor"):
+    """Refuse a tensor or cobracket x that does not live on L: the kernels
+    would index past a smaller grid or read part of a larger one, and
+    lifting would reduce scalars of another field without complaint, where
+    their arithmetic refuses to mix."""
+    if x.n != L.n:
+        raise ValueError(f"dimension mismatch: algebra {L.n}, {what} {x.n}")
+    if x.field != L.field:
+        raise FieldError(f"{what} over {x.field!r}, algebra over {L.field!r}")
+
+
 def _lift_grid(L, r):
     """r's grid as flat row-major ints over its common denominator D, and
-    D.  Lifting would reduce scalars of another field without complaint,
-    where their arithmetic refuses to mix, so the fields must match."""
-    if L.n != r.n:
-        raise ValueError(f"dimension mismatch: algebra {L.n}, tensor {r.n}")
-    if r.field != L.field:
-        raise FieldError(f"tensor over {r.field!r}, algebra over {L.field!r}")
+    D; r must live on L."""
+    _same_space(L, r)
     return L.field.lift([v for row in r.k for v in row])
 
 
@@ -171,33 +178,42 @@ def is_cybe_solution(L, r):
 # ---------------------------------------------------------------------------
 # table recognition
 
+class Table(NamedTuple):
+    """A recognized constructor table: its kind ("abelian", "vi", "ii" or
+    "solvable"; None for any other table) and its parameters.  A parameter
+    the kind does not have is None: "ii" has alpha and beta, "solvable"
+    beta and delta."""
+
+    kind: str = None
+    alpha: object = None
+    beta: object = None
+    delta: object = None
+
+
 @lru_cache(maxsize=64)
 def recognize_table(L):
-    """Identify which constructor table L is, with its parameters.
+    """Identify which constructor table L is, with its parameters, as a
+    Table.
 
-    Returns ("abelian",), ("vi",), ("ii", alpha, beta),
-    ("solvable", beta, delta), or None for anything else.  Recognition is
-    structural (grid comparison), so custom input tables that happen to match
-    a family are classified like that family.  Memoized per table (tables
-    are immutable and hash by identity).
+    Recognition is structural (grid comparison), so custom input tables
+    that happen to match a family are classified like that family.
+    Memoized per table (tables are immutable and hash by identity).
     """
     if not L.nonzero_constants():
-        return ("abelian",)
-    if L.n == 2:
-        if L.c == family_vi(L.field).c:
-            return ("vi",)
-        return None
+        return Table("abelian")
+    if L.n == 2 and L.c == family_vi(L.field).c:
+        return Table("vi")
     if L.n != 3:
-        return None
+        return Table()
     alpha = L.c[1][2][0]
     beta = L.c[2][0][1]
     if L.c == family_ii(alpha, beta, L.field, strict=False).c:
-        return ("ii", alpha, beta)
-    beta_s = L.c[0][2][1]
+        return Table("ii", alpha, beta)
+    beta = L.c[0][2][1]
     delta = L.c[1][2][1]
-    if L.c == solvable_table(beta_s, delta, L.field).c:
-        return ("solvable", beta_s, delta)
-    return None
+    if L.c == solvable_table(beta, delta, L.field).c:
+        return Table("solvable", beta=beta, delta=delta)
+    return Table()
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +261,6 @@ class Coefficients(Tensor2):
     def __init__(self, n, k, field, params):
         super().__init__(n, k, field)
         self.alpha, self.beta, self.delta = params
-
-
-def table_params(reg):
-    """(alpha, beta, delta) of a recognized table, None where it has none."""
-    kind = reg[0] if reg else None
-    if kind == "ii":
-        return reg[1], reg[2], None
-    if kind == "solvable":
-        return None, reg[1], reg[2]
-    return None, None, None
 
 
 _TOKEN = re.compile(r"alpha|beta|delta|\d+|[a-z]|[-+*/^()]")
@@ -432,17 +438,17 @@ V_CASE2 = _record(
     "z = 0, t = -s", "us = vs = xs = xu = xv = 0, up = qv, s(p+q) = 0")
 
 
-def regime_records(L, reg):
-    """The label records of L's regime, reg = recognize_table(L).
+def regime_records(L, table):
+    """The label records of L's regime, table = recognize_table(L).
 
     Raises UncoveredRegime outside the classified regimes.  On a covered
     regime the union of the records' truth sets is exactly the CYBE
     solution set: that is the content of the classification theorems, and
     the enumeration oracle verifies it over finite fields.
     """
-    if reg is None:
+    kind, alpha, beta, delta = table
+    if kind is None:
         raise UncoveredRegime(f"unrecognized table for {L!r}")
-    kind = reg[0]
     if kind == "abelian":
         if L.n >= 2:
             return ABELIAN, strong_record(L.n), skew_record(L.n)
@@ -450,7 +456,6 @@ def regime_records(L, reg):
     if kind == "vi":
         return strong_record(2), skew_record(2)
     if kind == "ii":
-        alpha, beta = reg[1], reg[2]
         if alpha and beta:
             return strong_record(3), ALPHA_BETA_SKEW
         if not alpha and not beta:
@@ -458,7 +463,6 @@ def regime_records(L, reg):
         raise UncoveredRegime(
             "II table with exactly one of alpha, beta zero has no known "
             "complete classification")
-    beta, delta = reg[1], reg[2]
     if not beta and delta:
         return strong_record(3), IV_DIAGONAL_CASE2
     if beta and delta == 1:
@@ -474,11 +478,13 @@ def classify_solution(L, r):
     """The set of labels r satisfies, for a covered regime.
 
     On covered regimes the contract is: r solves the CYBE iff the label set
-    is nonempty.  Raises UncoveredRegime outside them.
+    is nonempty.  Raises UncoveredRegime outside them, and ValueError or
+    FieldError when r does not live on L.
     """
-    reg = recognize_table(L)
-    records = regime_records(L, reg)
-    c = Coefficients(r.n, r.k, r.field, table_params(reg))
+    _same_space(L, r)
+    table = recognize_table(L)
+    records = regime_records(L, table)
+    c = Coefficients(r.n, r.k, r.field, table[1:])
     return {rec.label for rec in records if rec.holds(c)}
 
 
@@ -522,7 +528,7 @@ def symmetry_flags(r, alpha=None, beta=None):
 class GeneratorCase(NamedTuple):
     """A closed-form solution family.
 
-    On a table `on_table(L, reg)` accepts, the grid built from the free
+    On a table `on_table(L, table)` accepts, the grid built from the free
     coefficients `params` solves the CYBE once the `side` conditions hold.
     `grid` holds 3x3 entry functions; dim-2 tables take the top-left block.
     """
@@ -550,9 +556,9 @@ def _case(algebra, params, side, on_table, needs, grid, note="", what=""):
 
 def _labelled(label):
     """on_table of a label's generator: the table's regime has that label."""
-    def on_table(L, reg):
+    def on_table(L, table):
         try:
-            return any(rec.label is label for rec in regime_records(L, reg))
+            return any(rec.label is label for rec in regime_records(L, table))
         except UncoveredRegime:
             return False
     return on_table
@@ -561,19 +567,19 @@ def _labelled(label):
 GENERATORS = {
     "strong-z": _case(
         "any dim-3", "s u z", "z != 0",
-        lambda L, reg: L.n == 3, "strong-z needs a dim-3 algebra",
+        lambda L, table: L.n == 3, "strong-z needs a dim-3 algebra",
         "s^2/z, su/z, s; su/z, u^2/z, u; s, u, z"),
     "strong-x": _case(
         "any dim-2/3", "p x", "x != 0",
-        lambda L, reg: L.n in (2, 3), "strong-x needs dim 2 or 3",
+        lambda L, table: L.n in (2, 3), "strong-x needs dim 2 or 3",
         "x, p, 0; p, p^2/x, 0; 0, 0, 0"),
     "strong-y": _case(
         "any dim-2/3", "y", "",
-        lambda L, reg: L.n in (2, 3), "strong-y needs dim 2 or 3",
+        lambda L, table: L.n in (2, 3), "strong-y needs dim 2 or 3",
         "0, 0, 0; 0, y, 0; 0, 0, 0"),
     "alpha-beta-skew": _case(
         "II table", "z s u p", ALPHA_BETA_SKEW.text,
-        lambda L, reg: reg is not None and reg[0] == "ii",
+        lambda L, table: table.kind == "ii",
         "alpha-beta-skew lives on the dim-3 table with "
         "[e1,e2]=e3, [e2,e3]=alpha e1, [e3,e1]=beta e2",
         "alpha z, p, s; -p, beta z, u; -s, -u, z", what="class quadratic"),
@@ -606,7 +612,7 @@ GENERATORS = {
         "v-2 needs the solvable table with beta=delta=0",
         "x, p, s; q, y, u; -s, v, 0"),
     "skew": _case(
-        "VI", "p", "", lambda L, reg: L.n == 2, "skew needs a dim-2 algebra",
+        "VI", "p", "", lambda L, table: L.n == 2, "skew needs a dim-2 algebra",
         "0, p, 0; -p, 0, 0; 0, 0, 0"),
 }
 
@@ -634,15 +640,15 @@ def generate_solution(L, case, params):
     if gen is None:
         raise SideConditionError(
             f"unknown case {clip(repr(case))} (have {', '.join(GENERATORS)})")
-    reg = recognize_table(L)
-    if not gen.on_table(L, reg):
+    table = recognize_table(L)
+    if not gen.on_table(L, table):
         raise SideConditionError(gen.needs)
     field = L.field
     k = [[field.zero()] * 3 for _ in range(3)]
     for name in gen.params:
         i, j = NAMED_CELLS[name]
         k[i - 1][j - 1] = _get(params, field, name)
-    c = Coefficients(3, k, field, table_params(reg))
+    c = Coefficients(3, k, field, table[1:])
     for cond in gen.side:
         if not cond.holds(c):
             raise SideConditionError(

@@ -271,7 +271,7 @@ def test_cojacobi_checker_on_a_handmade_failure():
     w12 = Tensor2.from_entries(3, QQ, {(0, 1): one, (1, 0): -one})
     w23 = Tensor2.from_entries(3, QQ, {(1, 2): one, (2, 1): -one})
     delta = Cobracket(3, (w12, w23, Tensor2.from_entries(3, QQ, {})))
-    ok, wit = check_cojacobi(delta, QQ)
+    ok, wit = check_cojacobi(delta)
     assert not ok
     assert [i for i, _ in wit] == [1]
     entries = dict(wit)[1]

@@ -34,7 +34,6 @@ from cybe.solve import (
     recognize_table,
     regime_records,
     strong_record,
-    table_params,
 )
 from conftest import (
     all_tensors,
@@ -332,13 +331,12 @@ def test_vectorized_predicates_match_scalar_classification():
         abelian(2, F3),
     ]
     for L in tables:
-        reg = recognize_table(L)
-        params = tuple(None if v is None else int(v)
-                       for v in table_params(reg))
+        table = recognize_table(L)
+        params = tuple(None if v is None else int(v) for v in table[1:])
         accepted = {
             rec.label: set(_surviving_ids(
                 L.n, 3, _label_checks(rec, L.n, 3, params), None).tolist())
-            for rec in regime_records(L, reg)}
+            for rec in regime_records(L, table)}
         for idx, r in enumerate(all_tensors(L.n, F3)):
             labels = classify_solution(L, r)
             for label, hits in accepted.items():
@@ -493,10 +491,10 @@ def test_label_searches_take_every_branch(monkeypatch):
     # strong symmetry and the alpha,beta-skew class over F_3, against the
     # scalar evaluation of the same records on every candidate
     L = family_ii(F3.one(), F3.from_int(2), F3)
-    reg = recognize_table(L)
-    params = tuple(int(v) for v in table_params(reg)[:2]) + (None,)
+    table = recognize_table(L)
+    params = int(table.alpha), int(table.beta), None
     seen = _child_counts(monkeypatch)
-    for rec in regime_records(L, reg):
+    for rec in regime_records(L, table):
         got = _surviving_ids(3, 3, _label_checks(rec, 3, 3, params), None)
         want = [idx for idx, r in enumerate(all_tensors(3, F3))
                 if rec.holds(Coefficients(3, r.k, F3, params))]
@@ -514,7 +512,8 @@ def test_cell_order_keeps_ii10_f13_levels_small():
     L = parse_algebra({"dim": 3, "brackets": [
         [1, 3, ["0", "0", "0"]], [2, 3, ["1", "0", "0"]],
         [1, 2, ["0", "0", "1"]]]}, F13)
-    assert recognize_table(L) == ("ii", F13.one(), F13.zero())
+    table = recognize_table(L)
+    assert (table.kind, table.alpha, table.beta) == ("ii", 1, 0)
     ids, _ = scan_solution_ids(L, budget=501_085)
     assert ids.size == 34645
 
@@ -531,12 +530,12 @@ def test_search_depends_only_on_the_set_of_checks(monkeypatch, make, p):
     # shuffled: the same ids and the same level sizes every time
     F = PrimeField(p)
     L = make(F)
-    reg = recognize_table(L)
+    table = recognize_table(L)
     try:
-        records = regime_records(L, reg)
+        records = regime_records(L, table)
     except UncoveredRegime:
         records = (strong_record(3),)
-    params = tuple(None if v is None else int(v) for v in table_params(reg))
+    params = tuple(None if v is None else int(v) for v in table[1:])
     searches = [exhaustive._residual_checks(L, p)] + [
         _label_checks(rec, 3, p, params) for rec in records]
     sizes = []

@@ -26,7 +26,9 @@ from cybe import (
     check_coantisymmetry,
     check_cojacobi,
     check_compatibility,
+    classify_solution,
     cobracket,
+    coboundary_predicate,
     cybe_residual,
     family_ii,
     family_iii,
@@ -34,6 +36,7 @@ from cybe import (
     from_constants,
     sl2,
     solvable_table,
+    triangular_predicate,
 )
 from conftest import (
     all_tensors,
@@ -81,7 +84,7 @@ def assert_matches_oracles(L, r):
     assert scalars_of(field, [v for img in delta.images
                               for row in img.k for v in row])
     assert check_coantisymmetry(delta) == (not co, co)
-    assert check_cojacobi(delta, field) == (not jac, jac)
+    assert check_cojacobi(delta) == (not jac, jac)
     assert check_compatibility(L, delta) == (not comp, comp)
 
 
@@ -196,7 +199,7 @@ def test_checks_on_arbitrary_cobrackets(field):
             jac = naive_cojacobi(L, images)
             comp = naive_compatibility(L, images)
             assert check_coantisymmetry(delta) == (not co, co)
-            assert check_cojacobi(delta, field) == (not jac, jac)
+            assert check_cojacobi(delta) == (not jac, jac)
             assert check_compatibility(L, delta) == (not comp, comp)
             assert scalars_of(field, [v for _, entries in jac + comp
                                       for _, v in entries])
@@ -215,6 +218,44 @@ def test_kernels_refuse_mixed_fields():
                 check(L, r)
     delta = cobracket(sl2(QQ), rq)
     with pytest.raises(FieldError):
-        check_cojacobi(delta, F5)
-    with pytest.raises(FieldError):
         check_compatibility(sl2(F5), delta)
+    r5 = Tensor2.from_rows([[F5.one()] * 3] * 3, F5)
+    mixed = Cobracket(3, (rq, rq, r5))
+    for check in (check_coantisymmetry, check_cojacobi):
+        with pytest.raises(FieldError):
+            check(mixed)
+
+
+def _skew(n, field):
+    one = field.one()
+    return Tensor2.from_entries(n, field, {(0, 1): one, (1, 0): -one})
+
+
+_DIM2_DELTA = cobracket(family_vi(QQ), _skew(2, QQ))
+
+
+@pytest.mark.parametrize("check, L, x, error, match", [
+    (classify_solution, family_vi(QQ), _skew(3, QQ),
+     ValueError, "dimension mismatch: algebra 2, tensor 3"),
+    (coboundary_predicate, sl2(QQ), _skew(2, QQ),
+     ValueError, "dimension mismatch: algebra 3, tensor 2"),
+    (triangular_predicate, sl2(QQ), _skew(2, QQ),
+     ValueError, "dimension mismatch: algebra 3, tensor 2"),
+    (classify_solution, sl2(QQ), _skew(3, PrimeField(5)),
+     FieldError, r"tensor over GF\(5\), algebra over"),
+    (coboundary_predicate, sl2(QQ), _skew(3, PrimeField(5)),
+     FieldError, r"tensor over GF\(5\), algebra over"),
+    (triangular_predicate, sl2(QQ), _skew(3, PrimeField(5)),
+     FieldError, r"tensor over GF\(5\), algebra over"),
+    (check_compatibility, abelian(1, QQ), _DIM2_DELTA,
+     ValueError, "dimension mismatch: algebra 1, cobracket 2"),
+    (check_compatibility, sl2(QQ), _DIM2_DELTA,
+     ValueError, "dimension mismatch: algebra 3, cobracket 2"),
+], ids=["classify-dim", "coboundary-dim", "triangular-dim",
+        "classify-field", "coboundary-field", "triangular-field",
+        "compatibility-dim1", "compatibility-dim3"])
+def test_public_checks_refuse_another_space(check, L, x, error, match):
+    # the int kernels would index past a smaller grid, read part of a
+    # larger one, or reduce a foreign scalar, so each check refuses first
+    with pytest.raises(error, match=match):
+        check(L, x)

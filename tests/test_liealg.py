@@ -19,6 +19,8 @@ from cybe import (
     sl2,
     solvable_table,
 )
+from cybe.cli import cmd_families
+from cybe.liealg import FAMILIES
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -150,6 +152,30 @@ def test_make_family_dispatch():
         make_family("VII", QQ)
     with pytest.raises(ValueError, match="unexpected family parameters"):
         make_family("VI", QQ, alpha=Fraction(1))
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_make_family_takes_the_parameters_families_names(name):
+    family = FAMILIES[name]
+    values = {"dim": 2, "alpha": 2, "beta": 3, "delta": 5}
+    params = {param: values[param] for param in family.params}
+    L = make_family(name, QQ, **params)
+    assert L.c == family.build(*params.values(), QQ).c
+    for missing in family.params:
+        rest = {k: v for k, v in params.items() if k != missing}
+        if name == "I":
+            assert make_family(name, QQ, **rest).n == 3
+            continue
+        with pytest.raises(ValueError) as err:
+            make_family(name, QQ, **rest)
+        assert str(err.value) == f"family {name} needs parameter {missing}"
+    with pytest.raises(ValueError) as err:
+        make_family(name, QQ, **params, gamma=1)
+    assert str(err.value) == "unexpected family parameters ['gamma']"
+    listed = cmd_families()[0]["families"]
+    assert [fam["name"] for fam in listed] == list(FAMILIES)
+    assert {"name": name, "dim": family.dim, "params": list(family.params),
+            "bracket": family.bracket} in listed
 
 
 def test_from_constants_antisymmetry_enforced():

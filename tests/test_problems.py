@@ -48,7 +48,8 @@ def test_parse_field_kinds():
 def test_parse_family_algebra():
     L = parse_algebra({"family": "II",
                        "params": {"alpha": "1", "beta": "-4"}}, QQ)
-    assert recognize_table(L) == ("ii", Fraction(1), Fraction(-4))
+    table = recognize_table(L)
+    assert (table.kind, table.alpha, table.beta) == ("ii", 1, -4)
     L = parse_algebra({"family": "I", "params": {"dim": 2}}, QQ)
     assert L.n == 2 and not L.nonzero_constants()
     with pytest.raises(ProblemError, match="bad algebra spec"):
@@ -81,7 +82,8 @@ def test_parse_custom_brackets():
     ]}
     L = parse_algebra(obj, QQ)
     assert L.label == "custom"
-    assert recognize_table(L) == ("ii", Fraction(4), Fraction(-4))
+    table = recognize_table(L)
+    assert (table.kind, table.alpha, table.beta) == ("ii", 4, -4)
 
 
 def test_parse_custom_brackets_errors():

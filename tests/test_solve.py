@@ -92,20 +92,26 @@ def test_strongly_symmetric_solves_every_table(rng):
 # table recognition
 
 
+def _fields(table):
+    return table.kind, table.alpha, table.beta, table.delta
+
+
 def test_recognize_builders():
-    assert recognize_table(abelian(3)) == ("abelian",)
-    assert recognize_table(abelian(1)) == ("abelian",)
-    assert recognize_table(family_vi()) == ("vi",)
-    assert recognize_table(family_vi(F3)) == ("vi",)
-    assert recognize_table(sl2(QQ)) == ("ii", Fraction(4), Fraction(-4))
-    assert recognize_table(family_iii()) == ("ii", 0, 0)
-    assert recognize_table(family_ii(Fraction(2), Fraction(5))) == \
-        ("ii", Fraction(2), Fraction(5))
-    assert recognize_table(family_v()) == ("solvable", 0, 0)
-    assert recognize_table(family_iv(Fraction(3), Fraction(2))) == \
-        ("solvable", Fraction(3), Fraction(2))
     b, d = F3.from_int(2), F3.from_int(1)
-    assert recognize_table(solvable_table(b, d, F3)) == ("solvable", b, d)
+    for L, want in [
+            (abelian(3), ("abelian", None, None, None)),
+            (abelian(1), ("abelian", None, None, None)),
+            (family_vi(), ("vi", None, None, None)),
+            (family_vi(F3), ("vi", None, None, None)),
+            (sl2(QQ), ("ii", Fraction(4), Fraction(-4), None)),
+            (family_iii(), ("ii", 0, 0, None)),
+            (family_ii(Fraction(2), Fraction(5)),
+             ("ii", Fraction(2), Fraction(5), None)),
+            (family_v(), ("solvable", None, 0, 0)),
+            (family_iv(Fraction(3), Fraction(2)),
+             ("solvable", None, Fraction(3), Fraction(2))),
+            (solvable_table(b, d, F3), ("solvable", None, b, d))]:
+        assert _fields(recognize_table(L)) == want, L
 
 
 def test_recognize_structural_copy_of_sl2():
@@ -116,17 +122,17 @@ def test_recognize_structural_copy_of_sl2():
         (1, 2, 0, four), (2, 1, 0, -four),
         (2, 0, 1, -four), (0, 2, 1, four),
     ], QQ)
-    assert recognize_table(L) == ("ii", four, -four)
+    assert _fields(recognize_table(L)) == ("ii", four, -four, None)
 
 
 def test_recognize_rejects_foreign_tables():
     one = QQ.one()
     # [e1,e2] = e1 is a Lie algebra but none of the named tables
     L = from_constants(3, [(0, 1, 0, one), (1, 0, 0, -one)], QQ)
-    assert recognize_table(L) is None
+    assert _fields(recognize_table(L)) == (None, None, None, None)
     # a dim-2 table that is not [e1,e2]=e1
     M = from_constants(2, [(0, 1, 1, one), (1, 0, 1, -one)], QQ)
-    assert recognize_table(M) is None
+    assert _fields(recognize_table(M)) == (None, None, None, None)
 
 
 # transcribed equation systems
@@ -150,7 +156,7 @@ def equation_test_tables():
 
 def test_family_equations_match_residual_cells(rng):
     for L in equation_test_tables():
-        kind = recognize_table(L)[0]
+        kind = recognize_table(L).kind
         want_count = 27 if kind == "ii" else 21
         for _ in range(30):
             r = rand_tensor(rng, 3, L.field)

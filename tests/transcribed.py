@@ -91,23 +91,22 @@ def family_equations(L, r):
     """
     if r.n != L.n:
         raise ValueError(f"dimension mismatch: algebra {L.n}, tensor {r.n}")
-    reg = recognize_table(L)
-    if reg is None:
+    table = recognize_table(L)
+    if table.kind is None:
         raise ValueError("no transcribed system for this table")
-    kind = reg[0]
-    if kind == "abelian" and L.n == 3:
+    if table.kind == "abelian" and L.n == 3:
         # the II table with alpha = beta = 0 is NOT abelian ([e1,e2]=e3);
         # a fully abelian table has no system to evaluate
         raise ValueError("no transcribed system for the abelian table")
-    params = reg[1:]
+    if table.kind == "ii":
+        params, equations = (table.alpha, table.beta), _ii_equations
+    elif table.kind == "solvable":
+        params, equations = (table.beta, table.delta), _solvable_equations
+    else:
+        raise ValueError(f"no transcribed system for table {table.kind!r}")
     if isinstance(r.k[0][0], int):
         params, _ = L.field.lift(params)
-    if kind == "ii":
-        eqs = _ii_equations(*params, r)
-    elif kind == "solvable":
-        eqs = _solvable_equations(*params, r)
-    else:
-        raise ValueError(f"no transcribed system for table {kind!r}")
+    eqs = equations(*params, r)
     return [(idx + 1, cell, value) for idx, (cell, value) in enumerate(eqs)]
 
 
