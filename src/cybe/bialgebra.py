@@ -20,6 +20,14 @@ witnesses, reduced mod p or divided by (C D)^2 for co-Jacobi and C^2 D for
 compatibility.  The public checks on a Cobracket lift its images over their
 common denominator E instead (scales E^2 and C E).
 
+Each check is an int kernel (its arithmetic, a flat output list) and a
+witness extraction.  bialgebra_check runs the kernels once per table, on
+the images of the grid of cell polynomials, so that every output entry is
+a form in r's lifted grid, and evaluates the compiled forms on each r
+(`_axiom_forms`, see `solve`); compatibility has none left on a Lie table,
+where x . r is a cocycle for every r.  Above FORMS_MAX_DIM, and for the
+public checks on an arbitrary Cobracket, the kernels run on ints.
+
 coboundary_predicate / triangular_predicate are the independent closed forms
 for the classified regimes, kept deliberately separate so the test suite can
 play them against the axiom checker.
@@ -28,10 +36,15 @@ play them against the axiom checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scalars import FieldError
 from .solve import (
+    FORMS_MAX_DIM,
     UncoveredRegime,
+    _cell_polys,
+    _compile_forms,
+    _grid_cells,
     _int_constants,
     _lift_grid,
     _nonzero_entries,
@@ -91,6 +104,13 @@ class Cobracket:
     n: int
     images: tuple
 
+    def __post_init__(self):
+        # the kernels slice the flat images by n * n and index n of them
+        if (len(self.images) != self.n
+                or any(img.n != self.n for img in self.images)):
+            raise ValueError(f"dimension mismatch: a dim-{self.n} cobracket "
+                             f"needs {self.n} images of dim {self.n}")
+
     @property
     def field(self):
         """The field of the images; the checks refuse images over two."""
@@ -116,19 +136,21 @@ def cobracket(L, r):
         for img in _images(L.n, consts, k)))
 
 
-def _coantisymmetry_failures(field, n, imgs):
-    return tuple(
-        w + 1 for w, img in enumerate(imgs)
-        if any(field.reduce([img[a * n + b] + img[b * n + a]
-                             for a in range(n) for b in range(a, n)])))
+def _coantisymmetry_ints(n, imgs):
+    """Int kernel of coantisymmetry on flat images m_w: m_w[a][b] +
+    m_w[b][a] for a <= b, w by w (n (n + 1) / 2 entries each)."""
+    return [img[a * n + b] + img[b * n + a]
+            for img in imgs for a in range(n) for b in range(a, n)]
 
 
-def _cojacobi_witnesses(field, n, imgs, scale):
-    """Int kernel of co-Jacobi on flat int images m_w; homogeneous of degree
-    2 in delta, so scale is the images' scale squared."""
+def _cojacobi_ints(n, imgs):
+    """Int kernel of co-Jacobi on flat images m_w: the cyclic sums of
+    (1 (x) delta) delta(e_i), flat n^3 cubes i by i.  Homogeneous of degree
+    2 in delta, so on lifted images their scale squared times the true
+    ones."""
     nn = n * n
-    witnesses = []
-    for i, m_i in enumerate(imgs):
+    out = []
+    for m_i in imgs:
         # t = (1 (x) delta) delta(e_i): m_i[a][b] e_a (x) delta(e_b)
         t = [0] * (n * nn)
         for ab, coef in enumerate(m_i):
@@ -139,18 +161,17 @@ def _cojacobi_witnesses(field, n, imgs, scale):
                         t[base + cd] += coef * m_b[cd]
         # t + xi(t) + xi^2(t): (a, b, c) gathers t[a][b][c], t[c][a][b]
         # and t[b][c][a]
-        total = [t[(a * n + b) * n + c] + t[(c * n + a) * n + b]
-                 + t[(b * n + c) * n + a]
-                 for a in range(n) for b in range(n) for c in range(n)]
-        entries = _nonzero_entries(field, total, scale, n, 3)
-        if entries:
-            witnesses.append((i + 1, entries))
-    return tuple(witnesses)
+        out += [t[(a * n + b) * n + c] + t[(c * n + a) * n + b]
+                + t[(b * n + c) * n + a]
+                for a in range(n) for b in range(n) for c in range(n)]
+    return out
 
 
-def _compatibility_witnesses(field, n, consts, imgs, scale):
-    """Int kernel of the cocycle condition on flat int images; degree 1 in
-    the constants and in delta, so scale is C times the images' scale."""
+def _compatibility_ints(n, consts, imgs):
+    """Int kernel of the cocycle condition on flat images: delta([e_i,
+    e_j]) - e_i . delta(e_j) + e_j . delta(e_i), flat n x n grids pair by
+    pair.  Degree 1 in the constants and in delta, so on lifted input C
+    times the images' scale times the true ones."""
     nn = n * n
     # ad[j][i] = e_i . delta(e_j)
     ad = [_images(n, consts, img) for img in imgs]
@@ -159,21 +180,55 @@ def _compatibility_witnesses(field, n, consts, imgs, scale):
         row, img = left[i][j], imgs[m]
         for ab in range(nn):
             row[ab] += val * img[ab]
-    witnesses = []
-    for i in range(n):
-        for j in range(n):
-            diff = [lv - rj + ri for lv, rj, ri
-                    in zip(left[i][j], ad[j][i], ad[i][j])]
-            entries = _nonzero_entries(field, diff, scale, n, 2)
-            if entries:
-                witnesses.append(((i + 1, j + 1), entries))
-    return tuple(witnesses)
+    return [lv - rj + ri for i in range(n) for j in range(n)
+            for lv, rj, ri in zip(left[i][j], ad[j][i], ad[i][j])]
+
+
+@lru_cache(maxsize=8)
+def _axiom_forms(L):
+    """The three axiom kernels run once on the images of the grid of cell
+    polynomials, compiled: each output entry is a form in r's lifted grid,
+    linear (coantisymmetry, compatibility) or quadratic (co-Jacobi).  Made
+    once per table (tables are immutable and hash by identity).
+    Compatibility has no form left on a Lie table, where delta = x . r is
+    a cocycle."""
+    n = L.n
+    consts, _ = _int_constants(L)
+    imgs = _images(n, consts, _cell_polys(n))
+    return tuple(_compile_forms(ints, L.field) for ints in (
+        _coantisymmetry_ints(n, imgs), _cojacobi_ints(n, imgs),
+        _compatibility_ints(n, consts, imgs)))
+
+
+def _coantisymmetry_failures(n, flat):
+    """1-based w of each image whose entries of the reduced flat output of
+    `_coantisymmetry_ints` are not all zero (None: all are)."""
+    size = n * (n + 1) // 2
+    return () if flat is None else tuple(
+        w + 1 for w in range(n) if any(flat[w * size:(w + 1) * size]))
+
+
+def _witnesses(field, flat, scale, n, rank, keys):
+    """((key, nonzero entries), ...) for each block of n^rank entries of
+    the flat int output of a kernel that is not all zero (None: all are),
+    the entries divided by scale (`_nonzero_entries`), keyed in order."""
+    if flat is None:
+        return ()
+    size = n ** rank
+    out = []
+    for at, key in enumerate(keys):
+        entries = _nonzero_entries(field, flat[at * size:(at + 1) * size],
+                                   scale, n, rank)
+        if entries:
+            out.append((key, entries))
+    return tuple(out)
 
 
 def check_coantisymmetry(delta):
     """Every basis image skew?  Returns (ok, failing 1-based indices)."""
-    bad = _coantisymmetry_failures(delta.field, delta.n,
-                                   _lift_images(delta)[0])
+    imgs, _ = _lift_images(delta)
+    bad = _coantisymmetry_failures(
+        delta.n, delta.field.reduce(_coantisymmetry_ints(delta.n, imgs)))
     return not bad, bad
 
 
@@ -183,8 +238,10 @@ def check_cojacobi(delta):
     Returns (ok, witnesses) with witnesses = ((i, nonzero entries), ...) for
     the failing basis elements, entries 1-based.
     """
+    n = delta.n
     imgs, scale = _lift_images(delta)
-    witnesses = _cojacobi_witnesses(delta.field, delta.n, imgs, scale * scale)
+    witnesses = _witnesses(delta.field, _cojacobi_ints(n, imgs),
+                           scale * scale, n, 3, range(1, n + 1))
     return not witnesses, witnesses
 
 
@@ -198,8 +255,8 @@ def check_compatibility(L, delta):
     _same_space(L, delta, "cobracket")
     consts, c_scale = _int_constants(L)
     imgs, scale = _lift_images(delta)
-    witnesses = _compatibility_witnesses(L.field, L.n, consts, imgs,
-                                         c_scale * scale)
+    witnesses = _witnesses(L.field, _compatibility_ints(L.n, consts, imgs),
+                           c_scale * scale, L.n, 2, _grid_cells(L.n, 2))
     return not witnesses, witnesses
 
 
@@ -217,15 +274,25 @@ class BialgebraReport:
 def bialgebra_check(L, r):
     """Axiom-by-axiom verdict for delta = x . r.  Pure computation: this
     never consults the closed-form predicates below.  r and the constants
-    are lifted once and every check runs on the int images."""
+    are lifted once; up to FORMS_MAX_DIM the axioms are the table's
+    compiled forms on r's lifted grid, above it the kernels on the int
+    images."""
     n, field = L.n, L.field
     consts, c_scale = _int_constants(L)
     k, d_scale = _lift_grid(L, r)
-    imgs = [field.reduce(img) for img in _images(n, consts, k)]
+    if n <= FORMS_MAX_DIM:
+        co, jac, comp = (forms.flat(field, k, d_scale)
+                         for forms in _axiom_forms(L))
+    else:
+        imgs = _images(n, consts, k)
+        co, jac, comp = (field.reduce(_coantisymmetry_ints(n, imgs)),
+                         _cojacobi_ints(n, imgs),
+                         _compatibility_ints(n, consts, imgs))
     scale = c_scale * d_scale
-    co_w = _coantisymmetry_failures(field, n, imgs)
-    jac_w = _cojacobi_witnesses(field, n, imgs, scale * scale)
-    comp_w = _compatibility_witnesses(field, n, consts, imgs, c_scale * scale)
+    co_w = _coantisymmetry_failures(n, co)
+    jac_w = _witnesses(field, jac, scale * scale, n, 3, range(1, n + 1))
+    comp_w = _witnesses(field, comp, c_scale * scale, n, 2,
+                        _grid_cells(n, 2))
     co_ok, jac_ok, comp_ok = not co_w, not jac_w, not comp_w
     is_cob = co_ok and jac_ok and comp_ok
     sol = not any(field.reduce(_residual_ints(n, consts, k)))

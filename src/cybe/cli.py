@@ -95,7 +95,7 @@ def cmd_check(problem):
             }
             if not res.is_zero:
                 entry["residual_entries"] = [
-                    [list(cell), str(v)]
+                    [cell, str(v)]
                     for cell, v in res.nonzero_entries[:RESIDUAL_WITNESS_CAP]
                 ]
                 ok = False

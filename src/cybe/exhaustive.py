@@ -9,12 +9,12 @@ checks.  A check (`Check`) is a sparse integer polynomial in the grid cells
 (monomial -> coefficient mod p) that must vanish mod p, or must not.  The
 oracle (`scan_solution_ids`) gets one check per residual cell, from a single
 run of the residual kernel of `solve` on a grid whose entries are the
-polynomials k[i][j] (`_Poly`): it knows nothing about the classification.
-`verify_classification` gets the conditions of each label record of the
-regime (`solve.regime_records`, the very conditions `classify_solution`
-evaluates on exact scalars), each compiled lambda evaluated, lhs - rhs, on
-the same polynomial grid, and compares the sorted id arrays.  The check is
-independent because the oracle never sees a label.
+polynomials k[i][j] (`solve._Poly`): it knows nothing about the
+classification.  `verify_classification` gets the conditions of each label
+record of the regime (`solve.regime_records`, the very conditions
+`classify_solution` evaluates on exact scalars) as their lhs - rhs on the
+same polynomial grid (`solve._condition_polys`), and compares the sorted id
+arrays.  The check is independent because the oracle never sees a label.
 
 The engine lists the checks by a key of each check alone: equalities
 first, then fewer terms, then the sorted terms.  Every tie below breaks by
@@ -59,9 +59,11 @@ import numpy as np
 
 from .scalars import PrimeField
 from .solve import (
-    Coefficients,
     UncoveredRegime,
+    _cell_polys,
+    _condition_polys,
     _int_constants,
+    _Poly,
     _residual_ints,
     recognize_table,
     regime_records,
@@ -102,71 +104,6 @@ def _require_prime_field(L):
 # ---------------------------------------------------------------------------
 # checks: polynomials in the grid cells
 
-class _Poly(dict):
-    """A polynomial in the flat grid cells with int coefficients: monomial
-    (the ascending tuple of the cells it multiplies) -> nonzero coefficient.
-    It has the arithmetic `_residual_ints` and the compiled label
-    conditions use, so both run on grids of these unchanged."""
-
-    __slots__ = ()
-
-    def _add(self, other, sign):
-        if type(other) is not _Poly:
-            if not other:
-                return self         # a _Poly is never changed in place
-            other = {(): other}
-        out = _Poly(self)
-        for mono, c in other.items():
-            c = out.get(mono, 0) + sign * c
-            if c:
-                out[mono] = c
-            else:
-                del out[mono]
-        return out
-
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._add(other, 1)
-
-    def __neg__(self):
-        return _Poly({mono: -c for mono, c in self.items()})
-
-    def __mul__(self, other):
-        if type(other) is not _Poly:
-            return _Poly({mono: c * other for mono, c in self.items()}
-                         if other else {})
-        out = _Poly()
-        for m1, c1 in self.items():
-            for m2, c2 in other.items():
-                mono = tuple(sorted(m1 + m2))
-                c = out.get(mono, 0) + c1 * c2
-                if c:
-                    out[mono] = c
-                else:
-                    del out[mono]
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        out = _Poly({(): 1})
-        for _ in range(e):
-            out = out * self
-        return out
-
-
-def _cell_polys(n):
-    """The grid whose cell (i, j) is the polynomial k[i][j]."""
-    return [_Poly({(i * n + j,): 1}) for i in range(n) for j in range(n)]
-
-
 def _mod(poly, p):
     """poly (or an int) with its coefficients reduced mod p, zeros dropped."""
     if not isinstance(poly, _Poly):
@@ -198,17 +135,10 @@ def _residual_checks(L, p):
 
 def _label_checks(record, n, p, params):
     """lhs - rhs of each condition of the record, on the grid of cell
-    polynomials and the table's parameters."""
-    cells = _cell_polys(n)
-    c = Coefficients(n, [cells[i * n:i * n + n] for i in range(n)], None,
-                     params)
-    checks = []
-    for cond in chain(record.shape, record.side):
-        val = cond.lhs(c)
-        if cond.rhs is not None:
-            val = val - cond.rhs(c)
-        checks.append(Check(_mod(val, p), cond.nonzero))
-    return checks
+    polynomials and the table's parameters (residues)."""
+    conds = tuple(chain(record.shape, record.side))
+    return [Check(_mod(poly, p), cond.nonzero)
+            for cond, poly in zip(conds, _condition_polys(conds, n, params))]
 
 
 # ---------------------------------------------------------------------------

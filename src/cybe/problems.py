@@ -263,15 +263,31 @@ def dumps_report(report):
     about 2.6 times as long as `_write_json` on report-shaped values.
     """
     buf = io.StringIO()
-    _write_json(report, "\n", buf.write)
+    _write_json(report, "\n", buf.write, {})
     buf.write("\n")
     return buf.getvalue()
 
 
-def _write_json(obj, nl, add):
+def _tuple_text(obj, nl, memo):
+    """The text of the tuple obj starting on the line of newline and indent
+    nl, made once per (tuple, nl) of one report: witness cells are the
+    shared tuples of `solve._grid_cells`, repeated thousands of times.
+    memo is keyed by id and holds obj, so no other object takes its id
+    while memo lives, and a tuple holding a dict needs no hash."""
+    key = (id(obj), nl)
+    hit = memo.get(key)
+    if hit is None:
+        parts = []
+        _write_json(obj, nl, parts.append, memo)
+        hit = memo[key] = (obj, "".join(parts))
+    return hit[1]
+
+
+def _write_json(obj, nl, add, memo):
     """Write the text of `obj` through `add` in pieces: a dict with str
     keys, or a list, tuple or generator, as an array; `nl` is the newline
-    and indent of the line `obj` starts on.  Scalars are the texts json
+    and indent of the line `obj` starts on, and `memo` holds the text of
+    the tuples inside it (`_tuple_text`).  Scalars are the texts json
     writes: str through its C string encoder, int through int.__repr__,
     float through json.dumps (NaN and the infinities as json spells
     them).  Raises TypeError on a non-str key or on any other type, and
@@ -293,9 +309,11 @@ def _write_json(obj, nl, add):
                 add(head + "null")
             elif t is float:
                 add(head + json.dumps(v))
+            elif t is tuple:
+                add(head + _tuple_text(v, inner, memo))
             else:
                 add(head)
-                _write_json(v, inner, add)
+                _write_json(v, inner, add, memo)
             head = sep
         add("[]" if head is first else nl + "]")
     elif t is dict:
@@ -315,9 +333,11 @@ def _write_json(obj, nl, add):
                 add(key + "null")
             elif t is float:
                 add(key + json.dumps(v))
+            elif t is tuple:
+                add(key + _tuple_text(v, inner, memo))
             else:
                 add(key)
-                _write_json(v, inner, add)
+                _write_json(v, inner, add, memo)
             head = sep
         add("{}" if head is first else nl + "}")
     else:

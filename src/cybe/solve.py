@@ -21,6 +21,17 @@ the same kernel, and the enumeration oracle runs it once on a grid of
 polynomials to get each cell as a quadratic form
 (`exhaustive._residual_checks`).
 
+Checks that run on many tensors of one table are made once per table as
+integer forms in the lifted grid: a kernel or a condition runs once on the
+grid of cell polynomials (`_Poly`), the coefficients are reduced in the
+field, the forms that vanish identically are dropped, and the rest become
+one straight-line Python function (`_compile_forms`) that each tensor's
+lifted grid (`Tensor2.lifted`) is evaluated on.  The label conditions of a
+regime (classify_solution), the strong and skew symmetry of a grid and the
+alpha,beta-skew class are made so here, the bialgebra axioms in
+`bialgebra`.  This holds up to FORMS_MAX_DIM = 4; above it the kernels and
+Condition.holds run as they are.
+
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
 suite, as are the per-cell equation systems transcribed in
@@ -48,10 +59,16 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (
+    chain,
+    combinations,
+    combinations_with_replacement,
+    product,
+)
+from math import lcm
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, family_ii, family_vi, solvable_table
+from .liealg import _as_scalar, family_ii, family_vi, solvable_table
 from .scalars import FieldError, clip
 from .tensor import NAMED_CELLS, Tensor2, Tensor3
 
@@ -94,9 +111,9 @@ def _same_space(L, x, what="tensor"):
 
 def _lift_grid(L, r):
     """r's grid as flat row-major ints over its common denominator D, and
-    D; r must live on L."""
+    D (`Tensor2.lifted`); r must live on L."""
     _same_space(L, r)
-    return L.field.lift([v for row in r.k for v in row])
+    return r.lifted()
 
 
 @lru_cache(maxsize=8)
@@ -107,10 +124,17 @@ def _grid_cells(n, rank):
 
 def _nonzero_entries(field, ints, scale, n, rank):
     """((1-based cell, ints[idx] / scale), ...) for the entries of a flat
-    row-major rank-`rank` kernel output that are nonzero in the field."""
-    cells = _grid_cells(n, rank)
-    return tuple((cell, field.unlift(v, scale))
-                 for cell, v in zip(cells, field.reduce(ints)) if v)
+    row-major rank-`rank` kernel output that are nonzero in the field.
+    Equal ints share one scalar: a co-Jacobi cube repeats each value on
+    the cyclic shifts of its cell."""
+    out, scalars = [], {}
+    for cell, v in zip(_grid_cells(n, rank), field.reduce(ints)):
+        if v:
+            val = scalars.get(v)
+            if val is None:
+                val = scalars[v] = field.unlift(v, scale)
+            out.append((cell, val))
+    return tuple(out)
 
 
 def _residual_ints(n, consts, k):
@@ -173,6 +197,177 @@ def cybe_residual(L, r):
 
 def is_cybe_solution(L, r):
     return cybe_residual(L, r).is_zero
+
+
+# ---------------------------------------------------------------------------
+# integer forms: a kernel run once per table on polynomials, then compiled
+
+class _Poly(dict):
+    """A polynomial in the flat grid cells with int coefficients: monomial
+    (the ascending tuple of the cells it multiplies) -> nonzero coefficient.
+    It has the arithmetic `_residual_ints` and the compiled label
+    conditions use, so both run on grids of these unchanged."""
+
+    __slots__ = ()
+
+    def _add(self, other, sign):
+        if type(other) is not _Poly:
+            if not other:
+                return self         # a _Poly is never changed in place
+            other = {(): other}
+        out = _Poly(self)
+        for mono, c in other.items():
+            c = out.get(mono, 0) + sign * c
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return out
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._add(other, 1)
+
+    def __neg__(self):
+        return _Poly({mono: -c for mono, c in self.items()})
+
+    def __mul__(self, other):
+        if type(other) is not _Poly:
+            return _Poly({mono: c * other for mono, c in self.items()}
+                         if other else {})
+        out = _Poly()
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                mono = m1 + m2
+                if m1 and m2 and m1[-1] > m2[0]:
+                    mono = tuple(sorted(mono))
+                c = out.get(mono, 0) + c1 * c2
+                if c:
+                    out[mono] = c
+                else:
+                    del out[mono]
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        out = _Poly({(): 1})
+        for _ in range(e):
+            out = out * self
+        return out
+
+
+def _cell_polys(n):
+    """The grid whose cell (i, j) is the polynomial k[i][j]."""
+    return [_Poly({(i * n + j,): 1}) for i in range(n) for j in range(n)]
+
+
+def _compile_forms(polys, field=None):
+    """The polynomials polys (_Poly with int coefficients, or 0) as a
+    _Forms, their coefficients reduced in the field (over F_p to
+    -p/2..p/2, so -1 stays a negation), the ones that vanish identically
+    dropped.  field=None: no reduction, forms for any field."""
+    p = field.p if field is not None and field.kind == "prime" else None
+    slots, kept = [], []
+    for slot, poly in enumerate(polys):
+        if poly and p is not None:      # a kernel leaves an untouched 0
+            poly = {mono: c - p if 2 * c > p else c
+                    for mono, c in ((mono, c % p) for mono, c in poly.items())
+                    if c}
+        if poly:
+            slots.append(slot)
+            kept.append(poly)
+    return _Forms(tuple(slots), len(polys), _straight_line(kept))
+
+
+class _Forms(NamedTuple):
+    """Compiled integer forms in flat int variables (`_compile_forms`):
+    run(k, d) is the tuple of the values, on the variables k lifted over
+    the scale d, of the `size` forms given that do not vanish identically;
+    slots[i] is the index of value i among them."""
+
+    slots: tuple
+    size: int
+    run: Callable
+
+    def flat(self, field, k, d):
+        """All `size` values reduced in the field, a list, or None when
+        every one is zero."""
+        vals = field.reduce(self.run(k, d))
+        if not any(vals):
+            return None
+        out = [0] * self.size
+        for slot, v in zip(self.slots, vals):
+            out[slot] = v
+        return out
+
+
+def _straight_line(forms):
+    """One function run(k, d) -> the tuple of the values of forms, dicts
+    monomial -> int coefficient in the variables k[i], as straight-line
+    Python.  Each monomial is computed once, one of degree e > 1 from the
+    one of its first e - 1 variables, and identical forms once.  A form
+    whose monomials differ in degree is made homogeneous in d: a
+    monomial of degree e in a form of degree g is multiplied by d^(g - e),
+    so on variables lifted over d it gives d^g times the form's value,
+    which is zero exactly where that value is.  Coefficients are bound as
+    closure variables, never written as literals: an int past 4,300 digits
+    has no str().  Up to FORMS_MAX_DIM a form has at most 136 terms (a
+    quadratic form in 16 cells), which CPython's compiler nests easily."""
+    body, monos, powers, coefs, done, outs = [], {}, {}, {}, {}, []
+
+    def mono(m):
+        name = monos.get(m)
+        if name is None:
+            if len(m) == 1:
+                name = f"k{m[0]}"
+                body.append(f"{name} = k[{m[0]}]")
+            else:
+                name = f"m{len(monos)}"
+                body.append(f"{name} = {mono(m[:-1])} * {mono(m[-1:])}")
+            monos[m] = name
+        return name
+
+    def power(e):
+        name = powers.get(e)
+        if name is None:
+            name = powers[e] = f"d{e}"
+            body.append(f"{name} = {power(e - 1)} * d" if e > 1
+                        else f"{name} = d")
+        return name
+
+    for form in forms:
+        key = frozenset(form.items())
+        name = done.get(key)
+        if name is None:
+            name = done[key] = f"f{len(done)}"
+            top = max(map(len, form))
+            terms = []
+            for m, c in form.items():
+                factors = [mono(m)] if m else []
+                if len(m) < top:
+                    factors.append(power(top - len(m)))
+                if abs(c) != 1 or not factors:
+                    factors.insert(0, coefs.setdefault(abs(c),
+                                                       f"c{len(coefs)}"))
+                terms.append(("- " if c < 0 else "+ ") + " * ".join(factors))
+            body.append(f"{name} = {' '.join(terms).removeprefix('+ ')}")
+        outs.append(name)
+    source = (f"def make({', '.join(coefs.values())}):\n"
+              "    def run(k, d):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + f"        return ({''.join(o + ', ' for o in outs)})\n"
+              "    return run\n")
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"](*coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +447,8 @@ class Coefficients(Tensor2):
     """What conditions read: a grid k with the parameters of its table.
 
     k holds exact scalars, or the polynomials k[i][j] in the grid cells
-    (`exhaustive._label_checks` turns conditions into polynomial checks),
-    so x..v read either.
+    (`_condition_polys` turns conditions into polynomials), so x..v read
+    either.
     """
 
     __slots__ = ("alpha", "beta", "delta")
@@ -354,14 +549,18 @@ class _Generated:
         return self.make(self.n)
 
 
+# Up to this dimension a grid record's O(n^4) conditions (27 in dim 3) are
+# made once and kept, and the label checks run as compiled integer forms;
+# above it they are made on each pass, since a large abelian table would not
+# fit them in memory and a check mostly stops at the first.
+FORMS_MAX_DIM = 4
+
+
 @lru_cache(maxsize=8)
 def _grid_record(label, make, n):
-    """The record of a grid condition in dim n.  It has O(n^4) conditions:
-    up to dim 4 (27 of them) they are made once and kept, which keeps the
-    dim-3 checks as fast as a hand-written loop; above, they are made on
-    each pass, since a large abelian table would not fit them in memory
-    and a check mostly stops at the first."""
-    conds = tuple(make(n)) if n <= 4 else _Generated(make, n)
+    """The record of a grid condition in dim n, its conditions kept up to
+    FORMS_MAX_DIM and made on each pass above."""
+    conds = tuple(make(n)) if n <= FORMS_MAX_DIM else _Generated(make, n)
     return LabelRecord(label, conds, (), "")
 
 
@@ -474,6 +673,77 @@ def regime_records(L, table):
         "classified regimes (need beta=0, or beta!=0 with delta=1)")
 
 
+def _condition_polys(conditions, n, params):
+    """lhs - rhs of each condition on the grid of cell polynomials, as a
+    _Poly with int coefficients.  params are the table's parameters, as
+    scalars or as polynomials in further variables; the denominators of
+    rational ones are cleared, which keeps each polynomial's zeros."""
+    cells = _cell_polys(n)
+    c = Coefficients(n, [cells[i * n:i * n + n] for i in range(n)], None,
+                     params)
+    polys = []
+    for cond in conditions:
+        val = cond.lhs(c)
+        if cond.rhs is not None:
+            val = val - cond.rhs(c)
+        if type(val) is not _Poly:  # the condition reads no cell
+            val = _Poly() + val
+        if any(type(coef) is not int for coef in val.values()):
+            den = lcm(*(coef.denominator for coef in val.values()))
+            val = _Poly({mono: int(coef * den) for mono, coef in val.items()})
+        polys.append(val)
+    return polys
+
+
+class _RecordForms(NamedTuple):
+    """Label records compiled: `forms` holds the lhs - rhs of their
+    conditions, and `records` is (label, zeros, nonzeros) for each record
+    that can hold, with the positions among the values of `forms` that
+    must vanish and those that must not.  A record with a != 0 condition
+    that vanishes identically is left out."""
+
+    forms: _Forms
+    records: tuple
+
+    @classmethod
+    def of(cls, records, n, params, field=None):
+        conds = [(rec.label, cond) for rec in records
+                 for cond in chain(rec.shape, rec.side)]
+        forms = _compile_forms(
+            _condition_polys([cond for _, cond in conds], n, params), field)
+        at = {slot: i for i, slot in enumerate(forms.slots)}
+        tests = {rec.label: ([], []) for rec in records}
+        never = set()
+        for slot, (label, cond) in enumerate(conds):
+            if slot in at:
+                tests[label][cond.nonzero].append(at[slot])
+            elif cond.nonzero:
+                never.add(label)
+        return cls(forms, tuple((label, tuple(zeros), tuple(nonzeros))
+                                for label, (zeros, nonzeros) in tests.items()
+                                if label not in never))
+
+    def labels(self, field, k, d):
+        """The labels of the records that hold on the variables k lifted
+        over d."""
+        vals = field.reduce(self.forms.run(k, d))
+        return [label for label, zeros, nonzeros in self.records
+                if not any(vals[i] for i in zeros)
+                and all(vals[i] for i in nonzeros)]
+
+
+@lru_cache(maxsize=8)
+def _regime_forms(L):
+    """The records of L's regime compiled, its parameters as coefficients:
+    made once per table (tables are immutable and hash by identity).
+    Raises UncoveredRegime outside the classified regimes."""
+    table = recognize_table(L)
+    prime = L.field.kind == "prime"
+    params = tuple(int(v) if prime and v is not None else v
+                   for v in table[1:])
+    return _RecordForms.of(regime_records(L, table), L.n, params, L.field)
+
+
 def classify_solution(L, r):
     """The set of labels r satisfies, for a covered regime.
 
@@ -482,29 +752,57 @@ def classify_solution(L, r):
     FieldError when r does not live on L.
     """
     _same_space(L, r)
+    if L.n <= FORMS_MAX_DIM:
+        k, d = r.lifted()
+        return set(_regime_forms(L).labels(L.field, k, d))
     table = recognize_table(L)
-    records = regime_records(L, table)
     c = Coefficients(r.n, r.k, r.field, table[1:])
-    return {rec.label for rec in records if rec.holds(c)}
+    return {rec.label for rec in regime_records(L, table) if rec.holds(c)}
+
+
+@lru_cache(maxsize=8)
+def _grid_forms(record_of, n):
+    """The compiled record_of(n), strong_record or skew_record, for
+    n <= FORMS_MAX_DIM."""
+    return _RecordForms.of((record_of(n),), n, (None, None, None))
+
+
+def _grid_holds(record_of, r):
+    """Whether record_of(r.n), strong_record or skew_record, holds on r."""
+    if r.n > FORMS_MAX_DIM:
+        return record_of(r.n).holds(r)
+    k, d = r.lifted()
+    return bool(_grid_forms(record_of, r.n).labels(r.field, k, d))
 
 
 def is_strongly_symmetric(r):
     """Symmetric grid with k[i][j]k[l][m] = k[i][l]k[j][m] for all index
     quadruples, checked through the 2x2 minors (see strong_record)."""
-    return strong_record(r.n).holds(r)
+    return _grid_holds(strong_record, r)
 
 
 def is_skew_symmetric(r):
-    return skew_record(r.n).holds(r)
+    return _grid_holds(skew_record, r)
+
+
+@lru_cache(maxsize=1)
+def _alpha_beta_forms():
+    """ALPHA_BETA_SKEW compiled once, alpha and beta as the variables 9 and
+    10 after the dim-3 grid: its conditions are not homogeneous in these."""
+    alpha, beta = _Poly({(9,): 1}), _Poly({(10,): 1})
+    return _RecordForms.of((ALPHA_BETA_SKEW,), 3, (alpha, beta, None))
 
 
 def is_alpha_beta_skew(r, alpha, beta):
     """Dim-3 class: p=-q, s=-t, u=-v, x=alpha z, y=beta z and
-    alpha beta z^2 + beta s^2 + alpha u^2 + p^2 = 0."""
+    alpha beta z^2 + beta s^2 + alpha u^2 + p^2 = 0.  alpha and beta are
+    ints or scalars of r's field; others raise FieldError."""
     if r.n != 3:
         raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
-    return ALPHA_BETA_SKEW.holds(
-        Coefficients(3, r.k, r.field, (alpha, beta, None)))
+    field = r.field
+    k, d = field.lift([v for row in r.k for v in row]
+                      + [_as_scalar(alpha, field), _as_scalar(beta, field)])
+    return bool(_alpha_beta_forms().labels(field, k, d))
 
 
 def symmetry_flags(r, alpha=None, beta=None):

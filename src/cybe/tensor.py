@@ -27,12 +27,22 @@ NAMED_CELLS = {
 
 
 class Tensor2:
-    __slots__ = ("n", "k", "field")
+    __slots__ = ("n", "k", "field", "_lifted")
 
     def __init__(self, n, k, field):
         self.n = n
         self.k = k  # tuple of tuples, 0-based
         self.field = field
+        self._lifted = None
+
+    def lifted(self):
+        """The grid as flat row-major ints over their common denominator,
+        and that denominator (the field's `lift`), made once: the integer
+        kernels and forms of `solve` and `bialgebra` all read it, and the
+        grid never changes.  Callers must not change the list."""
+        if self._lifted is None:
+            self._lifted = self.field.lift([v for row in self.k for v in row])
+        return self._lifted
 
     @classmethod
     def from_entries(cls, n, field, entries):

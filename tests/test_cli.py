@@ -34,6 +34,7 @@ ROOT = os.path.dirname(HERE)
 SAMPLES = os.path.join(ROOT, "problems")
 SRC = os.path.join(ROOT, "src")
 GOLDEN = os.path.join(HERE, "data", "golden")
+WITNESSES = os.path.join(HERE, "data", "witnesses")
 
 
 def sample(name):
@@ -136,6 +137,18 @@ def test_reports_match_golden_snapshots(capsys):
         assert run(argv) == 0, name
         with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read(), name
+
+
+@pytest.mark.parametrize("verb", ["check", "bialgebra"])
+@pytest.mark.parametrize("stem", ["sl2_q", "ii_f101", "iv_f7"])
+def test_witness_reports_match_golden_snapshots(capsys, stem, verb):
+    # random, skew and strongly symmetric tensors, so residual, co-Jacobi
+    # and coantisymmetry witnesses, byte for byte as recorded in
+    # tests/data/witnesses (<stem>.<verb>.golden.json)
+    assert run([verb, "-i", os.path.join(WITNESSES, stem + ".json")]) == 1
+    golden = os.path.join(WITNESSES, f"{stem}.{verb}.golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 # exit codes

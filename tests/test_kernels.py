@@ -6,6 +6,13 @@ scalars, so the lifting, the kernels and the scaling back are all checked
 against a second path: rational grids whose entries have mixed
 denominators, structure constants that are not integers (C > 1), prime
 fields from F_3 to F_(2^61 - 1), and every dim-2 grid over F_3.
+
+Up to FORMS_MAX_DIM the library evaluates the axioms and the label
+conditions as integer forms compiled once per table; those are played here
+against the kernels they are made from and against Condition.holds, on
+every built-in table, and the library's verdicts against the oracles on a
+table that is not Lie, on one above FORMS_MAX_DIM and on one whose lifted
+constants have more digits than an int's str() allows.
 """
 
 import random
@@ -19,24 +26,55 @@ from cybe import (
     Cobracket,
     FieldError,
     PrimeField,
+    SideConditionError,
+    SolutionLabel,
     Tensor2,
+    UncoveredRegime,
     abelian,
     ad_action,
     bialgebra_check,
     check_coantisymmetry,
     check_cojacobi,
     check_compatibility,
+    check_jacobi,
     classify_solution,
     cobracket,
     coboundary_predicate,
     cybe_residual,
     family_ii,
     family_iii,
+    family_iv,
+    family_v,
     family_vi,
     from_constants,
+    generate_solution,
+    is_alpha_beta_skew,
+    is_skew_symmetric,
+    is_strongly_symmetric,
+    recognize_table,
     sl2,
     solvable_table,
     triangular_predicate,
+)
+from cybe.bialgebra import (
+    _axiom_forms,
+    _coantisymmetry_ints,
+    _cojacobi_ints,
+    _compatibility_ints,
+    _images,
+)
+from cybe.solve import (
+    ALPHA_BETA_SKEW,
+    FORMS_MAX_DIM,
+    GENERATORS,
+    Coefficients,
+    LabelRecord,
+    _conditions,
+    _int_constants,
+    _RecordForms,
+    regime_records,
+    skew_record,
+    strong_record,
 )
 from conftest import (
     all_tensors,
@@ -46,6 +84,7 @@ from conftest import (
     naive_cojacobi,
     naive_compatibility,
     naive_residual,
+    strongly_symmetric_by_definition,
 )
 
 DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 7, 9, 12)
@@ -259,3 +298,227 @@ def test_public_checks_refuse_another_space(check, L, x, error, match):
     # larger one, or reduce a foreign scalar, so each check refuses first
     with pytest.raises(error, match=match):
         check(L, x)
+
+
+# the compiled forms
+
+
+def _pairs(*brackets):
+    """Antisymmetric constants from (i, j, m, value) with i < j."""
+    return [e for i, j, m, v in brackets
+            for e in ((i, j, m, v), (j, i, m, -v))]
+
+
+def not_lie(field):
+    """[e1,e2]=e3, [e1,e3]=e1, [e2,e3]=e1+e2: antisymmetric, not Lie."""
+    one = field.one()
+    return from_constants(3, _pairs((0, 1, 2, one), (0, 2, 0, one),
+                                    (1, 2, 0, one), (1, 2, 1, one)), field)
+
+
+def builtin_tables(field):
+    """Every built-in family, the solvable table in each of its regimes,
+    and for QQ rational parameters and the table with C = 42."""
+    s, f = field.from_int, Fraction
+    tables = [abelian(2, field), abelian(3, field), sl2(field),
+              family_ii(s(2), s(-3), field),
+              family_ii(s(1), s(0), field, strict=False), family_iii(field),
+              family_iv(s(0), s(3), field), family_iv(s(2), s(1), field),
+              family_iv(s(1), s(3), field), family_v(field),
+              family_vi(field), not_lie(field)]
+    if field is QQ:
+        tables += [family_ii(f(1, 2), f(-3, 4)), family_iv(f(0), f(2, 5)),
+                   family_iv(f(2, 3), f(1)), rational_tables()[-1]]
+    return tables
+
+
+def zero_heavy(rng, field):
+    """A random scalar that is zero more often than not."""
+    if rng.random() < 0.6:
+        return field.zero()
+    return rand_rational(rng) if field is QQ else rand_residue(rng, field)
+
+
+def sample_grids(rng, L, count):
+    """Random grids, strong, skew and sparse ones, and the closed-form
+    generators' solutions on L with sparse parameters, so that labels
+    come out both ways."""
+    field = L.field
+    grids = [rand_grid(rng, L, lambda: zero_heavy(rng, field))
+             for _ in range(count)]
+    grids += [Tensor2.from_rows([[zero_heavy(rng, field)
+                                  for _ in range(L.n)] for _ in range(L.n)],
+                                field) for _ in range(count)]
+    for case, gen in GENERATORS.items():
+        for _ in range(3):
+            params = {name: zero_heavy(rng, field) for name in gen.params}
+            try:
+                grids.append(generate_solution(L, case, params))
+            except (SideConditionError, ZeroDivisionError):
+                pass
+    return grids
+
+
+FORM_FIELDS = [QQ, PrimeField(7), PrimeField(101)]
+
+
+@pytest.mark.parametrize("field", FORM_FIELDS, ids=repr)
+def test_axiom_forms_equal_the_kernels(field):
+    # each compiled form is the kernel's output entry on every lifted grid
+    rng = random.Random(repr(field))
+    for L in builtin_tables(field):
+        n = L.n
+        consts, _ = _int_constants(L)
+        forms = _axiom_forms(L)
+        for r in sample_grids(rng, L, 8):
+            k, d = field.lift([v for row in r.k for v in row])
+            imgs = _images(n, consts, k)
+            kernels = (_coantisymmetry_ints(n, imgs), _cojacobi_ints(n, imgs),
+                       _compatibility_ints(n, consts, imgs))
+            for compiled, ints in zip(forms, kernels):
+                want = field.reduce(ints)
+                got = compiled.flat(field, k, d)
+                assert got == (want if any(want) else None), (L, r)
+
+
+def test_compatibility_forms_vanish_exactly_on_lie_tables():
+    # x . r is a cocycle for every r exactly when ad is a representation
+    for field in FORM_FIELDS:
+        for L in builtin_tables(field):
+            assert (not _axiom_forms(L)[2].slots) == (not check_jacobi(L)), L
+
+
+@pytest.mark.parametrize("field", FORM_FIELDS, ids=repr)
+def test_label_forms_equal_the_conditions(field):
+    # classify_solution and the symmetry predicates against the records'
+    # Condition.holds on exact scalars
+    rng = random.Random(repr(field) + "labels")
+    hits = set()
+    for L in builtin_tables(field):
+        table = recognize_table(L)
+        for r in sample_grids(rng, L, 12):
+            c = Coefficients(L.n, r.k, field, table[1:])
+            try:
+                want = {rec.label for rec in regime_records(L, table)
+                        if rec.holds(c)}
+            except UncoveredRegime:
+                with pytest.raises(UncoveredRegime):
+                    classify_solution(L, r)
+            else:
+                assert classify_solution(L, r) == want, (L, r)
+                hits |= want
+            assert is_strongly_symmetric(r) == strong_record(L.n).holds(r)
+            assert is_skew_symmetric(r) == skew_record(L.n).holds(r)
+            if L.n == 3:
+                for alpha, beta in ((table.alpha, table.beta),
+                                    (field.from_int(2), field.from_int(-1))):
+                    if alpha is None:
+                        continue
+                    c = Coefficients(3, r.k, field, (alpha, beta, None))
+                    assert (is_alpha_beta_skew(r, alpha, beta)
+                            == ALPHA_BETA_SKEW.holds(c)), (L, r)
+    assert set(SolutionLabel) - {SolutionLabel.HEISENBERG_CASE1} <= hits
+
+
+def test_inhomogeneous_conditions_scale_with_the_grid():
+    # x = 1 reads 1 against the grid's denominator D: the form X - D on
+    # the lifted entry X = D x, zero exactly where x = 1
+    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("x = 1"),
+                      _conditions("p^2 + q = 2, z - 1 != 0"), "")
+    forms = _RecordForms.of((rec,), 3, (None, None, None))
+    f = Fraction
+    seen = set()
+    for x, p, q, z, t in product((f(1), f(1, 2), f(2), f(0)),
+                                 (f(1), f(1, 2), f(0)),
+                                 (f(1), f(7, 4), f(2)),
+                                 (f(1), f(1, 3), f(0)),
+                                 (f(0), f(1, 5))):
+        r = Tensor2.from_rows([[x, p, f(0)], [q, f(0), f(0)], [t, f(0), z]],
+                              QQ)
+        k, d = QQ.lift([v for row in r.k for v in row])
+        got = bool(forms.labels(QQ, k, d))
+        assert got == rec.holds(r), (x, p, q, z, t)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_compatibility_on_a_table_that_is_not_lie():
+    # a cobracket x . r is a cocycle only on a Lie table; here compatibility
+    # keeps its forms and fails on a skew r, as the oracle finds
+    L = not_lie(QQ)
+    one = QQ.one()
+    r = Tensor2.from_rows([[0 * one, one, one], [-one, 0 * one, one],
+                           [-one, -one, 0 * one]], QQ)
+    report = bialgebra_check(L, r)
+    assert len(report.witnesses["compatibility"]) == 6
+    assert_matches_oracles(L, r)
+    rng = random.Random(0x401)
+    for field in (QQ, PrimeField(7)):
+        L = not_lie(field)
+        for _ in range(20):
+            assert_matches_oracles(L, rand_grid(
+                rng, L, lambda: zero_heavy(rng, field)))
+
+
+def test_kernels_match_oracles_above_forms_max_dim():
+    # sl2 + VI in dim 5: the kernels and Condition.holds run, not forms
+    assert FORMS_MAX_DIM < 5
+    rng = random.Random(0x5)
+    for field in (QQ, PrimeField(101)):
+        one, four = field.one(), field.from_int(4)
+        L = from_constants(5, _pairs(
+            (0, 1, 2, one), (1, 2, 0, four), (0, 2, 1, four),
+            (3, 4, 3, one)), field)
+        assert not check_jacobi(L)
+        for _ in range(6):
+            r = rand_grid(rng, L, lambda: zero_heavy(rng, field))
+            assert_matches_oracles(L, r)
+            assert (is_strongly_symmetric(r)
+                    == strongly_symmetric_by_definition(r))
+            assert is_skew_symmetric(r) == all(
+                r.k[i][j] == -r.k[j][i] for i in range(5) for j in range(5))
+            with pytest.raises(UncoveredRegime):
+                classify_solution(L, r)
+        flat = abelian(5, field)
+        for _ in range(6):
+            r = rand_grid(rng, flat, lambda: zero_heavy(rng, field))
+            want = {SolutionLabel.ABELIAN}
+            if strongly_symmetric_by_definition(r):
+                want.add(SolutionLabel.STRONGLY_SYMMETRIC)
+            if is_skew_symmetric(r):
+                want.add(SolutionLabel.SKEW_SYMMETRIC)
+            assert classify_solution(flat, r) == want
+
+
+def test_kernels_match_oracles_past_the_int_str_limit():
+    # the II table with alpha = 1/3^4700 and beta = -1/7^2700: each
+    # constant prints, but their common denominator C has over 4,500
+    # digits, so the lifted constants, and the forms' coefficients, have
+    # no str(); the forms bind them as values
+    f = Fraction
+    alpha, beta = f(1, 3 ** 4700), f(-1, 7 ** 2700)
+    L = from_constants(3, _pairs((0, 1, 2, f(1)), (1, 2, 0, alpha),
+                                 (0, 2, 1, -beta)), QQ, label="big")
+    _, scale = _int_constants(L)
+    assert scale > 10 ** 4400
+    assert recognize_table(L).kind == "ii"
+    rng = random.Random(0x4300)
+    for r in dict.fromkeys(sample_grids(rng, L, 2)):   # each grid once
+        assert_matches_oracles(L, r)
+        table = recognize_table(L)
+        c = Coefficients(3, r.k, QQ, table[1:])
+        assert classify_solution(L, r) == {
+            rec.label for rec in regime_records(L, table) if rec.holds(c)}
+
+
+@pytest.mark.parametrize("check", [
+    check_coantisymmetry, check_cojacobi,
+    lambda delta: check_compatibility(sl2(QQ), delta)],
+    ids=["coantisymmetry", "cojacobi", "compatibility"])
+def test_checks_refuse_a_malformed_cobracket(check):
+    # images of another dimension, or too few of them: the kernels would
+    # slice and index past them
+    w = _skew(2, QQ)
+    for n, images in ((3, (w, w, w)), (2, (w,))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            check(Cobracket(n, images))

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cybe import (
     QQ,
+    FieldError,
     PrimeField,
     Tensor2,
     Tensor3,
@@ -221,6 +223,32 @@ def test_symmetry_flags_shape():
     assert "alpha_beta_skew" not in symmetry_flags(
         Tensor2.from_entries(2, QQ, {}), alpha=Fraction(1), beta=Fraction(1)
     )
+
+
+def test_alpha_beta_skew_takes_parameters_through_the_field():
+    # ints go through from_int, r's own scalars as they are; a scalar of
+    # another field is refused rather than mixed into the arithmetic
+    F5 = PrimeField(5)
+    zero = Tensor2.from_entries(3, F5, {})
+    for check in (lambda a, b: is_alpha_beta_skew(zero, a, b),
+                  lambda a, b: symmetry_flags(zero, a, b)):
+        with pytest.raises(FieldError):
+            check(Fraction(1), Fraction(2))
+        with pytest.raises(FieldError):
+            check(F5.one(), PrimeField(7).one())
+    rng = random.Random(33)
+    for field in (F5, QQ):
+        for _ in range(60):
+            a, b = rng.randrange(-6, 7), rng.randrange(-6, 7)
+            z, s, u, p = (field.from_int(rng.randrange(-2, 3))
+                          for _ in range(4))
+            r = Tensor2.from_rows([[field.from_int(a) * z, p, s],
+                                   [-p, field.from_int(b) * z, u],
+                                   [-s, -u, z]], field)
+            assert (is_alpha_beta_skew(r, a, b) == is_alpha_beta_skew(
+                r, field.from_int(a), field.from_int(b)))
+            assert symmetry_flags(r, a, b) == symmetry_flags(
+                r, field.from_int(a), field.from_int(b))
 
 
 # change of basis
