@@ -29,7 +29,7 @@ one straight-line Python function (`_compile_forms`) that each tensor's
 lifted grid (`Tensor2.lifted`) is evaluated on.  The label conditions of a
 regime (classify_solution), the strong and skew symmetry of a grid and the
 alpha,beta-skew class are made so here, the bialgebra axioms in
-`bialgebra`.  This holds up to FORMS_MAX_DIM = 4; above it the kernels and
+`bialgebra`.  This holds up to FORMS_MAX_DIM = 3; above it the kernels and
 Condition.holds run as they are.
 
 Everything else in this module (the closed-form solution families, the
@@ -124,17 +124,10 @@ def _grid_cells(n, rank):
 
 def _nonzero_entries(field, ints, scale, n, rank):
     """((1-based cell, ints[idx] / scale), ...) for the entries of a flat
-    row-major rank-`rank` kernel output that are nonzero in the field.
-    Equal ints share one scalar: a co-Jacobi cube repeats each value on
-    the cyclic shifts of its cell."""
-    out, scalars = [], {}
-    for cell, v in zip(_grid_cells(n, rank), field.reduce(ints)):
-        if v:
-            val = scalars.get(v)
-            if val is None:
-                val = scalars[v] = field.unlift(v, scale)
-            out.append((cell, val))
-    return tuple(out)
+    row-major rank-`rank` kernel output that are nonzero in the field."""
+    cells = _grid_cells(n, rank)
+    return tuple((cell, field.unlift(v, scale))
+                 for cell, v in zip(cells, field.reduce(ints)) if v)
 
 
 def _residual_ints(n, consts, k):
@@ -202,6 +195,14 @@ def is_cybe_solution(L, r):
 # ---------------------------------------------------------------------------
 # integer forms: a kernel run once per table on polynomials, then compiled
 
+# The largest dimension whose checks run as compiled forms.  Building them
+# costs 0.5 to 6 ms per table, which a command repays over about 20 tensors
+# of sl2 (4 to over 120 on other dim-3 tables).  In dim 4 they would speed
+# up bialgebra on many tensors but slow down check on the abelian table at
+# any count, and no benchmark workload runs there.
+FORMS_MAX_DIM = 3
+
+
 class _Poly(dict):
     """A polynomial in the flat grid cells with int coefficients: monomial
     (the ascending tuple of the cells it multiplies) -> nonzero coefficient.
@@ -245,9 +246,7 @@ class _Poly(dict):
         out = _Poly()
         for m1, c1 in self.items():
             for m2, c2 in other.items():
-                mono = m1 + m2
-                if m1 and m2 and m1[-1] > m2[0]:
-                    mono = tuple(sorted(mono))
+                mono = tuple(sorted(m1 + m2))
                 c = out.get(mono, 0) + c1 * c2
                 if c:
                     out[mono] = c
@@ -319,8 +318,8 @@ def _straight_line(forms):
     so on variables lifted over d it gives d^g times the form's value,
     which is zero exactly where that value is.  Coefficients are bound as
     closure variables, never written as literals: an int past 4,300 digits
-    has no str().  Up to FORMS_MAX_DIM a form has at most 136 terms (a
-    quadratic form in 16 cells), which CPython's compiler nests easily."""
+    has no str().  Up to FORMS_MAX_DIM a form has a few dozen terms,
+    which CPython's compiler nests easily."""
     body, monos, powers, coefs, done, outs = [], {}, {}, {}, {}, []
 
     def mono(m):
@@ -549,18 +548,14 @@ class _Generated:
         return self.make(self.n)
 
 
-# Up to this dimension a grid record's O(n^4) conditions (27 in dim 3) are
-# made once and kept, and the label checks run as compiled integer forms;
-# above it they are made on each pass, since a large abelian table would not
-# fit them in memory and a check mostly stops at the first.
-FORMS_MAX_DIM = 4
-
-
 @lru_cache(maxsize=8)
 def _grid_record(label, make, n):
-    """The record of a grid condition in dim n, its conditions kept up to
-    FORMS_MAX_DIM and made on each pass above."""
-    conds = tuple(make(n)) if n <= FORMS_MAX_DIM else _Generated(make, n)
+    """The record of a grid condition in dim n.  It has O(n^4) conditions:
+    up to dim 4 (27 of them) they are made once and kept, which keeps the
+    dim-3 checks as fast as a hand-written loop; above, they are made on
+    each pass, since a large abelian table would not fit them in memory
+    and a check mostly stops at the first."""
+    conds = tuple(make(n)) if n <= 4 else _Generated(make, n)
     return LabelRecord(label, conds, (), "")
 
 

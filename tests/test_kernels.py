@@ -10,9 +10,9 @@ fields from F_3 to F_(2^61 - 1), and every dim-2 grid over F_3.
 Up to FORMS_MAX_DIM the library evaluates the axioms and the label
 conditions as integer forms compiled once per table; those are played here
 against the kernels they are made from and against Condition.holds, on
-every built-in table, and the library's verdicts against the oracles on a
-table that is not Lie, on one above FORMS_MAX_DIM and on one whose lifted
-constants have more digits than an int's str() allows.
+every built-in table and on dim-4 ones, and the library's verdicts against
+the oracles on a table that is not Lie, on tables above FORMS_MAX_DIM and
+on one whose lifted constants have more digits than an int's str() allows.
 """
 
 import random
@@ -316,11 +316,18 @@ def not_lie(field):
                                     (1, 2, 0, one), (1, 2, 1, one)), field)
 
 
+def sl2_plus_centre(field):
+    """sl2 on e1, e2, e3 and a central e4: a non-abelian dim-4 Lie table."""
+    return from_constants(4, sl2(field).nonzero_constants(), field)
+
+
 def builtin_tables(field):
     """Every built-in family, the solvable table in each of its regimes,
-    and for QQ rational parameters and the table with C = 42."""
+    two dim-4 tables, and for QQ rational parameters and the table with
+    C = 42."""
     s, f = field.from_int, Fraction
-    tables = [abelian(2, field), abelian(3, field), sl2(field),
+    tables = [abelian(2, field), abelian(3, field), abelian(4, field),
+              sl2(field), sl2_plus_centre(field),
               family_ii(s(2), s(-3), field),
               family_ii(s(1), s(0), field, strict=False), family_iii(field),
               family_iv(s(0), s(3), field), family_iv(s(2), s(1), field),
@@ -461,33 +468,37 @@ def test_compatibility_on_a_table_that_is_not_lie():
 
 
 def test_kernels_match_oracles_above_forms_max_dim():
+    # sl2 + a centre in dim 4, the first dimension past the forms, and
     # sl2 + VI in dim 5: the kernels and Condition.holds run, not forms
-    assert FORMS_MAX_DIM < 5
+    assert FORMS_MAX_DIM == 3
     rng = random.Random(0x5)
     for field in (QQ, PrimeField(101)):
         one, four = field.one(), field.from_int(4)
-        L = from_constants(5, _pairs(
+        sl2_vi = from_constants(5, _pairs(
             (0, 1, 2, one), (1, 2, 0, four), (0, 2, 1, four),
             (3, 4, 3, one)), field)
-        assert not check_jacobi(L)
-        for _ in range(6):
-            r = rand_grid(rng, L, lambda: zero_heavy(rng, field))
-            assert_matches_oracles(L, r)
-            assert (is_strongly_symmetric(r)
-                    == strongly_symmetric_by_definition(r))
-            assert is_skew_symmetric(r) == all(
-                r.k[i][j] == -r.k[j][i] for i in range(5) for j in range(5))
-            with pytest.raises(UncoveredRegime):
-                classify_solution(L, r)
-        flat = abelian(5, field)
-        for _ in range(6):
-            r = rand_grid(rng, flat, lambda: zero_heavy(rng, field))
-            want = {SolutionLabel.ABELIAN}
-            if strongly_symmetric_by_definition(r):
-                want.add(SolutionLabel.STRONGLY_SYMMETRIC)
-            if is_skew_symmetric(r):
-                want.add(SolutionLabel.SKEW_SYMMETRIC)
-            assert classify_solution(flat, r) == want
+        for L in (sl2_plus_centre(field), sl2_vi):
+            n = L.n
+            assert not check_jacobi(L)
+            for _ in range(6):
+                r = rand_grid(rng, L, lambda: zero_heavy(rng, field))
+                assert_matches_oracles(L, r)
+                assert (is_strongly_symmetric(r)
+                        == strongly_symmetric_by_definition(r))
+                assert is_skew_symmetric(r) == all(
+                    r.k[i][j] == -r.k[j][i]
+                    for i in range(n) for j in range(n))
+                with pytest.raises(UncoveredRegime):
+                    classify_solution(L, r)
+        for flat in (abelian(4, field), abelian(5, field)):
+            for _ in range(6):
+                r = rand_grid(rng, flat, lambda: zero_heavy(rng, field))
+                want = {SolutionLabel.ABELIAN}
+                if strongly_symmetric_by_definition(r):
+                    want.add(SolutionLabel.STRONGLY_SYMMETRIC)
+                if is_skew_symmetric(r):
+                    want.add(SolutionLabel.SKEW_SYMMETRIC)
+                assert classify_solution(flat, r) == want
 
 
 def test_kernels_match_oracles_past_the_int_str_limit():
