@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import FieldError
+from .scalars import FieldError, show
 from .solve import (
     FORMS_MAX_DIM,
     UncoveredRegime,
@@ -281,8 +281,7 @@ def bialgebra_check(L, r):
     consts, c_scale = _int_constants(L)
     k, d_scale = _lift_grid(L, r)
     if n <= FORMS_MAX_DIM:
-        co, jac, comp = (forms.flat(field, k, d_scale)
-                         for forms in _axiom_forms(L))
+        co, jac, comp = (forms.flat(field, k) for forms in _axiom_forms(L))
     else:
         imgs = _images(n, consts, k)
         co, jac, comp = (field.reduce(_coantisymmetry_ints(n, imgs)),
@@ -362,5 +361,6 @@ def triangular_predicate(L, r):
         if delta == L.field.one():
             return not r.s
         raise UncoveredRegime(
-            f"no triangular closed form for beta={beta}, delta={delta}")
+            f"no triangular closed form for beta={show(beta)}, "
+            f"delta={show(delta)}")
     return True

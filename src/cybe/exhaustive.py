@@ -135,7 +135,7 @@ def _residual_checks(L, p):
 
 def _label_checks(record, n, p, params):
     """lhs - rhs of each condition of the record, on the grid of cell
-    polynomials and the table's parameters (residues)."""
+    polynomials and the table's parameters (see `_condition_polys`)."""
     conds = tuple(chain(record.shape, record.side))
     return [Check(_mod(poly, p), cond.nonzero)
             for cond, poly in zip(conds, _condition_polys(conds, n, params))]
@@ -469,13 +469,12 @@ def verify_classification(L, budget=DEFAULT_BUDGET):
         # strong symmetry is sufficient on every table: a partial check
         records = (strong_record(L.n),)
         empirical_only = True
-    params = tuple(None if v is None else int(v) for v in table[1:])
     total = candidate_count(L.n, p)
 
     covered = np.zeros(ids.size, dtype=bool)
     label_counts, outside = {}, [ids[:0]]
     for rec in records:
-        checks = _label_checks(rec, L.n, p, params)
+        checks = _label_checks(rec, L.n, p, table[1:])
         if not checks and ids.size == total:   # the truth set is ids itself
             covered[:] = True
             label_counts[rec.label.value] = int(ids.size)

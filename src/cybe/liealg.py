@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .scalars import QQ, FieldError, clip
+from .scalars import QQ, FieldError, clip, show
 
 
 class LieAlgebra:
@@ -119,7 +119,7 @@ def family_ii(alpha, beta, field=QQ, _label=None, strict=True):
         (1, 2): [alpha, zero, zero],    # [e2,e3] = alpha e1
         (0, 2): [zero, -beta, zero],    # [e1,e3] = -beta e2, i.e. [e3,e1] = beta e2
     }
-    label = _label or f"II(alpha={alpha}, beta={beta})"
+    label = _label or f"II(alpha={show(alpha)}, beta={show(beta)})"
     return _table(3, field, entries, label)
 
 
@@ -143,7 +143,7 @@ def solvable_table(beta, delta, field=QQ, _label=None):
         (0, 2): [one, beta, zero],     # [e1,e3] = e1 + beta e2
         (1, 2): [zero, delta, zero],   # [e2,e3] = delta e2
     }
-    label = _label or f"solvable(beta={beta}, delta={delta})"
+    label = _label or f"solvable(beta={show(beta)}, delta={show(delta)})"
     return _table(3, field, entries, label)
 
 
@@ -153,8 +153,8 @@ def family_iv(beta, delta, field=QQ):
     if not delta_s:
         raise ValueError("family IV needs delta != 0 (beta=delta=0 is family V)")
     beta_s = _as_scalar(beta, field)
-    return solvable_table(beta_s, delta_s, field,
-                          _label=f"IV(beta={beta_s}, delta={delta_s})")
+    label = f"IV(beta={show(beta_s)}, delta={show(delta_s)})"
+    return solvable_table(beta_s, delta_s, field, _label=label)
 
 
 def family_v(field=QQ):

@@ -38,6 +38,15 @@ def clip(text):
     return f"{text[:ECHO_CAP]}... ({len(text)} characters)"
 
 
+def show(value):
+    """str(value), or "..." for a scalar past Python's int-to-str digit
+    limit (4,300 by default), where str() raises ValueError."""
+    try:
+        return str(value)
+    except ValueError:
+        return "..."
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIME_LIMIT = 2 ** 64
 

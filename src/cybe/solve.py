@@ -26,11 +26,14 @@ integer forms in the lifted grid: a kernel or a condition runs once on the
 grid of cell polynomials (`_Poly`), the coefficients are reduced in the
 field, the forms that vanish identically are dropped, and the rest become
 one straight-line Python function (`_compile_forms`) that each tensor's
-lifted grid (`Tensor2.lifted`) is evaluated on.  The label conditions of a
-regime (classify_solution), the strong and skew symmetry of a grid and the
-alpha,beta-skew class are made so here, the bialgebra axioms in
-`bialgebra`.  This holds up to FORMS_MAX_DIM = 3; above it the kernels and
-Condition.holds run as they are.
+lifted grid (`Tensor2.lifted`) is evaluated on.  The table's parameters
+are coefficients, so every form is homogeneous in the grid and vanishes
+on the lifted grid exactly where it does on r; any other is refused.  The
+label conditions of a regime (classify_solution), the strong and skew
+symmetry of a grid and the alpha,beta-skew class (per field, alpha and
+beta) are made so here, the bialgebra axioms in `bialgebra`.  This holds
+up to FORMS_MAX_DIM = 3; above it the kernels and Condition.holds run as
+they are.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -69,7 +72,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .liealg import _as_scalar, family_ii, family_vi, solvable_table
-from .scalars import FieldError, clip
+from .scalars import FieldError, ModP, clip, show
 from .tensor import NAMED_CELLS, Tensor2, Tensor3
 
 
@@ -288,18 +291,18 @@ def _compile_forms(polys, field=None):
 
 class _Forms(NamedTuple):
     """Compiled integer forms in flat int variables (`_compile_forms`):
-    run(k, d) is the tuple of the values, on the variables k lifted over
-    the scale d, of the `size` forms given that do not vanish identically;
-    slots[i] is the index of value i among them."""
+    run(k) is the tuple of the values, on the variables k, of the `size`
+    forms given that do not vanish identically; slots[i] is the index of
+    value i among them."""
 
     slots: tuple
     size: int
     run: Callable
 
-    def flat(self, field, k, d):
+    def flat(self, field, k):
         """All `size` values reduced in the field, a list, or None when
         every one is zero."""
-        vals = field.reduce(self.run(k, d))
+        vals = field.reduce(self.run(k))
         if not any(vals):
             return None
         out = [0] * self.size
@@ -309,18 +312,17 @@ class _Forms(NamedTuple):
 
 
 def _straight_line(forms):
-    """One function run(k, d) -> the tuple of the values of forms, dicts
+    """One function run(k) -> the tuple of the values of forms, dicts
     monomial -> int coefficient in the variables k[i], as straight-line
     Python.  Each monomial is computed once, one of degree e > 1 from the
-    one of its first e - 1 variables, and identical forms once.  A form
-    whose monomials differ in degree is made homogeneous in d: a
-    monomial of degree e in a form of degree g is multiplied by d^(g - e),
-    so on variables lifted over d it gives d^g times the form's value,
-    which is zero exactly where that value is.  Coefficients are bound as
-    closure variables, never written as literals: an int past 4,300 digits
-    has no str().  Up to FORMS_MAX_DIM a form has a few dozen terms,
-    which CPython's compiler nests easily."""
-    body, monos, powers, coefs, done, outs = [], {}, {}, {}, {}, []
+    one of its first e - 1 variables, and identical forms once.  Every form
+    must be homogeneous: then on a grid lifted over its denominator D a
+    form of degree g reads D^g times its value, zero exactly where the
+    value is; a form whose monomials differ in degree raises ValueError.
+    Coefficients are bound as closure variables, never written as
+    literals: an int past 4,300 digits has no str().  Up to FORMS_MAX_DIM
+    a form has a few dozen terms, which CPython's compiler nests easily."""
+    body, monos, coefs, done, outs = [], {}, {}, {}, []
 
     def mono(m):
         name = monos.get(m)
@@ -329,30 +331,23 @@ def _straight_line(forms):
                 name = f"k{m[0]}"
                 body.append(f"{name} = k[{m[0]}]")
             else:
+                # the prefix first: naming it takes a name of its own
+                line = f"{mono(m[:-1])} * {mono(m[-1:])}"
                 name = f"m{len(monos)}"
-                body.append(f"{name} = {mono(m[:-1])} * {mono(m[-1:])}")
+                body.append(f"{name} = {line}")
             monos[m] = name
         return name
 
-    def power(e):
-        name = powers.get(e)
-        if name is None:
-            name = powers[e] = f"d{e}"
-            body.append(f"{name} = {power(e - 1)} * d" if e > 1
-                        else f"{name} = d")
-        return name
-
     for form in forms:
+        if len(set(map(len, form))) > 1:
+            raise ValueError(f"form not homogeneous: {sorted(form)}")
         key = frozenset(form.items())
         name = done.get(key)
         if name is None:
             name = done[key] = f"f{len(done)}"
-            top = max(map(len, form))
             terms = []
             for m, c in form.items():
                 factors = [mono(m)] if m else []
-                if len(m) < top:
-                    factors.append(power(top - len(m)))
                 if abs(c) != 1 or not factors:
                     factors.insert(0, coefs.setdefault(abs(c),
                                                        f"c{len(coefs)}"))
@@ -360,7 +355,7 @@ def _straight_line(forms):
             body.append(f"{name} = {' '.join(terms).removeprefix('+ ')}")
         outs.append(name)
     source = (f"def make({', '.join(coefs.values())}):\n"
-              "    def run(k, d):\n"
+              "    def run(k):\n"
               + "".join(f"        {line}\n" for line in body)
               + f"        return ({''.join(o + ', ' for o in outs)})\n"
               "    return run\n")
@@ -664,18 +659,19 @@ def regime_records(L, table):
     if not beta and not delta:
         return V_CASE1, V_CASE2
     raise UncoveredRegime(
-        f"solvable table with beta={beta}, delta={delta} is outside the "
-        "classified regimes (need beta=0, or beta!=0 with delta=1)")
+        f"solvable table with beta={show(beta)}, delta={show(delta)} is "
+        "outside the classified regimes (need beta=0, or beta!=0 with "
+        "delta=1)")
 
 
 def _condition_polys(conditions, n, params):
     """lhs - rhs of each condition on the grid of cell polynomials, as a
-    _Poly with int coefficients.  params are the table's parameters, as
-    scalars or as polynomials in further variables; the denominators of
-    rational ones are cleared, which keeps each polynomial's zeros."""
+    _Poly with int coefficients.  The table's parameters params become
+    int coefficients here: a ModP its residue, and the denominators of
+    Fractions are cleared, which keeps each polynomial's zeros."""
     cells = _cell_polys(n)
     c = Coefficients(n, [cells[i * n:i * n + n] for i in range(n)], None,
-                     params)
+                     [int(v) if isinstance(v, ModP) else v for v in params])
     polys = []
     for cond in conditions:
         val = cond.lhs(c)
@@ -718,10 +714,9 @@ class _RecordForms(NamedTuple):
                                 for label, (zeros, nonzeros) in tests.items()
                                 if label not in never))
 
-    def labels(self, field, k, d):
-        """The labels of the records that hold on the variables k lifted
-        over d."""
-        vals = field.reduce(self.forms.run(k, d))
+    def labels(self, field, k):
+        """The labels of the records that hold on the lifted grid k."""
+        vals = field.reduce(self.forms.run(k))
         return [label for label, zeros, nonzeros in self.records
                 if not any(vals[i] for i in zeros)
                 and all(vals[i] for i in nonzeros)]
@@ -733,10 +728,7 @@ def _regime_forms(L):
     made once per table (tables are immutable and hash by identity).
     Raises UncoveredRegime outside the classified regimes."""
     table = recognize_table(L)
-    prime = L.field.kind == "prime"
-    params = tuple(int(v) if prime and v is not None else v
-                   for v in table[1:])
-    return _RecordForms.of(regime_records(L, table), L.n, params, L.field)
+    return _RecordForms.of(regime_records(L, table), L.n, table[1:], L.field)
 
 
 def classify_solution(L, r):
@@ -748,8 +740,7 @@ def classify_solution(L, r):
     """
     _same_space(L, r)
     if L.n <= FORMS_MAX_DIM:
-        k, d = r.lifted()
-        return set(_regime_forms(L).labels(L.field, k, d))
+        return set(_regime_forms(L).labels(L.field, r.lifted()[0]))
     table = recognize_table(L)
     c = Coefficients(r.n, r.k, r.field, table[1:])
     return {rec.label for rec in regime_records(L, table) if rec.holds(c)}
@@ -766,8 +757,7 @@ def _grid_holds(record_of, r):
     """Whether record_of(r.n), strong_record or skew_record, holds on r."""
     if r.n > FORMS_MAX_DIM:
         return record_of(r.n).holds(r)
-    k, d = r.lifted()
-    return bool(_grid_forms(record_of, r.n).labels(r.field, k, d))
+    return bool(_grid_forms(record_of, r.n).labels(r.field, r.lifted()[0]))
 
 
 def is_strongly_symmetric(r):
@@ -780,24 +770,24 @@ def is_skew_symmetric(r):
     return _grid_holds(skew_record, r)
 
 
-@lru_cache(maxsize=1)
-def _alpha_beta_forms():
-    """ALPHA_BETA_SKEW compiled once, alpha and beta as the variables 9 and
-    10 after the dim-3 grid: its conditions are not homogeneous in these."""
-    alpha, beta = _Poly({(9,): 1}), _Poly({(10,): 1})
-    return _RecordForms.of((ALPHA_BETA_SKEW,), 3, (alpha, beta, None))
+@lru_cache(maxsize=8)
+def _alpha_beta_forms(field, alpha, beta):
+    """ALPHA_BETA_SKEW compiled with alpha and beta, scalars of the field,
+    as coefficients, as `_regime_forms` compiles a regime's records."""
+    return _RecordForms.of((ALPHA_BETA_SKEW,), 3, (alpha, beta, None), field)
 
 
 def is_alpha_beta_skew(r, alpha, beta):
     """Dim-3 class: p=-q, s=-t, u=-v, x=alpha z, y=beta z and
     alpha beta z^2 + beta s^2 + alpha u^2 + p^2 = 0.  alpha and beta are
-    ints or scalars of r's field; others raise FieldError."""
+    ints or scalars of r's field; others raise FieldError.  The class is
+    compiled per (field, alpha, beta), in about 0.3 ms; the last 8 are kept."""
     if r.n != 3:
         raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
     field = r.field
-    k, d = field.lift([v for row in r.k for v in row]
-                      + [_as_scalar(alpha, field), _as_scalar(beta, field)])
-    return bool(_alpha_beta_forms().labels(field, k, d))
+    forms = _alpha_beta_forms(field, _as_scalar(alpha, field),
+                              _as_scalar(beta, field))
+    return bool(forms.labels(field, r.lifted()[0]))
 
 
 def symmetry_flags(r, alpha=None, beta=None):

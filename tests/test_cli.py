@@ -140,10 +140,11 @@ def test_reports_match_golden_snapshots(capsys):
 
 
 @pytest.mark.parametrize("verb", ["check", "bialgebra"])
-@pytest.mark.parametrize("stem", ["sl2_q", "ii_f101", "iv_f7"])
+@pytest.mark.parametrize("stem", ["sl2_q", "ii_q", "ii_f101", "iv_f7"])
 def test_witness_reports_match_golden_snapshots(capsys, stem, verb):
     # random, skew and strongly symmetric tensors, so residual, co-Jacobi
-    # and coantisymmetry witnesses, byte for byte as recorded in
+    # and coantisymmetry witnesses, and on ii_q (alpha = 1/4, beta = -1)
+    # alpha,beta-skew ones, byte for byte as recorded in
     # tests/data/witnesses (<stem>.<verb>.golden.json)
     assert run([verb, "-i", os.path.join(WITNESSES, stem + ".json")]) == 1
     golden = os.path.join(WITNESSES, f"{stem}.{verb}.golden.json")

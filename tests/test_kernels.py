@@ -72,6 +72,7 @@ from cybe.solve import (
     _conditions,
     _int_constants,
     _RecordForms,
+    _straight_line,
     regime_records,
     skew_record,
     strong_record,
@@ -378,13 +379,13 @@ def test_axiom_forms_equal_the_kernels(field):
         consts, _ = _int_constants(L)
         forms = _axiom_forms(L)
         for r in sample_grids(rng, L, 8):
-            k, d = field.lift([v for row in r.k for v in row])
+            k, _ = field.lift([v for row in r.k for v in row])
             imgs = _images(n, consts, k)
             kernels = (_coantisymmetry_ints(n, imgs), _cojacobi_ints(n, imgs),
                        _compatibility_ints(n, consts, imgs))
             for compiled, ints in zip(forms, kernels):
                 want = field.reduce(ints)
-                got = compiled.flat(field, k, d)
+                got = compiled.flat(field, k)
                 assert got == (want if any(want) else None), (L, r)
 
 
@@ -427,26 +428,28 @@ def test_label_forms_equal_the_conditions(field):
     assert set(SolutionLabel) - {SolutionLabel.HEISENBERG_CASE1} <= hits
 
 
-def test_inhomogeneous_conditions_scale_with_the_grid():
-    # x = 1 reads 1 against the grid's denominator D: the form X - D on
-    # the lifted entry X = D x, zero exactly where x = 1
-    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("x = 1"),
-                      _conditions("p^2 + q = 2, z - 1 != 0"), "")
+def test_inhomogeneous_conditions_are_refused():
+    # every compiled form is read on a grid lifted over its denominator D,
+    # which scales a form of degree g by D^g: one whose monomials differ in
+    # degree would be miscompiled over Q, so it is refused
+    for text in ("x = 1", "p^2 + q = 2", "xy = z"):
+        rec = LabelRecord(SolutionLabel.ABELIAN, _conditions(text), (), "")
+        with pytest.raises(ValueError, match="not homogeneous"):
+            _RecordForms.of((rec,), 3, (None, None, None))
+
+
+def test_straight_line_names_a_monomial_after_its_prefix():
+    # xyz is computed from its prefix xy, which needs a name of its own
+    run = _straight_line([{(0, 1, 2): 1}, {(0, 1): 1}])
+    assert run([2, 3, 5]) == (30, 6)
+    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("xyz = 0, xy = 0"),
+                      (), "")
     forms = _RecordForms.of((rec,), 3, (None, None, None))
-    f = Fraction
-    seen = set()
-    for x, p, q, z, t in product((f(1), f(1, 2), f(2), f(0)),
-                                 (f(1), f(1, 2), f(0)),
-                                 (f(1), f(7, 4), f(2)),
-                                 (f(1), f(1, 3), f(0)),
-                                 (f(0), f(1, 5))):
-        r = Tensor2.from_rows([[x, p, f(0)], [q, f(0), f(0)], [t, f(0), z]],
-                              QQ)
-        k, d = QQ.lift([v for row in r.k for v in row])
-        got = bool(forms.labels(QQ, k, d))
-        assert got == rec.holds(r), (x, p, q, z, t)
-        seen.add(got)
-    assert seen == {True, False}
+    for diag in ((2, 3, 0), (2, 0, 5), (0, 0, 0)):
+        r = Tensor2.from_rows([[Fraction(v if i == j else 0)
+                                for j, v in enumerate(diag)]
+                               for i in range(3)], QQ)
+        assert bool(forms.labels(QQ, r.lifted()[0])) == rec.holds(r), diag
 
 
 def test_compatibility_on_a_table_that_is_not_lie():
@@ -520,6 +523,33 @@ def test_kernels_match_oracles_past_the_int_str_limit():
         c = Coefficients(3, r.k, QQ, table[1:])
         assert classify_solution(L, r) == {
             rec.label for rec in regime_records(L, table) if rec.holds(c)}
+
+
+def test_tables_whose_parameters_have_no_str():
+    # alpha = beta = 1/10^4400 print past the int-to-str limit: recognition
+    # and classification never print them, an uncovered solvable table with
+    # such a beta still raises UncoveredRegime, and family_iv builds it
+    f = Fraction
+    tiny = f(1, 10 ** 4400)
+    L = from_constants(3, _pairs((0, 1, 2, f(1)), (1, 2, 0, tiny),
+                                 (0, 2, 1, -tiny)), QQ)
+    table = recognize_table(L)
+    assert table == ("ii", tiny, tiny, None)
+    rng = random.Random(0x4400)
+    for r in dict.fromkeys(sample_grids(rng, L, 2)):
+        c = Coefficients(3, r.k, QQ, table[1:])
+        assert classify_solution(L, r) == {
+            rec.label for rec in regime_records(L, table) if rec.holds(c)}
+    S = from_constants(3, _pairs((0, 2, 0, f(1)), (0, 2, 1, tiny),
+                                 (1, 2, 1, f(2))), QQ)
+    assert recognize_table(S) == ("solvable", None, tiny, f(2))
+    with pytest.raises(UncoveredRegime, match=r"beta=\.\.\., delta=2 "):
+        regime_records(S, recognize_table(S))
+    zero = Tensor2.from_rows([[f(0)] * 3] * 3, QQ)
+    for check in (classify_solution, triangular_predicate):
+        with pytest.raises(UncoveredRegime):
+            check(S, zero)
+    assert family_iv(tiny, 2, QQ).c == S.c
 
 
 @pytest.mark.parametrize("check", [
