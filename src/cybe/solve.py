@@ -28,12 +28,12 @@ field, the forms that vanish identically are dropped, and the rest become
 one straight-line Python function (`_compile_forms`) that each tensor's
 lifted grid (`Tensor2.lifted`) is evaluated on.  The table's parameters
 are coefficients, so every form is homogeneous in the grid and vanishes
-on the lifted grid exactly where it does on r; any other is refused.  The
-label conditions of a regime (classify_solution), the strong and skew
-symmetry of a grid and the alpha,beta-skew class (per field, alpha and
-beta) are made so here, the bialgebra axioms in `bialgebra`.  This holds
-up to FORMS_MAX_DIM = 3; above it the kernels and Condition.holds run as
-they are.
+on the lifted grid exactly where it does on r; any other is refused.  Each
+label record, which classify_solution and the symmetry predicates both
+read, is made so here per (record, dimension, parameters, field), and the
+last 8 are kept (`_record_forms`); the bialgebra axioms are made per
+table in `bialgebra`.  This holds up to FORMS_MAX_DIM = 3; above it the
+kernels and Condition.holds run as they are.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -61,7 +61,7 @@ import enum
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import (
     chain,
     combinations,
@@ -86,9 +86,26 @@ class SideConditionError(ValueError):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    residual: Tensor3
-    is_zero: bool
+    """The CYBE residual of a tensor in dim n over the field, by its
+    nonzero entries."""
+
     nonzero_entries: tuple  # (((i, j, m), value), ...) 1-based positions
+    n: int
+    field: object
+
+    @property
+    def is_zero(self):
+        return not self.nonzero_entries
+
+    @cached_property
+    def residual(self):
+        """The dense residual Tensor3, built when first read."""
+        n, zero = self.n, self.field.zero()
+        t = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        for (a, b, c), val in self.nonzero_entries:
+            t[a - 1][b - 1][c - 1] = val
+        return Tensor3(n, tuple(tuple(tuple(row) for row in plane)
+                                for plane in t), self.field)
 
 
 @lru_cache(maxsize=64)
@@ -179,16 +196,9 @@ def cybe_residual(L, r):
     consts, c_scale = _int_constants(L)
     k, d_scale = _lift_grid(L, r)
     n, field = L.n, L.field
-    t = field.reduce(_residual_ints(n, consts, k))
-    scale, zero = c_scale * d_scale * d_scale, field.zero()
-    vals = [field.unlift(v, scale) if v else zero for v in t]
-    nonzero = tuple((cell, val) for cell, val, v
-                    in zip(_grid_cells(n, 3), vals, t) if v)
-    nn = n * n
-    residual = Tensor3(n, tuple(
-        tuple(tuple(vals[row:row + n]) for row in range(plane, plane + nn, n))
-        for plane in range(0, n * nn, nn)), field)
-    return ResidualReport(residual, not nonzero, nonzero)
+    return ResidualReport(_nonzero_entries(
+        field, _residual_ints(n, consts, k), c_scale * d_scale * d_scale,
+        n, 3), n, field)
 
 
 def is_cybe_solution(L, r):
@@ -687,48 +697,46 @@ def _condition_polys(conditions, n, params):
 
 
 class _RecordForms(NamedTuple):
-    """Label records compiled: `forms` holds the lhs - rhs of their
-    conditions, and `records` is (label, zeros, nonzeros) for each record
-    that can hold, with the positions among the values of `forms` that
-    must vanish and those that must not.  A record with a != 0 condition
-    that vanishes identically is left out."""
+    """One label record compiled (`_record_forms`): `forms` holds the
+    lhs - rhs of its conditions, `zeros` the positions among their values
+    that must vanish and `nonzeros` those that must not."""
 
     forms: _Forms
-    records: tuple
+    zeros: tuple
+    nonzeros: tuple
 
-    @classmethod
-    def of(cls, records, n, params, field=None):
-        conds = [(rec.label, cond) for rec in records
-                 for cond in chain(rec.shape, rec.side)]
-        forms = _compile_forms(
-            _condition_polys([cond for _, cond in conds], n, params), field)
-        at = {slot: i for i, slot in enumerate(forms.slots)}
-        tests = {rec.label: ([], []) for rec in records}
-        never = set()
-        for slot, (label, cond) in enumerate(conds):
-            if slot in at:
-                tests[label][cond.nonzero].append(at[slot])
-            elif cond.nonzero:
-                never.add(label)
-        return cls(forms, tuple((label, tuple(zeros), tuple(nonzeros))
-                                for label, (zeros, nonzeros) in tests.items()
-                                if label not in never))
-
-    def labels(self, field, k):
-        """The labels of the records that hold on the lifted grid k."""
+    def holds(self, field, k):
+        """Whether the record holds on the lifted grid k."""
         vals = field.reduce(self.forms.run(k))
-        return [label for label, zeros, nonzeros in self.records
-                if not any(vals[i] for i in zeros)
-                and all(vals[i] for i in nonzeros)]
+        return (not any(vals[i] for i in self.zeros)
+                and all(vals[i] for i in self.nonzeros))
 
 
 @lru_cache(maxsize=8)
-def _regime_forms(L):
-    """The records of L's regime compiled, its parameters as coefficients:
-    made once per table (tables are immutable and hash by identity).
-    Raises UncoveredRegime outside the classified regimes."""
-    table = recognize_table(L)
-    return _RecordForms.of(regime_records(L, table), L.n, table[1:], L.field)
+def _record_forms(record, n, params, field):
+    """record compiled in dim n, the table's parameters params as integer
+    coefficients and the forms reduced in the field, or None when one of
+    its != 0 conditions vanishes identically, so that it never holds."""
+    conds = tuple(chain(record.shape, record.side))
+    forms = _compile_forms(_condition_polys(conds, n, params), field)
+    at = {slot: i for i, slot in enumerate(forms.slots)}
+    tests = ([], [])
+    for slot, cond in enumerate(conds):
+        if slot in at:
+            tests[cond.nonzero].append(at[slot])
+        elif cond.nonzero:
+            return None
+    return _RecordForms(forms, tuple(tests[0]), tuple(tests[1]))
+
+
+def _holds(record, r, params=(None, None, None)):
+    """Whether r carries record's label, params the parameters (alpha,
+    beta, delta) of r's table: compiled forms up to FORMS_MAX_DIM, the
+    record's conditions on a Coefficients view above."""
+    if r.n > FORMS_MAX_DIM:
+        return record.holds(Coefficients(r.n, r.k, r.field, params))
+    forms = _record_forms(record, r.n, params, r.field)
+    return forms is not None and forms.holds(r.field, r.lifted()[0])
 
 
 def classify_solution(L, r):
@@ -739,55 +747,32 @@ def classify_solution(L, r):
     FieldError when r does not live on L.
     """
     _same_space(L, r)
-    if L.n <= FORMS_MAX_DIM:
-        return set(_regime_forms(L).labels(L.field, r.lifted()[0]))
     table = recognize_table(L)
-    c = Coefficients(r.n, r.k, r.field, table[1:])
-    return {rec.label for rec in regime_records(L, table) if rec.holds(c)}
-
-
-@lru_cache(maxsize=8)
-def _grid_forms(record_of, n):
-    """The compiled record_of(n), strong_record or skew_record, for
-    n <= FORMS_MAX_DIM."""
-    return _RecordForms.of((record_of(n),), n, (None, None, None))
-
-
-def _grid_holds(record_of, r):
-    """Whether record_of(r.n), strong_record or skew_record, holds on r."""
-    if r.n > FORMS_MAX_DIM:
-        return record_of(r.n).holds(r)
-    return bool(_grid_forms(record_of, r.n).labels(r.field, r.lifted()[0]))
+    return {rec.label for rec in regime_records(L, table)
+            if _holds(rec, r, table[1:])}
 
 
 def is_strongly_symmetric(r):
     """Symmetric grid with k[i][j]k[l][m] = k[i][l]k[j][m] for all index
     quadruples, checked through the 2x2 minors (see strong_record)."""
-    return _grid_holds(strong_record, r)
+    return _holds(strong_record(r.n), r)
 
 
 def is_skew_symmetric(r):
-    return _grid_holds(skew_record, r)
-
-
-@lru_cache(maxsize=8)
-def _alpha_beta_forms(field, alpha, beta):
-    """ALPHA_BETA_SKEW compiled with alpha and beta, scalars of the field,
-    as coefficients, as `_regime_forms` compiles a regime's records."""
-    return _RecordForms.of((ALPHA_BETA_SKEW,), 3, (alpha, beta, None), field)
+    return _holds(skew_record(r.n), r)
 
 
 def is_alpha_beta_skew(r, alpha, beta):
     """Dim-3 class: p=-q, s=-t, u=-v, x=alpha z, y=beta z and
     alpha beta z^2 + beta s^2 + alpha u^2 + p^2 = 0.  alpha and beta are
-    ints or scalars of r's field; others raise FieldError.  The class is
-    compiled per (field, alpha, beta), in about 0.3 ms; the last 8 are kept."""
+    ints or scalars of r's field; others raise FieldError.  Like every
+    label record, the class is compiled per (record, dimension,
+    parameters, field), in about 0.3 ms, and the last 8 are kept."""
     if r.n != 3:
         raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
     field = r.field
-    forms = _alpha_beta_forms(field, _as_scalar(alpha, field),
-                              _as_scalar(beta, field))
-    return bool(forms.labels(field, r.lifted()[0]))
+    return _holds(ALPHA_BETA_SKEW, r, (_as_scalar(alpha, field),
+                                       _as_scalar(beta, field), None))
 
 
 def symmetry_flags(r, alpha=None, beta=None):

@@ -8,11 +8,12 @@ denominators, structure constants that are not integers (C > 1), prime
 fields from F_3 to F_(2^61 - 1), and every dim-2 grid over F_3.
 
 Up to FORMS_MAX_DIM the library evaluates the axioms and the label
-conditions as integer forms compiled once per table; those are played here
-against the kernels they are made from and against Condition.holds, on
-every built-in table and on dim-4 ones, and the library's verdicts against
-the oracles on a table that is not Lie, on tables above FORMS_MAX_DIM and
-on one whose lifted constants have more digits than an int's str() allows.
+conditions as integer forms, compiled once per table and once per label
+record; those are played here against the kernels they are made from and
+against Condition.holds, on every built-in table and on dim-4 ones, and
+the library's verdicts against the oracles on a table that is not Lie, on
+tables above FORMS_MAX_DIM and on one whose lifted constants have more
+digits than an int's str() allows.
 """
 
 import random
@@ -70,8 +71,9 @@ from cybe.solve import (
     Coefficients,
     LabelRecord,
     _conditions,
+    _holds,
     _int_constants,
-    _RecordForms,
+    _record_forms,
     _straight_line,
     regime_records,
     skew_record,
@@ -435,7 +437,7 @@ def test_inhomogeneous_conditions_are_refused():
     for text in ("x = 1", "p^2 + q = 2", "xy = z"):
         rec = LabelRecord(SolutionLabel.ABELIAN, _conditions(text), (), "")
         with pytest.raises(ValueError, match="not homogeneous"):
-            _RecordForms.of((rec,), 3, (None, None, None))
+            _record_forms(rec, 3, (None, None, None), QQ)
 
 
 def test_straight_line_names_a_monomial_after_its_prefix():
@@ -444,12 +446,39 @@ def test_straight_line_names_a_monomial_after_its_prefix():
     assert run([2, 3, 5]) == (30, 6)
     rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("xyz = 0, xy = 0"),
                       (), "")
-    forms = _RecordForms.of((rec,), 3, (None, None, None))
+    forms = _record_forms(rec, 3, (None, None, None), QQ)
     for diag in ((2, 3, 0), (2, 0, 5), (0, 0, 0)):
         r = Tensor2.from_rows([[Fraction(v if i == j else 0)
                                 for j, v in enumerate(diag)]
                                for i in range(3)], QQ)
-        assert bool(forms.labels(QQ, r.lifted()[0])) == rec.holds(r), diag
+        assert forms.holds(QQ, r.lifted()[0]) == rec.holds(r), diag
+
+
+def test_dimension_records_are_compiled_once_per_dimension():
+    # the abelian regime's records read no parameter, so a second abelian
+    # table of the same dimension and field finds them compiled
+    rng = random.Random(0xAB)
+    r = rand_grid(rng, abelian(3, QQ), lambda: zero_heavy(rng, QQ))
+    want = classify_solution(abelian(3, QQ), r)
+    misses = _record_forms.cache_info().misses
+    assert classify_solution(abelian(3, QQ), r) == want
+    assert _record_forms.cache_info().misses == misses
+
+
+def test_a_vanishing_nonzero_condition_never_holds():
+    # p - p != 0 vanishes identically: the record compiles to None and
+    # holds on no grid, as its Condition.holds says
+    rec = LabelRecord(SolutionLabel.ABELIAN, (), _conditions("p - p != 0"),
+                      "p - p != 0")
+    rng = random.Random(0x99)
+    for field in (QQ, PrimeField(5)):
+        for n in (2, 3):
+            assert _record_forms(rec, n, (None, None, None), field) is None
+            L = abelian(n, field)
+            for _ in range(6):
+                r = rand_grid(rng, L, lambda: zero_heavy(rng, field))
+                c = Coefficients(n, r.k, field, (None, None, None))
+                assert not _holds(rec, r) and not rec.holds(c)
 
 
 def test_compatibility_on_a_table_that_is_not_lie():
