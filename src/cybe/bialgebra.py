@@ -21,12 +21,12 @@ compatibility.  The public checks on a Cobracket lift its images over their
 common denominator E instead (scales E^2 and C E).
 
 Each check is an int kernel (its arithmetic, a flat output list) and a
-witness extraction.  bialgebra_check runs the kernels once per table, on
-the images of the grid of cell polynomials, so that every output entry is
-a form in r's lifted grid, and evaluates the compiled forms on each r
-(`_axiom_forms`, see `solve`); compatibility has none left on a Lie table,
-where x . r is a cocycle for every r.  Above FORMS_MAX_DIM, and for the
-public checks on an arbitrary Cobracket, the kernels run on ints.
+witness extraction.  bialgebra_check reads the three as one flat list
+(`_axiom_ints`), which up to FORMS_MAX_DIM it gets from that list compiled
+once per table (`_axiom_forms`, see `solve`); on a Lie table, where x . r
+is a cocycle for every r, every compatibility entry is the literal 0.
+Above FORMS_MAX_DIM, and for the public checks on an arbitrary Cobracket,
+the kernels run on ints.
 
 coboundary_predicate / triangular_predicate are the independent closed forms
 for the classified regimes, kept deliberately separate so the test suite can
@@ -43,13 +43,14 @@ from .solve import (
     FORMS_MAX_DIM,
     UncoveredRegime,
     _cell_polys,
-    _compile_forms,
     _grid_cells,
     _int_constants,
     _lift_grid,
     _nonzero_entries,
+    _reduced,
     _residual_ints,
     _same_space,
+    _straight_line,
     is_skew_symmetric,
     recognize_table,
 )
@@ -184,41 +185,42 @@ def _compatibility_ints(n, consts, imgs):
             for lv, rj, ri in zip(left[i][j], ad[j][i], ad[i][j])]
 
 
+def _axiom_ints(n, consts, k):
+    """The three axiom kernels on the images of the flat grid k, as one
+    flat list: coantisymmetry, then co-Jacobi, then compatibility."""
+    imgs = _images(n, consts, k)
+    return (_coantisymmetry_ints(n, imgs) + _cojacobi_ints(n, imgs)
+            + _compatibility_ints(n, consts, imgs))
+
+
 @lru_cache(maxsize=8)
 def _axiom_forms(L):
-    """The three axiom kernels run once on the images of the grid of cell
-    polynomials, compiled: each output entry is a form in r's lifted grid,
-    linear (coantisymmetry, compatibility) or quadratic (co-Jacobi).  Made
-    once per table (tables are immutable and hash by identity).
-    Compatibility has no form left on a Lie table, where delta = x . r is
-    a cocycle."""
-    n = L.n
+    """`_axiom_ints` run once on the grid of cell polynomials, compiled:
+    a function of r's lifted grid k that returns `_axiom_ints` on k, each
+    entry a form, linear (coantisymmetry, compatibility) or quadratic
+    (co-Jacobi).  Made once per table (tables are immutable and hash by
+    identity)."""
     consts, _ = _int_constants(L)
-    imgs = _images(n, consts, _cell_polys(n))
-    return tuple(_compile_forms(ints, L.field) for ints in (
-        _coantisymmetry_ints(n, imgs), _cojacobi_ints(n, imgs),
-        _compatibility_ints(n, consts, imgs)))
+    return _straight_line(_reduced(
+        _axiom_ints(L.n, consts, _cell_polys(L.n)), L.field))
 
 
 def _coantisymmetry_failures(n, flat):
     """1-based w of each image whose entries of the reduced flat output of
-    `_coantisymmetry_ints` are not all zero (None: all are)."""
+    `_coantisymmetry_ints` are not all zero."""
     size = n * (n + 1) // 2
-    return () if flat is None else tuple(
-        w + 1 for w in range(n) if any(flat[w * size:(w + 1) * size]))
+    return tuple(w + 1 for w in range(n) if any(flat[w * size:(w + 1) * size]))
 
 
 def _witnesses(field, flat, scale, n, rank, keys):
     """((key, nonzero entries), ...) for each block of n^rank entries of
-    the flat int output of a kernel that is not all zero (None: all are),
-    the entries divided by scale (`_nonzero_entries`), keyed in order."""
-    if flat is None:
-        return ()
+    the flat int output of a kernel that is not all zero, the entries
+    divided by scale (`_nonzero_entries`), keyed in order."""
     size = n ** rank
     out = []
     for at, key in enumerate(keys):
-        entries = _nonzero_entries(field, flat[at * size:(at + 1) * size],
-                                   scale, n, rank)
+        block = flat[at * size:(at + 1) * size]
+        entries = any(block) and _nonzero_entries(field, block, scale, n, rank)
         if entries:
             out.append((key, entries))
     return tuple(out)
@@ -280,13 +282,10 @@ def bialgebra_check(L, r):
     n, field = L.n, L.field
     consts, c_scale = _int_constants(L)
     k, d_scale = _lift_grid(L, r)
-    if n <= FORMS_MAX_DIM:
-        co, jac, comp = (forms.flat(field, k) for forms in _axiom_forms(L))
-    else:
-        imgs = _images(n, consts, k)
-        co, jac, comp = (field.reduce(_coantisymmetry_ints(n, imgs)),
-                         _cojacobi_ints(n, imgs),
-                         _compatibility_ints(n, consts, imgs))
+    vals = field.reduce(_axiom_forms(L)(k) if n <= FORMS_MAX_DIM
+                        else _axiom_ints(n, consts, k))
+    cut = n * n * (n + 1) // 2
+    co, jac, comp = vals[:cut], vals[cut:cut + n ** 4], vals[cut + n ** 4:]
     scale = c_scale * d_scale
     co_w = _coantisymmetry_failures(n, co)
     jac_w = _witnesses(field, jac, scale * scale, n, 3, range(1, n + 1))

@@ -24,13 +24,15 @@ polynomials to get each cell as a quadratic form
 Checks that run on many tensors of one table are made once per table as
 integer forms in the lifted grid: a kernel or a condition runs once on the
 grid of cell polynomials (`_Poly`), the coefficients are reduced in the
-field, the forms that vanish identically are dropped, and the rest become
-one straight-line Python function (`_compile_forms`) that each tensor's
-lifted grid (`Tensor2.lifted`) is evaluated on.  The table's parameters
-are coefficients, so every form is homogeneous in the grid and vanishes
-on the lifted grid exactly where it does on r; any other is refused.  Each
-label record, which classify_solution and the symmetry predicates both
-read, is made so here per (record, dimension, parameters, field), and the
+field (`_reduced`), and the forms become one straight-line Python function
+(`_straight_line`) of each tensor's lifted grid (`Tensor2.lifted`).  It
+returns every value the kernel returns on that grid, in the kernel's
+order, with the literal 0 for a form that vanishes identically, so it
+stands in for the kernel.  The table's parameters are coefficients, so
+every form is homogeneous in the grid and vanishes on the lifted grid
+exactly where it does on r; any other is refused.  Each label record,
+which classify_solution and the symmetry predicates both read, is made so
+here per (record, dimension, the parameters it names, field), and the
 last 8 are kept (`_record_forms`); the bialgebra axioms are made per
 table in `bialgebra`.  This holds up to FORMS_MAX_DIM = 3; above it the
 kernels and Condition.holds run as they are.
@@ -281,54 +283,27 @@ def _cell_polys(n):
     return [_Poly({(i * n + j,): 1}) for i in range(n) for j in range(n)]
 
 
-def _compile_forms(polys, field=None):
-    """The polynomials polys (_Poly with int coefficients, or 0) as a
-    _Forms, their coefficients reduced in the field (over F_p to
-    -p/2..p/2, so -1 stays a negation), the ones that vanish identically
-    dropped.  field=None: no reduction, forms for any field."""
-    p = field.p if field is not None and field.kind == "prime" else None
-    slots, kept = [], []
-    for slot, poly in enumerate(polys):
-        if poly and p is not None:      # a kernel leaves an untouched 0
-            poly = {mono: c - p if 2 * c > p else c
-                    for mono, c in ((mono, c % p) for mono, c in poly.items())
-                    if c}
-        if poly:
-            slots.append(slot)
-            kept.append(poly)
-    return _Forms(tuple(slots), len(polys), _straight_line(kept))
-
-
-class _Forms(NamedTuple):
-    """Compiled integer forms in flat int variables (`_compile_forms`):
-    run(k) is the tuple of the values, on the variables k, of the `size`
-    forms given that do not vanish identically; slots[i] is the index of
-    value i among them."""
-
-    slots: tuple
-    size: int
-    run: Callable
-
-    def flat(self, field, k):
-        """All `size` values reduced in the field, a list, or None when
-        every one is zero."""
-        vals = field.reduce(self.run(k))
-        if not any(vals):
-            return None
-        out = [0] * self.size
-        for slot, v in zip(self.slots, vals):
-            out[slot] = v
-        return out
+def _reduced(polys, field):
+    """polys (_Poly with int coefficients, or 0) with their coefficients
+    reduced in the field: over F_p to -p/2..p/2, so -1 stays a negation."""
+    if field.kind != "prime":
+        return polys
+    p = field.p
+    return [{mono: c - p if 2 * c > p else c for mono, c in
+             ((mono, c % p) for mono, c in (poly or {}).items()) if c}
+            for poly in polys]
 
 
 def _straight_line(forms):
     """One function run(k) -> the tuple of the values of forms, dicts
-    monomial -> int coefficient in the variables k[i], as straight-line
-    Python.  Each monomial is computed once, one of degree e > 1 from the
-    one of its first e - 1 variables, and identical forms once.  Every form
-    must be homogeneous: then on a grid lifted over its denominator D a
-    form of degree g reads D^g times its value, zero exactly where the
-    value is; a form whose monomials differ in degree raises ValueError.
+    monomial -> int coefficient in the variables k[i] or 0, as
+    straight-line Python: run on a kernel's outputs on the cell grid, it
+    returns what the kernel returns on k, the literal 0 for a form that
+    vanishes identically.  Each monomial is computed once, one of degree
+    e > 1 from the one of its first e - 1 variables, and identical forms
+    once.  Every form must be homogeneous: then on a grid lifted over its
+    denominator D a form of degree g reads D^g times its value, zero
+    exactly where the value is; any other raises ValueError.
     Coefficients are bound as closure variables, never written as
     literals: an int past 4,300 digits has no str().  Up to FORMS_MAX_DIM
     a form has a few dozen terms, which CPython's compiler nests easily."""
@@ -349,6 +324,9 @@ def _straight_line(forms):
         return name
 
     for form in forms:
+        if not form:
+            outs.append("0")
+            continue
         if len(set(map(len, form))) > 1:
             raise ValueError(f"form not homogeneous: {sorted(form)}")
         key = frozenset(form.items())
@@ -697,17 +675,17 @@ def _condition_polys(conditions, n, params):
 
 
 class _RecordForms(NamedTuple):
-    """One label record compiled (`_record_forms`): `forms` holds the
-    lhs - rhs of its conditions, `zeros` the positions among their values
-    that must vanish and `nonzeros` those that must not."""
+    """One label record compiled (`_record_forms`): run(k) gives the
+    lhs - rhs of its conditions in order, `zeros` the positions of the
+    ones that must vanish and `nonzeros` of those that must not."""
 
-    forms: _Forms
+    run: Callable
     zeros: tuple
     nonzeros: tuple
 
     def holds(self, field, k):
         """Whether the record holds on the lifted grid k."""
-        vals = field.reduce(self.forms.run(k))
+        vals = field.reduce(self.run(k))
         return (not any(vals[i] for i in self.zeros)
                 and all(vals[i] for i in self.nonzeros))
 
@@ -718,15 +696,25 @@ def _record_forms(record, n, params, field):
     coefficients and the forms reduced in the field, or None when one of
     its != 0 conditions vanishes identically, so that it never holds."""
     conds = tuple(chain(record.shape, record.side))
-    forms = _compile_forms(_condition_polys(conds, n, params), field)
-    at = {slot: i for i, slot in enumerate(forms.slots)}
+    polys = _reduced(_condition_polys(conds, n, params), field)
+    if any(cond.nonzero and not poly for cond, poly in zip(conds, polys)):
+        return None
     tests = ([], [])
-    for slot, cond in enumerate(conds):
-        if slot in at:
-            tests[cond.nonzero].append(at[slot])
-        elif cond.nonzero:
-            return None
-    return _RecordForms(forms, tuple(tests[0]), tuple(tests[1]))
+    for i, cond in enumerate(conds):
+        tests[cond.nonzero].append(i)
+    return _RecordForms(_straight_line(polys), *map(tuple, tests))
+
+
+@lru_cache(maxsize=8)
+def _table_record_forms(record, n, params, field):
+    """`_record_forms` on a table with parameters params, with None for
+    each one record's conditions do not name, so that every table that
+    agrees on the named ones shares one compiled record.  Its own cache
+    makes a hit one lookup."""
+    text = " ".join(cond.text for cond in chain(record.shape, record.side))
+    return _record_forms(record, n, tuple(
+        v if name in text else None
+        for v, name in zip(params, ("alpha", "beta", "delta"))), field)
 
 
 def _holds(record, r, params=(None, None, None)):
@@ -735,7 +723,7 @@ def _holds(record, r, params=(None, None, None)):
     record's conditions on a Coefficients view above."""
     if r.n > FORMS_MAX_DIM:
         return record.holds(Coefficients(r.n, r.k, r.field, params))
-    forms = _record_forms(record, r.n, params, r.field)
+    forms = _table_record_forms(record, r.n, params, r.field)
     return forms is not None and forms.holds(r.field, r.lifted()[0])
 
 

@@ -35,6 +35,11 @@ SAMPLES = os.path.join(ROOT, "problems")
 SRC = os.path.join(ROOT, "src")
 GOLDEN = os.path.join(HERE, "data", "golden")
 WITNESSES = os.path.join(HERE, "data", "witnesses")
+# every problem file in WITNESSES, each with a golden report per verb
+WITNESS_STEMS = sorted(name.removesuffix(".json")
+                       for name in os.listdir(WITNESSES)
+                       if name.endswith(".json")
+                       and not name.endswith(".golden.json"))
 
 
 def sample(name):
@@ -139,9 +144,18 @@ def test_reports_match_golden_snapshots(capsys):
             assert capsys.readouterr().out == fh.read(), name
 
 
+def test_every_witness_fixture_has_its_goldens():
+    # the goldens are exactly a check and a bialgebra report per fixture
+    assert WITNESS_STEMS
+    want = {f"{stem}.{verb}.golden.json" for stem in WITNESS_STEMS
+            for verb in ("check", "bialgebra")}
+    have = {name for name in os.listdir(WITNESSES)
+            if name.endswith(".golden.json")}
+    assert have == want
+
+
 @pytest.mark.parametrize("verb", ["check", "bialgebra"])
-@pytest.mark.parametrize("stem", ["sl2_q", "ii_q", "ii_f101", "iv_f7",
-                                  "abelian3_q", "vi_f11", "sl2e4_q"])
+@pytest.mark.parametrize("stem", WITNESS_STEMS)
 def test_witness_reports_match_golden_snapshots(capsys, stem, verb):
     # random, skew and strongly symmetric tensors, so residual, co-Jacobi
     # and coantisymmetry witnesses, and on ii_q (alpha = 1/4, beta = -1)

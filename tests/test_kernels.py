@@ -55,10 +55,12 @@ from cybe import (
     recognize_table,
     sl2,
     solvable_table,
+    symmetry_flags,
     triangular_predicate,
 )
 from cybe.bialgebra import (
     _axiom_forms,
+    _axiom_ints,
     _coantisymmetry_ints,
     _cojacobi_ints,
     _compatibility_ints,
@@ -70,11 +72,14 @@ from cybe.solve import (
     GENERATORS,
     Coefficients,
     LabelRecord,
+    _cell_polys,
     _conditions,
     _holds,
     _int_constants,
     _record_forms,
+    _reduced,
     _straight_line,
+    _table_record_forms,
     regime_records,
     skew_record,
     strong_record,
@@ -374,7 +379,8 @@ FORM_FIELDS = [QQ, PrimeField(7), PrimeField(101)]
 
 @pytest.mark.parametrize("field", FORM_FIELDS, ids=repr)
 def test_axiom_forms_equal_the_kernels(field):
-    # each compiled form is the kernel's output entry on every lifted grid
+    # the compiled forms return every output entry of the kernels, run one
+    # by one or together, on every lifted grid
     rng = random.Random(repr(field))
     for L in builtin_tables(field):
         n = L.n
@@ -383,19 +389,22 @@ def test_axiom_forms_equal_the_kernels(field):
         for r in sample_grids(rng, L, 8):
             k, _ = field.lift([v for row in r.k for v in row])
             imgs = _images(n, consts, k)
-            kernels = (_coantisymmetry_ints(n, imgs), _cojacobi_ints(n, imgs),
-                       _compatibility_ints(n, consts, imgs))
-            for compiled, ints in zip(forms, kernels):
-                want = field.reduce(ints)
-                got = compiled.flat(field, k)
-                assert got == (want if any(want) else None), (L, r)
+            kernels = (_coantisymmetry_ints(n, imgs) + _cojacobi_ints(n, imgs)
+                       + _compatibility_ints(n, consts, imgs))
+            want = field.reduce(kernels)
+            assert want == field.reduce(_axiom_ints(n, consts, k)), (L, r)
+            assert list(field.reduce(forms(k))) == want, (L, r)
 
 
 def test_compatibility_forms_vanish_exactly_on_lie_tables():
     # x . r is a cocycle for every r exactly when ad is a representation
     for field in FORM_FIELDS:
         for L in builtin_tables(field):
-            assert (not _axiom_forms(L)[2].slots) == (not check_jacobi(L)), L
+            n = L.n
+            consts, _ = _int_constants(L)
+            comp = _compatibility_ints(n, consts, _images(n, consts,
+                                                          _cell_polys(n)))
+            assert (not any(_reduced(comp, field))) == (not check_jacobi(L)), L
 
 
 @pytest.mark.parametrize("field", FORM_FIELDS, ids=repr)
@@ -479,6 +488,46 @@ def test_a_vanishing_nonzero_condition_never_holds():
                 r = rand_grid(rng, L, lambda: zero_heavy(rng, field))
                 c = Coefficients(n, r.k, field, (None, None, None))
                 assert not _holds(rec, r) and not rec.holds(c)
+
+
+def test_a_form_that_vanishes_identically_reads_zero():
+    # such a form keeps its place among the values, as the literal 0
+    assert _straight_line([{}, {(0,): 1}])([5]) == (0, 5)
+    assert _straight_line([0, {(0,): -1}, {}])([5]) == (0, -5, 0)
+
+
+def test_a_vanishing_condition_keeps_the_others_in_place():
+    # p - p = 0 compiles to the literal 0, which the record's x != 0 must
+    # not be read in place of
+    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("p - p = 0"),
+                      _conditions("x != 0"), "x != 0")
+    rng = random.Random(0x98)
+    for field in (QQ, PrimeField(5)):
+        for n in (2, 3):
+            L = abelian(n, field)
+            held = set()
+            for r in sample_grids(rng, L, 6):
+                c = Coefficients(n, r.k, field, (None, None, None))
+                assert _holds(rec, r) == rec.holds(c), (field, r)
+                held.add(rec.holds(c))
+            assert held == {True, False}, (field, n)
+
+
+def test_a_record_is_compiled_once_for_the_parameters_it_names():
+    # the strong record names no parameter, so classify_solution (which
+    # passes the table's alpha, beta) and is_strongly_symmetric (which
+    # passes none) share it: strong, alpha,beta-skew and skew, 3 compiles
+    alpha, beta = Fraction(2, 3), Fraction(-2, 3)
+    L = family_ii(alpha, beta)
+    r = generate_solution(L, "alpha-beta-skew", {"s": 1, "u": 1})
+    _table_record_forms.cache_clear()
+    _record_forms.cache_clear()
+    labels = classify_solution(L, r)
+    flags = symmetry_flags(r, alpha, beta)
+    assert _record_forms.cache_info().misses == 3
+    assert labels == {SolutionLabel.ALPHA_BETA_SKEW}
+    assert flags == {"strongly_symmetric": False, "skew_symmetric": True,
+                     "alpha_beta_skew": True}
 
 
 def test_compatibility_on_a_table_that_is_not_lie():
