@@ -52,9 +52,10 @@ from .solve import (
 
 RESIDUAL_WITNESS_CAP = 100
 # a listed dim-2 solution costs about 270 bytes of JSON and about 0.6 KB
-# of peak memory (the text, and the copy the buffer returns), so the cap
-# bounds the size of the report rather than the memory; larger solution
-# sets are counted but not listed
+# of peak memory (its text in the buffer, which over-allocates as it
+# grows, and the str it returns; the entries are shared tuples), so the
+# cap bounds the size of the report rather than the memory; larger
+# solution sets are counted but not listed
 LIST_SOLUTIONS_CAP = 100_000
 
 
@@ -217,7 +218,7 @@ def cmd_enumerate(problem, args):
             ok = False
         else:
             report["solutions"] = tensor_objs(
-                decode_ids(enum.solution_ids, L.n, enum.p), L.n)
+                decode_ids(enum.solution_ids, L.n, enum.p), L.n, enum.p)
     report["ok"] = ok
     return report, 0 if ok else 1
 

@@ -242,15 +242,24 @@ def algebra_obj(L):
     }
 
 
-def tensor_objs(digits, n):
+def tensor_objs(digits, n, p):
     """`tensor_obj` of each grid in `digits`, an (N, n*n) array of base-p
     digits with one grid per row, row-major (`exhaustive.decode_ids`):
     the nonzero cells, each as the str of its canonical residue.  A
-    generator, so a listing holds one solution's objects at a time."""
-    cells = [(i + 1, j + 1) for i in range(n) for j in range(n)]
+    generator, so a listing holds one solution's objects at a time.
+
+    Each of the n*n*(p - 1) possible entries is one tuple, made once and
+    shared by every grid that has it, so `dumps_report` writes its text
+    once and then looks it up.  These entries never outnumber the listed
+    solutions: every Lie table has at least p**n solutions (the strongly
+    symmetric grids v (x) v), which for odd p is at least n*n*(p - 1), and
+    a listing has at most `cli.LIST_SOLUTIONS_CAP` of them, so in dims 2
+    and 3 there are at most about 1,300 entries."""
+    table = [[None] + [(i + 1, j + 1, str(d)) for d in range(1, p)]
+             for i in range(n) for j in range(n)]
     for row in digits:
-        yield {"entries": [[i, j, str(d)]
-                           for (i, j), d in zip(cells, row.tolist()) if d]}
+        yield {"entries": [cell[d] for cell, d in zip(table, row.tolist())
+                           if d]}
 
 
 def dumps_report(report):

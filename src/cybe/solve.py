@@ -63,7 +63,7 @@ import enum
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import (
     chain,
     combinations,
@@ -531,15 +531,22 @@ class _Generated:
         return self.make(self.n)
 
 
-@lru_cache(maxsize=8)
 def _grid_record(label, make, n):
     """The record of a grid condition in dim n.  It has O(n^4) conditions:
     up to dim 4 (27 of them) they are made once and kept, which keeps the
     dim-3 checks as fast as a hand-written loop; above, they are made on
     each pass, since a large abelian table would not fit them in memory
-    and a check mostly stops at the first."""
-    conds = tuple(make(n)) if n <= 4 else _Generated(make, n)
-    return LabelRecord(label, conds, (), "")
+    and a check mostly stops at the first.  Only the kept records are
+    cached, so no record of a large table evicts one whose forms are
+    compiled (a rebuilt record would compare unequal and compile again)."""
+    if n <= 4:
+        return _kept_grid_record(label, make, n)
+    return LabelRecord(label, _Generated(make, n), (), "")
+
+
+@cache   # at most 8 records: two labels in dims 1 to 4
+def _kept_grid_record(label, make, n):
+    return LabelRecord(label, tuple(make(n)), (), "")
 
 
 def _entry(i, j):

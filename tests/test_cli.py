@@ -133,11 +133,15 @@ def test_every_sample_is_valid_for_its_verb(capsys):
 
 
 def test_reports_match_golden_snapshots(capsys):
-    # each sample's report under its verb, and `families`, byte for byte as
-    # recorded in tests/data/golden (same file name; families.json)
+    # each sample's report under its verb, `families`, and each enumerate
+    # sample's --list-solutions report, byte for byte as recorded in
+    # tests/data/golden (same file name; families.json; <stem>.list.json)
     runs = [(name, [verb, "-i", sample(name)])
             for name, verb in SAMPLE_VERBS.items()]
     runs.append(("families.json", ["families"]))
+    runs += [(name.replace(".json", ".list.json"),
+              [verb, "-i", sample(name), "--list-solutions"])
+             for name, verb in SAMPLE_VERBS.items() if verb == "enumerate"]
     for name, argv in runs:
         assert run(argv) == 0, name
         with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
@@ -549,10 +553,20 @@ LISTED_TABLES = (
 @pytest.mark.parametrize("L", LISTED_TABLES, ids=lambda L: L.label)
 def test_listed_solutions_match_decoded_tensors(L):
     # --list-solutions writes each id from its digit row; the reference
-    # decodes each id to a Tensor2 of ModP and echoes it
+    # decodes each id to a Tensor2 of ModP and echoes it.  The listing's
+    # entries are tuples and the reference's lists, which json writes
+    # alike, so the two are compared as JSON values.
     ids, _ = scan_solution_ids(L)
     want = [tensor_obj(r) for r in decoded_tensors(ids, L.n, L.field)]
-    assert list(tensor_objs(decode_ids(ids, L.n, L.field.p), L.n)) == want
+    p = L.field.p
+    got = list(tensor_objs(decode_ids(ids, L.n, p), L.n, p))
+    assert json.loads(json.dumps(got)) == want
+    # equal (cell, digit) entries are one tuple, whose text dumps_report
+    # writes once; every table has a solution with the top digit p - 1
+    entries = [e for sol in got for e in sol["entries"]]
+    assert all(type(e) is tuple for e in entries)
+    assert len(set(map(id, entries))) == len(set(entries))
+    assert str(p - 1) in {e[2] for e in entries}
 
 
 # the peak RSS of this process in KiB: VmHWM, as ru_maxrss counts the RSS

@@ -530,6 +530,23 @@ def test_a_record_is_compiled_once_for_the_parameters_it_names():
                      "alpha_beta_skew": True}
 
 
+def test_large_abelian_tables_keep_the_dim3_grid_records():
+    # the grid records above dim 4 are built on each call and not cached,
+    # so classifying abelian tables in dims 5..13 (two grid records each)
+    # keeps strong_record(3), and the next dim-3 check finds its forms
+    vec = [Fraction(1), Fraction(2), Fraction(0)]
+    r3 = Tensor2.from_rows([[a * b for b in vec] for a in vec], QQ)
+    assert is_strongly_symmetric(r3)
+    kept = strong_record(3)
+    misses = _record_forms.cache_info().misses
+    for n in range(5, 14):
+        r = Tensor2.from_entries(n, QQ, {(0, 1): Fraction(1)})
+        assert SolutionLabel.ABELIAN in classify_solution(abelian(n, QQ), r)
+    assert strong_record(3) is kept
+    assert is_strongly_symmetric(r3)
+    assert _record_forms.cache_info().misses == misses
+
+
 def test_compatibility_on_a_table_that_is_not_lie():
     # a cobracket x . r is a cocycle only on a Lie table; here compatibility
     # keeps its forms and fails on a skew r, as the oracle finds

@@ -263,6 +263,15 @@ def test_dumps_report_is_json_dumps_indent_2(value):
         assert dumps_report(lists_as_generators(report)) == want
 
 
+def test_dumps_report_writes_a_shared_tuple_at_each_depth():
+    # a tuple's text is kept per (tuple, indent): one tuple written twice
+    # at one depth and once at two others reads as json.dumps writes it
+    t = (1, 2, "3")
+    report = {"a": t, "b": [t, t], "c": {"d": [t, [t]]}}
+    want = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    assert dumps_report(report) == want
+
+
 def test_dumps_report_raises_on_other_values():
     loop = {"a": []}
     loop["a"].append(loop)
