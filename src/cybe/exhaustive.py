@@ -136,7 +136,7 @@ def _residual_checks(L, p):
 def _label_checks(record, n, p, params):
     """lhs - rhs of each condition of the record, on the grid of cell
     polynomials and the table's parameters (see `_condition_polys`)."""
-    conds = tuple(chain(record.shape, record.side))
+    conds = tuple(record.conditions)
     return [Check(_mod(poly, p), cond.nonzero)
             for cond, poly in zip(conds, _condition_polys(conds, n, params))]
 

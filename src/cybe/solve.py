@@ -65,7 +65,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import (
-    chain,
     combinations,
     combinations_with_replacement,
     product,
@@ -467,62 +466,52 @@ def _compile(expr):
 
 
 class Condition(NamedTuple):
-    """lhs = rhs; lhs = 0 when rhs is None; lhs != 0 when nonzero is set.
-
-    Equations compare the two sides rather than subtracting them, so exact
-    scalars are compared, not reduced.
-    """
+    """expr = 0, or expr != 0 when nonzero is set, where expr is the one
+    polynomial lhs - rhs of the condition's equation."""
 
     text: str
-    lhs: Callable
-    rhs: Callable = None
+    expr: Callable
     nonzero: bool = False
 
     def holds(self, c):
-        val = self.lhs(c)
-        if self.rhs is not None:
-            return val == self.rhs(c)
-        return bool(val) == self.nonzero
+        return bool(self.expr(c)) == self.nonzero
 
 
 def _conditions(text):
     """The conditions of a text like "p != 0, a = b, c = d = 0", in order;
-    a chain "c = d = 0" is c = 0 and d = 0."""
+    a chain "c = d = 0" is c = 0 and d = 0, and a = b is a - (b) = 0."""
     conds = []
     for part in filter(None, text.split(", ")):
         if part.endswith(" != 0"):
             conds.append(Condition(part, _compile(part[:-5]), nonzero=True))
             continue
         *sides, last = part.split(" = ")
-        rhs = None if last == "0" else _compile(last)
-        conds += [Condition(f"{side} = {last}", _compile(side), rhs)
-                  for side in sides]
+        conds += [Condition(f"{side} = {last}", _compile(
+            side if last == "0" else f"{side} - ({last})")) for side in sides]
     return tuple(conds)
 
 
 class LabelRecord(NamedTuple):
-    """One solution label: a tensor carries it iff it meets every condition.
-
-    A generator's grid meets the `shape` conditions by construction and
-    leaves the `side` ones (written `text`) to its free coefficients.
+    """One solution label: a tensor carries it iff it meets every
+    condition.  A generator's grid meets all but those written in `text`,
+    which it leaves to its free coefficients.
     """
 
     label: SolutionLabel
-    shape: tuple
-    side: tuple
+    conditions: object      # a tuple, or a _Generated
     text: str
 
     def holds(self, c):
-        return (all(cond.holds(c) for cond in self.shape)
-                and all(cond.holds(c) for cond in self.side))
+        return all(cond.holds(c) for cond in self.conditions)
 
 
 def _record(label, shape, side=""):
-    return LabelRecord(label, _conditions(shape), _conditions(side), side)
+    return LabelRecord(label, _conditions(shape) + _conditions(side), side)
 
 
 class _Generated:
-    """Conditions made afresh on each pass over them."""
+    """Conditions made afresh on each pass over them: a grid record has
+    O(n^4), too many to keep on a large abelian table (305,370 at n = 40)."""
 
     def __init__(self, make, n):
         self.make, self.n = make, n
@@ -531,51 +520,34 @@ class _Generated:
         return self.make(self.n)
 
 
-def _grid_record(label, make, n):
-    """The record of a grid condition in dim n.  It has O(n^4) conditions:
-    up to dim 4 (27 of them) they are made once and kept, which keeps the
-    dim-3 checks as fast as a hand-written loop; above, they are made on
-    each pass, since a large abelian table would not fit them in memory
-    and a check mostly stops at the first.  Only the kept records are
-    cached, so no record of a large table evicts one whose forms are
-    compiled (a rebuilt record would compare unequal and compile again)."""
-    if n <= 4:
-        return _kept_grid_record(label, make, n)
-    return LabelRecord(label, _Generated(make, n), (), "")
+def _difference(i, j):
+    return lambda c: c.k[i][j] - c.k[j][i]
 
 
-@cache   # at most 8 records: two labels in dims 1 to 4
-def _kept_grid_record(label, make, n):
-    return LabelRecord(label, tuple(make(n)), (), "")
+def _sum(i, j):
+    return lambda c: c.k[i][j] + c.k[j][i]
 
 
-def _entry(i, j):
-    return lambda c: c.k[i][j]
-
-
-def _negated(i, j):
-    return lambda c: -c.k[i][j]
-
-
-def _product(i, j, l, m):
-    return lambda c: c.k[i][j] * c.k[l][m]
+def _minor(i, j, l, m):
+    return lambda c: c.k[i][j] * c.k[l][m] - c.k[i][m] * c.k[l][j]
 
 
 def _strong_conditions(n):
     pairs = list(combinations(range(n), 2))
     for i, j in pairs:
-        yield Condition("k[i][j] = k[j][i]", _entry(i, j), _entry(j, i))
+        yield Condition("k[i][j] = k[j][i]", _difference(i, j))
     for (i, l), (j, m) in combinations_with_replacement(pairs, 2):
         yield Condition("k[i][j] k[l][m] = k[i][m] k[l][j]",
-                        _product(i, j, l, m), _product(i, m, l, j))
+                        _minor(i, j, l, m))
 
 
 def _skew_conditions(n):
     for i in range(n):
         for j in range(i, n):
-            yield Condition("k[i][j] = -k[j][i]", _entry(i, j), _negated(j, i))
+            yield Condition("k[i][j] = -k[j][i]", _sum(i, j))
 
 
+@cache
 def strong_record(n):
     """Strong symmetry in dim n: k[i][j]k[l][m] = k[i][l]k[j][m] for all
     index quadruples.
@@ -585,15 +557,18 @@ def strong_record(n):
     Symmetry makes the minor on rows (i, l) and columns (j, m) equal to the
     one on rows (j, m) and columns (i, l), so only pairs (i, l) <= (j, m)
     are kept: 6 minors for n = 3.  The quadruple form itself is the oracle
-    strongly_symmetric_by_definition in tests/conftest.py.
+    strongly_symmetric_by_definition in tests/conftest.py.  One lazy
+    record (`_Generated`) is kept per dimension, as for skew_record.
     """
-    return _grid_record(SolutionLabel.STRONGLY_SYMMETRIC,
-                        _strong_conditions, n)
+    return LabelRecord(SolutionLabel.STRONGLY_SYMMETRIC,
+                       _Generated(_strong_conditions, n), "")
 
 
+@cache
 def skew_record(n):
     """Skew symmetry in dim n: k[i][j] = -k[j][i] everywhere."""
-    return _grid_record(SolutionLabel.SKEW_SYMMETRIC, _skew_conditions, n)
+    return LabelRecord(SolutionLabel.SKEW_SYMMETRIC,
+                       _Generated(_skew_conditions, n), "")
 
 
 ABELIAN = _record(SolutionLabel.ABELIAN, "")
@@ -669,9 +644,7 @@ def _condition_polys(conditions, n, params):
                      [int(v) if isinstance(v, ModP) else v for v in params])
     polys = []
     for cond in conditions:
-        val = cond.lhs(c)
-        if cond.rhs is not None:
-            val = val - cond.rhs(c)
+        val = cond.expr(c)
         if type(val) is not _Poly:  # the condition reads no cell
             val = _Poly() + val
         if any(type(coef) is not int for coef in val.values()):
@@ -702,7 +675,7 @@ def _record_forms(record, n, params, field):
     """record compiled in dim n, the table's parameters params as integer
     coefficients and the forms reduced in the field, or None when one of
     its != 0 conditions vanishes identically, so that it never holds."""
-    conds = tuple(chain(record.shape, record.side))
+    conds = tuple(record.conditions)
     polys = _reduced(_condition_polys(conds, n, params), field)
     if any(cond.nonzero and not poly for cond, poly in zip(conds, polys)):
         return None
@@ -718,7 +691,7 @@ def _table_record_forms(record, n, params, field):
     each one record's conditions do not name, so that every table that
     agrees on the named ones shares one compiled record.  Its own cache
     makes a hit one lookup."""
-    text = " ".join(cond.text for cond in chain(record.shape, record.side))
+    text = " ".join(cond.text for cond in record.conditions)
     return _record_forms(record, n, tuple(
         v if name in text else None
         for v, name in zip(params, ("alpha", "beta", "delta"))), field)

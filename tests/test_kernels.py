@@ -73,6 +73,7 @@ from cybe.solve import (
     Coefficients,
     LabelRecord,
     _cell_polys,
+    _condition_polys,
     _conditions,
     _holds,
     _int_constants,
@@ -84,6 +85,7 @@ from cybe.solve import (
     skew_record,
     strong_record,
 )
+from cybe.tensor import NAMED_CELLS
 from conftest import (
     all_tensors,
     naive_adjoint_action,
@@ -444,7 +446,7 @@ def test_inhomogeneous_conditions_are_refused():
     # which scales a form of degree g by D^g: one whose monomials differ in
     # degree would be miscompiled over Q, so it is refused
     for text in ("x = 1", "p^2 + q = 2", "xy = z"):
-        rec = LabelRecord(SolutionLabel.ABELIAN, _conditions(text), (), "")
+        rec = LabelRecord(SolutionLabel.ABELIAN, _conditions(text), "")
         with pytest.raises(ValueError, match="not homogeneous"):
             _record_forms(rec, 3, (None, None, None), QQ)
 
@@ -454,7 +456,7 @@ def test_straight_line_names_a_monomial_after_its_prefix():
     run = _straight_line([{(0, 1, 2): 1}, {(0, 1): 1}])
     assert run([2, 3, 5]) == (30, 6)
     rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("xyz = 0, xy = 0"),
-                      (), "")
+                      "")
     forms = _record_forms(rec, 3, (None, None, None), QQ)
     for diag in ((2, 3, 0), (2, 0, 5), (0, 0, 0)):
         r = Tensor2.from_rows([[Fraction(v if i == j else 0)
@@ -477,7 +479,7 @@ def test_dimension_records_are_compiled_once_per_dimension():
 def test_a_vanishing_nonzero_condition_never_holds():
     # p - p != 0 vanishes identically: the record compiles to None and
     # holds on no grid, as its Condition.holds says
-    rec = LabelRecord(SolutionLabel.ABELIAN, (), _conditions("p - p != 0"),
+    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("p - p != 0"),
                       "p - p != 0")
     rng = random.Random(0x99)
     for field in (QQ, PrimeField(5)):
@@ -499,8 +501,8 @@ def test_a_form_that_vanishes_identically_reads_zero():
 def test_a_vanishing_condition_keeps_the_others_in_place():
     # p - p = 0 compiles to the literal 0, which the record's x != 0 must
     # not be read in place of
-    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("p - p = 0"),
-                      _conditions("x != 0"), "x != 0")
+    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("p - p = 0, x != 0"),
+                      "x != 0")
     rng = random.Random(0x98)
     for field in (QQ, PrimeField(5)):
         for n in (2, 3):
@@ -531,9 +533,10 @@ def test_a_record_is_compiled_once_for_the_parameters_it_names():
 
 
 def test_large_abelian_tables_keep_the_dim3_grid_records():
-    # the grid records above dim 4 are built on each call and not cached,
-    # so classifying abelian tables in dims 5..13 (two grid records each)
-    # keeps strong_record(3), and the next dim-3 check finds its forms
+    # each dimension has one grid record, and records above FORMS_MAX_DIM
+    # are never compiled, so classifying abelian tables in dims 5..13 (two
+    # grid records each) keeps strong_record(3), and the next dim-3 check
+    # finds its forms
     vec = [Fraction(1), Fraction(2), Fraction(0)]
     r3 = Tensor2.from_rows([[a * b for b in vec] for a in vec], QQ)
     assert is_strongly_symmetric(r3)
@@ -545,6 +548,41 @@ def test_large_abelian_tables_keep_the_dim3_grid_records():
     assert strong_record(3) is kept
     assert is_strongly_symmetric(r3)
     assert _record_forms.cache_info().misses == misses
+
+
+def test_one_lazy_grid_record_per_dimension():
+    # a rebuilt record would compare unequal to the kept one and compile
+    # again; its conditions stay generated, even on a dim-40 table
+    for n in (2, 3, 5, 40):
+        assert strong_record(n) is strong_record(n)
+        assert skew_record(n) is skew_record(n)
+    r = Tensor2.from_entries(40, QQ, {(0, 1): Fraction(1)})
+    assert classify_solution(abelian(40, QQ), r) == {SolutionLabel.ABELIAN}
+    assert not isinstance(strong_record(40).conditions, tuple)
+    assert not isinstance(skew_record(40).conditions, tuple)
+
+
+@pytest.mark.parametrize("text, want, grids", [
+    ("x = y + z", lambda x, y, z, p, u, v: x - (y + z),
+     (({"x": 3, "y": 1, "z": 2}, True), ({"x": 1, "y": 1, "z": 2}, False))),
+    ("p^2 = xy - uv", lambda x, y, z, p, u, v: p * p - (x * y - u * v),
+     (({"p": 1, "x": 1, "y": 2, "u": 1, "v": 1}, True),
+      ({"p": 1, "x": 1, "y": 2, "u": -1, "v": 1}, False))),
+])
+def test_an_equation_reads_as_lhs_minus_the_whole_rhs(text, want, grids):
+    # a compound right side is subtracted as a whole: x = y + z is
+    # x - (y + z) = 0, which x - y + z = 0 would miss on the first grid
+    (cond,) = _conditions(text)
+    cells = _cell_polys(3)
+    polys = [cells[(i - 1) * 3 + j - 1] for i, j in
+             (NAMED_CELLS[name] for name in "xyzpuv")]
+    assert _condition_polys((cond,), 3, (None, None, None)) == [want(*polys)]
+    for vals, holds in grids:
+        r = Tensor2.from_entries(3, QQ, {
+            (i - 1, j - 1): Fraction(vals[name])
+            for name, (i, j) in NAMED_CELLS.items() if name in vals})
+        c = Coefficients(3, r.k, QQ, (None, None, None))
+        assert cond.holds(c) == holds, vals
 
 
 def test_compatibility_on_a_table_that_is_not_lie():
