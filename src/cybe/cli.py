@@ -6,11 +6,14 @@
     cybe generate  --input problem.json   build a closed-form solution case
     cybe families                         list algebra tables and cases
 
+Every algebra command (all but families) checks its own input first, then
+the Jacobi identity of the table, and runs its verdicts on a Lie table only.
 Exit codes: 0 when every verdict in the report is affirmative, 1 when some
-check came back negative (not a solution, axiom failed, classification not
-confirmed, budget exceeded), 2 for malformed input.  Reports go to stdout
-(or --output) as JSON by default; --format text renders a summary.  Reports
-are deterministic; opt into wall-clock timing with --timing.
+check came back negative (Jacobi identity violated, not a solution, axiom
+failed, classification not confirmed, budget exceeded), 2 for malformed
+input.  Reports go to stdout (or --output) as JSON by default; --format
+text renders a summary.  Reports are deterministic; opt into wall-clock
+timing with --timing.
 """
 
 from __future__ import annotations
@@ -59,120 +62,84 @@ RESIDUAL_WITNESS_CAP = 100
 LIST_SOLUTIONS_CAP = 100_000
 
 
-def _jacobi_section(L, report):
-    violations = check_jacobi(L)
-    report["jacobi_ok"] = not violations
-    if violations:
-        report["jacobi_violations"] = [
-            {"triple": tri, "residual": [str(v) for v in vec]}
-            for tri, vec in violations
-        ]
-    return not violations
+def _cells(entries):
+    """[[cell, "value"], ...] of witness entries (cell, value)."""
+    return [[cell, str(v)] for cell, v in entries]
 
 
-def _head(problem, command):
-    """The algebra of a command that needs one, and its report's head."""
-    L = problem.algebra
-    if L is None:
-        raise ProblemError(f'"{command}" needs an algebra')
-    return L, {"command": command, "field": problem.field.to_spec(),
-               "algebra": algebra_obj(L)}
+def _check_entry(L, r, table):
+    res = cybe_residual(L, r)
+    entry = {
+        "tensor": tensor_obj(r),
+        "is_solution": res.is_zero,
+        "symmetry": symmetry_flags(r, table.alpha, table.beta),
+    }
+    if not res.is_zero:
+        entry["residual_entries"] = _cells(
+            res.nonzero_entries[:RESIDUAL_WITNESS_CAP])
+    try:
+        labels = classify_solution(L, r)
+        entry["covered"] = True
+        entry["labels"] = sorted(lab.value for lab in labels)
+    except UncoveredRegime as e:
+        entry["covered"] = False
+        entry["labels"] = None
+        entry["uncovered_reason"] = str(e)
+    return entry, res.is_zero
 
 
-def cmd_check(problem):
-    L, report = _head(problem, "check")
+BIALGEBRA_VERDICTS = ("coantisymmetry_ok", "cojacobi_ok", "compatibility_ok",
+                      "cybe_solution", "is_coboundary", "is_triangular")
+
+
+def _bialgebra_entry(L, r, table):
+    b = bialgebra_check(L, r)
+    entry = {"tensor": tensor_obj(r)}
+    entry.update((key, getattr(b, key)) for key in BIALGEBRA_VERDICTS)
+    witnesses = {}
+    if not b.coantisymmetry_ok:
+        witnesses["coantisymmetry"] = b.witnesses["coantisymmetry"]
+    for axiom, at in (("cojacobi", "basis_index"), ("compatibility", "pair")):
+        if not getattr(b, f"{axiom}_ok"):
+            witnesses[axiom] = [{at: where, "entries": _cells(entries)}
+                                for where, entries in b.witnesses[axiom]]
+    if witnesses:
+        entry["witnesses"] = witnesses
+    closed = {"applicable": is_skew_symmetric(r)}
+    if closed["applicable"]:
+        try:
+            cf_cob = coboundary_predicate(L, r)
+            cf_tri = triangular_predicate(L, r)
+            closed["coboundary"] = cf_cob
+            closed["triangular"] = cf_tri
+            closed["agrees"] = (cf_cob == b.is_coboundary
+                                and cf_tri == b.is_triangular)
+        except UncoveredRegime as e:
+            closed["covered"] = False
+            closed["uncovered_reason"] = str(e)
+    entry["closed_form"] = closed
+    return entry, (b.is_coboundary and b.is_triangular
+                   and closed.get("agrees", True))
+
+
+def _tensors(problem, args):
     if not problem.tensors:
-        raise ProblemError('"check" needs a tensor (or tensors)')
-    ok = _jacobi_section(L, report)
-    results = []
-    if ok:
+        raise ProblemError(f'"{args.command}" needs a tensor (or tensors)')
+    return problem.tensors
+
+
+def _each_tensor(entry):
+    """The verdicts of check and bialgebra: entry(L, r, table) gives each
+    tensor's result and whether it checked out."""
+    def verdicts(L, tensors, report):
         table = recognize_table(L)
-        for r in problem.tensors:
-            res = cybe_residual(L, r)
-            entry = {
-                "tensor": tensor_obj(r),
-                "is_solution": res.is_zero,
-                "symmetry": symmetry_flags(r, table.alpha, table.beta),
-            }
-            if not res.is_zero:
-                entry["residual_entries"] = [
-                    [cell, str(v)]
-                    for cell, v in res.nonzero_entries[:RESIDUAL_WITNESS_CAP]
-                ]
-                ok = False
-            try:
-                labels = classify_solution(L, r)
-                entry["covered"] = True
-                entry["labels"] = sorted(lab.value for lab in labels)
-            except UncoveredRegime as e:
-                entry["covered"] = False
-                entry["labels"] = None
-                entry["uncovered_reason"] = str(e)
-            results.append(entry)
-    report["results"] = results
-    report["ok"] = ok
-    return report, 0 if ok else 1
+        checked = [entry(L, r, table) for r in tensors]
+        report["results"] = [result for result, _ in checked]
+        return all(ok for _, ok in checked)
+    return verdicts
 
 
-def cmd_bialgebra(problem):
-    L, report = _head(problem, "bialgebra")
-    if not problem.tensors:
-        raise ProblemError('"bialgebra" needs a tensor (or tensors)')
-    ok = _jacobi_section(L, report)
-    results = []
-    if ok:
-        for r in problem.tensors:
-            b = bialgebra_check(L, r)
-            entry = {
-                "tensor": tensor_obj(r),
-                "coantisymmetry_ok": b.coantisymmetry_ok,
-                "cojacobi_ok": b.cojacobi_ok,
-                "compatibility_ok": b.compatibility_ok,
-                "cybe_solution": b.cybe_solution,
-                "is_coboundary": b.is_coboundary,
-                "is_triangular": b.is_triangular,
-            }
-            witnesses = {}
-            if not b.coantisymmetry_ok:
-                witnesses["coantisymmetry"] = b.witnesses["coantisymmetry"]
-            if not b.cojacobi_ok:
-                witnesses["cojacobi"] = [
-                    {"basis_index": i,
-                     "entries": [[cell, str(v)] for cell, v in entries]}
-                    for i, entries in b.witnesses["cojacobi"]
-                ]
-            if not b.compatibility_ok:
-                witnesses["compatibility"] = [
-                    {"pair": pair,
-                     "entries": [[cell, str(v)] for cell, v in entries]}
-                    for pair, entries in b.witnesses["compatibility"]
-                ]
-            if witnesses:
-                entry["witnesses"] = witnesses
-            closed = {"applicable": is_skew_symmetric(r)}
-            if closed["applicable"]:
-                try:
-                    cf_cob = coboundary_predicate(L, r)
-                    cf_tri = triangular_predicate(L, r)
-                    closed["coboundary"] = cf_cob
-                    closed["triangular"] = cf_tri
-                    closed["agrees"] = (cf_cob == b.is_coboundary
-                                        and cf_tri == b.is_triangular)
-                except UncoveredRegime as e:
-                    closed["covered"] = False
-                    closed["uncovered_reason"] = str(e)
-            entry["closed_form"] = closed
-            if not (b.is_coboundary and b.is_triangular
-                    and closed.get("agrees", True)):
-                ok = False
-            results.append(entry)
-    report["results"] = results
-    report["ok"] = ok
-    return report, 0 if ok else 1
-
-
-def cmd_enumerate(problem, args):
-    L, report = _head(problem, "enumerate")
+def _enumerate_input(problem, args):
     opts = problem.options
     budget = args.budget if args.budget is not None else opts.get(
         "budget", DEFAULT_BUDGET)
@@ -183,18 +150,19 @@ def cmd_enumerate(problem, args):
     for key in ("timing", "list_solutions"):
         if type(opts.get(key, False)) is not bool:
             raise ProblemError(f"options.{key} must be true or false")
-    timing = args.timing or opts.get("timing", False)
-    if not _jacobi_section(L, report):
-        report["ok"] = False
-        return report, 1
+    return (budget, args.timing or opts.get("timing", False),
+            args.list_solutions or opts.get("list_solutions", False))
+
+
+def _enumerate(L, inputs, report):
+    budget, timing, list_solutions = inputs
     t0 = time.perf_counter()
     try:
         enum = verify_classification(L, budget=budget)
     except BudgetExceeded as e:
         report["error"] = str(e)
         report["partial"] = False
-        report["ok"] = False
-        return report, 1
+        return False
     wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     report.update({
         "total": enum.total,
@@ -209,22 +177,19 @@ def cmd_enumerate(problem, args):
         "empirical_only": enum.empirical_only,
         "wall_time_ms": wall_ms if timing else None,
     })
-    ok = enum.confirmed
-    if opts.get("list_solutions") or args.list_solutions:
-        if enum.solution_count > LIST_SOLUTIONS_CAP:
-            report["error"] = (
-                f"{enum.solution_count} solutions exceed the cap of "
-                f"{LIST_SOLUTIONS_CAP} listed solutions; none are listed")
-            ok = False
-        else:
-            report["solutions"] = tensor_objs(
-                decode_ids(enum.solution_ids, L.n, enum.p), L.n, enum.p)
-    report["ok"] = ok
-    return report, 0 if ok else 1
+    if not list_solutions:
+        return enum.confirmed
+    if enum.solution_count > LIST_SOLUTIONS_CAP:
+        report["error"] = (
+            f"{enum.solution_count} solutions exceed the cap of "
+            f"{LIST_SOLUTIONS_CAP} listed solutions; none are listed")
+        return False
+    report["solutions"] = tensor_objs(
+        decode_ids(enum.solution_ids, L.n, enum.p), L.n, enum.p)
+    return enum.confirmed
 
 
-def cmd_generate(problem, args):
-    L, report = _head(problem, "generate")
+def _generate_input(problem, args):
     opts = problem.options
     case = args.case or opts.get("case")
     if not case or not isinstance(case, str):
@@ -242,6 +207,11 @@ def cmd_generate(problem, args):
             params[name] = problem.field.parse(text)
         except FieldError as e:
             raise ProblemError(f"parameter {clip(name)}: {e}") from None
+    return case, params
+
+
+def _generate(L, inputs, report):
+    case, params = inputs
     r = generate_solution(L, case, params)
     ok = is_cybe_solution(L, r)
     report.update({
@@ -249,9 +219,40 @@ def cmd_generate(problem, args):
         "params": {k: str(v) for k, v in sorted(params.items())},
         "tensor": tensor_obj(r),
         "self_check": ok,
-        "ok": ok,
     })
-    return report, 0 if ok else 1
+    return ok
+
+
+# per algebra command: its input checks, returning what its verdicts take;
+# its verdicts, run on a Lie table only, returning whether all came out
+# affirmative; the report keys that stand in for them on any other table
+ALGEBRA_COMMANDS = {
+    "check": (_tensors, _each_tensor(_check_entry), {"results": ()}),
+    "bialgebra": (_tensors, _each_tensor(_bialgebra_entry), {"results": ()}),
+    "enumerate": (_enumerate_input, _enumerate, {}),
+    "generate": (_generate_input, _generate, {}),
+}
+
+
+def _algebra_command(problem, args):
+    """The report of an algebra command, in three steps: the command's
+    input checks (usage errors), the report's head with the Jacobi gate,
+    and on a Lie table the command's verdicts."""
+    read_input, verdicts, skipped = ALGEBRA_COMMANDS[args.command]
+    L = problem.algebra
+    if L is None:
+        raise ProblemError(f'"{args.command}" needs an algebra')
+    inputs = read_input(problem, args)
+    violations = check_jacobi(L)
+    report = {"command": args.command, "field": problem.field.to_spec(),
+              "algebra": algebra_obj(L), "jacobi_ok": not violations}
+    if violations:
+        report["jacobi_violations"] = [
+            {"triple": tri, "residual": [str(v) for v in vec]}
+            for tri, vec in violations]
+        report.update(skipped)
+    report["ok"] = not violations and verdicts(L, inputs, report)
+    return report
 
 
 def cmd_families():
@@ -262,13 +263,12 @@ def cmd_families():
          "conditions": gen.text}
         for name, gen in GENERATORS.items()
     ]
-    report = {
+    return {
         "command": "families",
         "families": fams,
         "generator_cases": cases,
         "ok": True,
     }
-    return report, 0
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +291,33 @@ def _render_text(report, out):
         line(f"jacobi:  {'ok' if report['jacobi_ok'] else 'VIOLATED'}")
         for v in report.get("jacobi_violations", []):
             line(f"  triple {tuple(v['triple'])}: residual {v['residual']}")
-    if cmd in ("check", "bialgebra"):
-        for idx, res in enumerate(report.get("results", []), start=1):
-            line(f"tensor #{idx}: {res['tensor']['entries']}")
-            if cmd == "check":
-                line(f"  solution: {res['is_solution']}")
-                if res.get("residual_entries"):
-                    line(f"  nonzero residual at: "
-                         f"{[e[0] for e in res['residual_entries']]}")
-                flags = ", ".join(k for k, v in res["symmetry"].items() if v)
-                line(f"  symmetry: {flags or 'none'}")
-                if res["covered"]:
-                    line(f"  labels: {', '.join(res['labels']) or '(none)'}")
-                else:
-                    line(f"  labels: uncovered regime "
-                         f"({res['uncovered_reason']})")
+    for idx, res in enumerate(report.get("results", []), start=1):
+        line(f"tensor #{idx}: {res['tensor']['entries']}")
+        if cmd == "check":
+            line(f"  solution: {res['is_solution']}")
+            if res.get("residual_entries"):
+                line(f"  nonzero residual at: "
+                     f"{[e[0] for e in res['residual_entries']]}")
+            flags = ", ".join(k for k, v in res["symmetry"].items() if v)
+            line(f"  symmetry: {flags or 'none'}")
+            if res["covered"]:
+                line(f"  labels: {', '.join(res['labels']) or '(none)'}")
             else:
-                for key in ("coantisymmetry_ok", "cojacobi_ok",
-                            "compatibility_ok", "cybe_solution",
-                            "is_coboundary", "is_triangular"):
-                    line(f"  {key}: {res[key]}")
-                cf = res["closed_form"]
-                if not cf["applicable"]:
-                    line("  closed form: n/a (tensor not skew)")
-                elif cf.get("covered") is False:
-                    line(f"  closed form: uncovered "
-                         f"({cf['uncovered_reason']})")
-                else:
-                    line(f"  closed form: coboundary={cf['coboundary']} "
-                         f"triangular={cf['triangular']} "
-                         f"agrees={cf['agrees']}")
+                line(f"  labels: uncovered regime "
+                     f"({res['uncovered_reason']})")
+        else:
+            for key in BIALGEBRA_VERDICTS:
+                line(f"  {key}: {res[key]}")
+            cf = res["closed_form"]
+            if not cf["applicable"]:
+                line("  closed form: n/a (tensor not skew)")
+            elif cf.get("covered") is False:
+                line(f"  closed form: uncovered "
+                     f"({cf['uncovered_reason']})")
+            else:
+                line(f"  closed form: coboundary={cf['coboundary']} "
+                     f"triangular={cf['triangular']} "
+                     f"agrees={cf['agrees']}")
     if cmd == "enumerate" and "total" in report:
         line(f"total candidates: {report['total']}")
         line(f"solutions:        {report['solution_count']}")
@@ -333,7 +330,7 @@ def _render_text(report, out):
              + ("  (empirical only)" if report["empirical_only"] else ""))
     if cmd == "enumerate" and "error" in report:
         line(f"error: {report['error']}")
-    if cmd == "generate":
+    if cmd == "generate" and "case" in report:
         line(f"case: {report['case']} params: {report['params']}")
         line(f"tensor: {report['tensor']['entries']}")
         line(f"self check: {report['self_check']}")
@@ -398,18 +395,8 @@ def build_parser():
 def run(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "families":
-            report, code = cmd_families()
-        else:
-            problem = load_problem(args.input)
-            if args.command == "check":
-                report, code = cmd_check(problem)
-            elif args.command == "bialgebra":
-                report, code = cmd_bialgebra(problem)
-            elif args.command == "enumerate":
-                report, code = cmd_enumerate(problem, args)
-            else:
-                report, code = cmd_generate(problem, args)
+        report = (cmd_families() if args.command == "families"
+                  else _algebra_command(load_problem(args.input), args))
     except ValueError as e:
         # ProblemError, FieldError, SideConditionError, UncoveredRegime and
         # the plain dimension/field guards all land here: usage errors
@@ -421,7 +408,7 @@ def run(argv=None):
         sys.stderr.write(f"error: cannot write {args.output or 'stdout'}: "
                          f"{e.strerror}\n")
         return 2
-    return code
+    return 0 if report["ok"] else 1
 
 
 def main():

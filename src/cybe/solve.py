@@ -853,37 +853,38 @@ GENERATORS = {
 }
 
 
-def _get(params, field, name):
-    val = params.get(name, field.zero())
-    if isinstance(val, int):
-        val = field.from_int(val)
-    if not field.contains(val):
-        raise SideConditionError(f"parameter {name} is not a {field!r} scalar")
-    return val
-
-
 def generate_solution(L, case, params):
     """Build the tensor of one closed-form solution case on L.
 
-    params maps coefficient names to scalars (ints accepted); omitted
-    parameters are zero.  The case's side conditions are checked exactly
-    and violations raise SideConditionError, as does a table the case does
-    not cover.  Every output satisfies is_cybe_solution(L, r); callers may
-    re-check, the CLI does.  The cases with their tables, free parameters
-    and side conditions are GENERATORS; `cybe families` prints them.
+    params maps the case's parameter names to scalars (ints accepted);
+    omitted ones are zero.  Other names, violated side conditions (checked
+    exactly) and a table the case does not cover raise SideConditionError.
+    Every output satisfies is_cybe_solution(L, r); callers may re-check,
+    the CLI does.  The cases with their tables, free parameters and side
+    conditions are GENERATORS; `cybe families` prints them.
     """
     gen = GENERATORS.get(case)
     if gen is None:
         raise SideConditionError(
             f"unknown case {clip(repr(case))} (have {', '.join(GENERATORS)})")
+    unknown = [str(name) for name in params if name not in gen.params]
+    if unknown:
+        raise SideConditionError(
+            f"{case} has no parameter {clip(', '.join(unknown))} "
+            f"(its parameters: {', '.join(gen.params)})")
     table = recognize_table(L)
     if not gen.on_table(L, table):
         raise SideConditionError(gen.needs)
     field = L.field
     k = [[field.zero()] * 3 for _ in range(3)]
-    for name in gen.params:
+    for name, val in params.items():
+        if isinstance(val, int):
+            val = field.from_int(val)
+        if not field.contains(val):
+            raise SideConditionError(
+                f"parameter {name} is not a {field!r} scalar")
         i, j = NAMED_CELLS[name]
-        k[i - 1][j - 1] = _get(params, field, name)
+        k[i - 1][j - 1] = val
     c = Coefficients(3, k, field, table[1:])
     for cond in gen.side:
         if not cond.holds(c):

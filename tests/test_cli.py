@@ -208,6 +208,49 @@ def test_check_jacobi_failure_exits_1(capsys, tmp_path):
     assert rep["results"] == []
 
 
+# the table of test_check_jacobi_failure_exits_1, and the verb-specific
+# parts of a problem on it that each algebra command would accept
+NON_LIE = {"dim": 3, "brackets": [[1, 2, ["0", "1", "0"]],
+                                  [2, 3, ["1", "0", "0"]]]}
+GATED = {
+    "check": ({"kind": "rational"}, {"tensor": {}}),
+    "bialgebra": ({"kind": "rational"}, {"tensor": {}}),
+    "enumerate": ({"kind": "prime", "p": 5}, {}),
+    "generate": ({"kind": "rational"},
+                 {"options": {"case": "strong-z",
+                              "params": {"s": "1", "u": "1", "z": "1"}}}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(GATED))
+def test_every_algebra_command_stops_at_the_jacobi_gate(capsys, tmp_path,
+                                                        verb):
+    field, rest = GATED[verb]
+    doc = {"field": field, "algebra": NON_LIE, **rest}
+    code, rep = run_json(capsys, [verb, "-i", write_problem(tmp_path, doc)])
+    assert code == 1 and rep["ok"] is False and rep["jacobi_ok"] is False
+    assert rep["jacobi_violations"] == [
+        {"triple": [1, 2, 3], "residual": ["1", "0", "0"]}]
+    head = ["command", "field", "algebra", "jacobi_ok", "jacobi_violations"]
+    tail = ["results", "ok"] if verb in ("check", "bialgebra") else ["ok"]
+    assert list(rep) == head + tail
+    assert rep.get("results", []) == []
+
+
+@pytest.mark.parametrize("verb, rest", [
+    ("enumerate", {"options": {"budget": "1000"}}),
+    ("generate", {"options": {"case": ["strong-z"]}}),
+    ("check", {}),
+])
+def test_input_checks_run_before_the_jacobi_gate(capsys, tmp_path, verb,
+                                                  rest):
+    doc = {"field": GATED[verb][0], "algebra": NON_LIE, **rest}
+    code = run([verb, "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: ")
+
+
 def test_bialgebra_failure_has_witnesses(capsys, tmp_path):
     doc = {
         "field": {"kind": "rational"},
@@ -375,17 +418,35 @@ def test_generate_side_condition_exits_2(capsys, tmp_path):
 
 
 def test_generate_case_override(capsys, tmp_path):
+    # y is a parameter of strong-y only, so the file's own case refuses it
     doc = {
         "field": {"kind": "rational"},
         "algebra": {"family": "sl2"},
-        "options": {"case": "strong-z",
-                    "params": {"s": "1", "u": "1", "z": "1", "y": "2"}},
+        "options": {"case": "strong-z", "params": {"y": "2"}},
     }
     path = write_problem(tmp_path, doc)
     code, rep = run_json(capsys, ["generate", "-i", path,
                                   "--case", "strong-y"])
     assert code == 0 and rep["case"] == "strong-y"
     assert rep["tensor"]["entries"] == [[2, 2, "2"]]
+    assert run(["generate", "-i", path]) == 2
+    assert "strong-z has no parameter y" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"s": "1", "U": "2", "z": "3"},
+                                    {"s": "1", "x": "5", "z": "3"}])
+def test_generate_unknown_parameter_exits_2(capsys, tmp_path, params):
+    doc = {
+        "field": {"kind": "rational"},
+        "algebra": {"family": "sl2"},
+        "options": {"case": "strong-z", "params": params},
+    }
+    code = run(["generate", "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: strong-z has no parameter ")
+    assert captured.err.count("\n") == 1
+    assert "(its parameters: s, u, z)" in captured.err
 
 
 def test_generate_without_case_exits_2(capsys, tmp_path):
@@ -498,6 +559,20 @@ def test_text_format(capsys):
                 "--format", "text"])
     out = capsys.readouterr().out
     assert "solutions:        29" in out and "confirmed: True" in out
+    code = run(["bialgebra", "-i", sample("sl2_skew_bialgebra.json"),
+                "--format", "text"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith("command: bialgebra")
+    for key in ("coantisymmetry_ok", "cojacobi_ok", "compatibility_ok",
+                "cybe_solution", "is_coboundary", "is_triangular"):
+        assert out.count(f"\n  {key}: True\n") == 2, key
+    assert out.count("\n  closed form: coboundary=True triangular=True "
+                     "agrees=True\n") == 2
+    code = run(["generate", "-i", sample("heisenberg_generate.json"),
+                "--format", "text"])
+    out = capsys.readouterr().out
+    assert code == 0 and "\njacobi:  ok\ncase: heisenberg-1 " in out
+    assert "self check: True" in out
     code = run(["families", "--format", "text"])
     out = capsys.readouterr().out
     assert code == 0 and "generator cases:" in out

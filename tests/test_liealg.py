@@ -172,7 +172,7 @@ def test_make_family_takes_the_parameters_families_names(name):
     with pytest.raises(ValueError) as err:
         make_family(name, QQ, **params, gamma=1)
     assert str(err.value) == "unexpected family parameters ['gamma']"
-    listed = cmd_families()[0]["families"]
+    listed = cmd_families()["families"]
     assert [fam["name"] for fam in listed] == list(FAMILIES)
     assert {"name": name, "dim": family.dim, "params": list(family.params),
             "bracket": family.bracket} in listed

@@ -388,6 +388,18 @@ def test_generate_skew_dim2():
         generate_solution(sl2(QQ), "skew", {"p": 1})
 
 
+def test_generate_refuses_parameters_the_case_does_not_have():
+    # x names a cell, just not one of strong-z's free parameters
+    for extra in ("U", "x"):
+        with pytest.raises(SideConditionError,
+                           match=f"strong-z has no parameter {extra} "
+                                 r"\(its parameters: s, u, z\)"):
+            generate_solution(sl2(QQ), "strong-z",
+                              {"s": 1, extra: 5, "z": 3})
+    with pytest.raises(SideConditionError, match="no parameter q, y"):
+        generate_solution(family_vi(), "skew", {"q": 1, "p": 1, "y": 1})
+
+
 def test_generate_unknown_case_and_bad_param():
     with pytest.raises(SideConditionError, match="unknown case"):
         generate_solution(family_vi(), "strong-w", {})
