@@ -15,16 +15,18 @@ is_triangular additionally requires r to solve the CYBE.
 The checks run on plain ints, lifted as in `solve`: r over its common
 denominator D (residues over F_p), the constants over theirs, C.  The int
 images of delta are C D times the true ones, and each check is homogeneous,
-so only the nonzero entries it reports are turned back into Fraction/ModP
-witnesses, reduced mod p or divided by (C D)^2 for co-Jacobi and C^2 D for
-compatibility.  The public checks on a Cobracket lift its images over their
-common denominator E instead (scales E^2 and C E).
+so only the nonzero entries it reports are kept, as ints reduced in the
+field over the scale (C D)^2 for co-Jacobi and C^2 D for compatibility
+(`solve._Entries`), and made Fraction/ModP witnesses when read.  The public
+checks on a Cobracket lift its images over their common denominator E
+instead (scales E^2 and C E).
 
 Each check is an int kernel (its arithmetic, a flat output list) and a
-witness extraction.  bialgebra_check reads the three as one flat list
-(`_axiom_ints`), which up to FORMS_MAX_DIM it gets from that list compiled
-once per table (`_axiom_forms`, see `solve`); on a Lie table, where x . r
-is a cocycle for every r, every compatibility entry is the literal 0.
+witness extraction.  bialgebra_check reads the three, and the CYBE
+residual that decides triangularity, as one flat list (`_axiom_ints`),
+which up to FORMS_MAX_DIM it gets from that list compiled once per table
+(`_axiom_forms`, see `solve`); on a Lie table, where x . r is a cocycle for
+every r, every compatibility entry is the literal 0.
 Above FORMS_MAX_DIM, and for the public checks on an arbitrary Cobracket,
 the kernels run on ints.
 
@@ -36,7 +38,7 @@ play them against the axiom checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .scalars import FieldError, show
 from .solve import (
@@ -77,7 +79,7 @@ def _images(n, consts, k):
 
 
 def _tensor2(field, n, ints, scale):
-    entries = _nonzero_entries(field, ints, scale, n, 2)
+    entries = _nonzero_entries(field, ints, scale, n, 2).values()
     return Tensor2.from_entries(
         n, field, {(i - 1, j - 1): v for (i, j), v in entries})
 
@@ -186,11 +188,13 @@ def _compatibility_ints(n, consts, imgs):
 
 
 def _axiom_ints(n, consts, k):
-    """The three axiom kernels on the images of the flat grid k, as one
-    flat list: coantisymmetry, then co-Jacobi, then compatibility."""
+    """The three axiom kernels on the images of the flat grid k, then the
+    CYBE residual of k, as one flat list: coantisymmetry, co-Jacobi,
+    compatibility, residual."""
     imgs = _images(n, consts, k)
     return (_coantisymmetry_ints(n, imgs) + _cojacobi_ints(n, imgs)
-            + _compatibility_ints(n, consts, imgs))
+            + _compatibility_ints(n, consts, imgs)
+            + _residual_ints(n, consts, k))
 
 
 @lru_cache(maxsize=8)
@@ -198,8 +202,8 @@ def _axiom_forms(L):
     """`_axiom_ints` run once on the grid of cell polynomials, compiled:
     a function of r's lifted grid k that returns `_axiom_ints` on k, each
     entry a form, linear (coantisymmetry, compatibility) or quadratic
-    (co-Jacobi).  Made once per table (tables are immutable and hash by
-    identity)."""
+    (co-Jacobi, residual).  Made once per table (tables are immutable and
+    hash by identity)."""
     consts, _ = _int_constants(L)
     return _straight_line(_reduced(
         _axiom_ints(L.n, consts, _cell_polys(L.n)), L.field))
@@ -213,17 +217,23 @@ def _coantisymmetry_failures(n, flat):
 
 
 def _witnesses(field, flat, scale, n, rank, keys):
-    """((key, nonzero entries), ...) for each block of n^rank entries of
-    the flat int output of a kernel that is not all zero, the entries
-    divided by scale (`_nonzero_entries`), keyed in order."""
+    """((key, its nonzero entries), ...) for each block of n^rank entries
+    of the flat int output of a kernel that is not all zero in the field,
+    keyed in order; the entries are ints over scale (`_nonzero_entries`)."""
     size = n ** rank
     out = []
     for at, key in enumerate(keys):
         block = flat[at * size:(at + 1) * size]
-        entries = any(block) and _nonzero_entries(field, block, scale, n, rank)
-        if entries:
-            out.append((key, entries))
+        if any(block):
+            entries = _nonzero_entries(field, block, scale, n, rank)
+            if entries.cells:
+                out.append((key, entries))
     return tuple(out)
+
+
+def _valued(witnesses):
+    """witnesses with each block's entries as (cell, field scalar) pairs."""
+    return tuple((key, entries.values()) for key, entries in witnesses)
 
 
 def check_coantisymmetry(delta):
@@ -244,7 +254,7 @@ def check_cojacobi(delta):
     imgs, scale = _lift_images(delta)
     witnesses = _witnesses(delta.field, _cojacobi_ints(n, imgs),
                            scale * scale, n, 3, range(1, n + 1))
-    return not witnesses, witnesses
+    return not witnesses, _valued(witnesses)
 
 
 def check_compatibility(L, delta):
@@ -259,18 +269,33 @@ def check_compatibility(L, delta):
     imgs, scale = _lift_images(delta)
     witnesses = _witnesses(L.field, _compatibility_ints(L.n, consts, imgs),
                            c_scale * scale, L.n, 2, _grid_cells(L.n, 2))
-    return not witnesses, witnesses
+    return not witnesses, _valued(witnesses)
 
 
 @dataclass(frozen=True)
 class BialgebraReport:
+    """The axiom verdicts of bialgebra_check, and the witnesses of the
+    failed axioms: `witness_ints` as the kernels give them, each block's
+    entries as ints over a scale (`solve._Entries`); `witnesses` with field
+    scalars, built when first read."""
+
     coantisymmetry_ok: bool
     cojacobi_ok: bool
     compatibility_ok: bool
     cybe_solution: bool
     is_coboundary: bool
     is_triangular: bool
-    witnesses: dict
+    witness_ints: dict
+
+    @cached_property
+    def witnesses(self):
+        """{"coantisymmetry": the failing 1-based images, "cojacobi":
+        ((i, entries), ...), "compatibility": (((i, j), entries), ...)},
+        the entries ((1-based cell, value), ...)."""
+        ints = self.witness_ints
+        return {"coantisymmetry": ints["coantisymmetry"],
+                "cojacobi": _valued(ints["cojacobi"]),
+                "compatibility": _valued(ints["compatibility"])}
 
 
 def bialgebra_check(L, r):
@@ -285,7 +310,8 @@ def bialgebra_check(L, r):
     vals = field.reduce(_axiom_forms(L)(k) if n <= FORMS_MAX_DIM
                         else _axiom_ints(n, consts, k))
     cut = n * n * (n + 1) // 2
-    co, jac, comp = vals[:cut], vals[cut:cut + n ** 4], vals[cut + n ** 4:]
+    co, jac = vals[:cut], vals[cut:cut + n ** 4]
+    comp, res = vals[cut + n ** 4:cut + 2 * n ** 4], vals[cut + 2 * n ** 4:]
     scale = c_scale * d_scale
     co_w = _coantisymmetry_failures(n, co)
     jac_w = _witnesses(field, jac, scale * scale, n, 3, range(1, n + 1))
@@ -293,7 +319,7 @@ def bialgebra_check(L, r):
                         _grid_cells(n, 2))
     co_ok, jac_ok, comp_ok = not co_w, not jac_w, not comp_w
     is_cob = co_ok and jac_ok and comp_ok
-    sol = not any(field.reduce(_residual_ints(n, consts, k)))
+    sol = not any(res)
     return BialgebraReport(
         coantisymmetry_ok=co_ok,
         cojacobi_ok=jac_ok,
@@ -301,7 +327,7 @@ def bialgebra_check(L, r):
         cybe_solution=sol,
         is_coboundary=is_cob,
         is_triangular=is_cob and sol,
-        witnesses={
+        witness_ints={
             "coantisymmetry": co_w,
             "cojacobi": jac_w,
             "compatibility": comp_w,

@@ -34,13 +34,14 @@ from .exhaustive import (
 from .liealg import FAMILIES, check_jacobi
 from .problems import (
     ProblemError,
+    ScalarRoom,
     algebra_obj,
     dumps_report,
     load_problem,
     tensor_obj,
     tensor_objs,
 )
-from .scalars import FieldError, clip
+from .scalars import clip
 from .solve import (
     GENERATORS,
     UncoveredRegime,
@@ -62,9 +63,12 @@ RESIDUAL_WITNESS_CAP = 100
 LIST_SOLUTIONS_CAP = 100_000
 
 
-def _cells(entries):
-    """[[cell, "value"], ...] of witness entries (cell, value)."""
-    return [[cell, str(v)] for cell, v in entries]
+def _cells(entries, cap=None):
+    """[[cell, "value"], ...] of the first cap of a kernel's nonzero
+    entries (all by default), the text of each value written from the
+    kernel's ints (`solve._Entries`)."""
+    return [[cell, text]
+            for cell, text in zip(entries.cells, entries.texts(cap))]
 
 
 def _check_entry(L, r, table):
@@ -75,8 +79,7 @@ def _check_entry(L, r, table):
         "symmetry": symmetry_flags(r, table.alpha, table.beta),
     }
     if not res.is_zero:
-        entry["residual_entries"] = _cells(
-            res.nonzero_entries[:RESIDUAL_WITNESS_CAP])
+        entry["residual_entries"] = _cells(res.entries, RESIDUAL_WITNESS_CAP)
     try:
         labels = classify_solution(L, r)
         entry["covered"] = True
@@ -98,11 +101,11 @@ def _bialgebra_entry(L, r, table):
     entry.update((key, getattr(b, key)) for key in BIALGEBRA_VERDICTS)
     witnesses = {}
     if not b.coantisymmetry_ok:
-        witnesses["coantisymmetry"] = b.witnesses["coantisymmetry"]
+        witnesses["coantisymmetry"] = b.witness_ints["coantisymmetry"]
     for axiom, at in (("cojacobi", "basis_index"), ("compatibility", "pair")):
         if not getattr(b, f"{axiom}_ok"):
             witnesses[axiom] = [{at: where, "entries": _cells(entries)}
-                                for where, entries in b.witnesses[axiom]]
+                                for where, entries in b.witness_ints[axiom]]
     if witnesses:
         entry["witnesses"] = witnesses
     closed = {"applicable": is_skew_symmetric(r)}
@@ -198,15 +201,13 @@ def _generate_input(problem, args):
     params_in = opts.get("params", {})
     if not isinstance(params_in, dict):
         raise ProblemError('"options.params" must be an object')
-    params = {}
+    params, room = {}, ScalarRoom("the generator parameters")
     for name, text in params_in.items():
         if not isinstance(text, str):
             raise ProblemError(
                 f"generator parameter {clip(name)} must be a string")
-        try:
-            params[name] = problem.field.parse(text)
-        except FieldError as e:
-            raise ProblemError(f"parameter {clip(name)}: {e}") from None
+        params[name] = room.scalar(text, problem.field,
+                                   f"parameter {clip(name)}")
     return case, params
 
 

@@ -105,19 +105,22 @@ def _require_prime_field(L):
 # checks: polynomials in the grid cells
 
 def _mod(poly, p):
-    """poly (or an int) with its coefficients reduced mod p, zeros dropped."""
+    """poly (or an int) with its coefficients reduced mod p, zeros dropped,
+    its monomials in ascending order."""
     if not isinstance(poly, _Poly):
         poly = {(): poly}
-    return {mono: c % p for mono, c in poly.items() if c % p}
+    return {mono: c for mono in sorted(poly) if (c := poly[mono] % p)}
 
 
 class Check(NamedTuple):
     """poly = 0 over GF(p), or poly != 0 when `nonzero` is set.
 
-    poly maps monomials (ascending tuples of flat cells i*n + j) to
-    coefficients in 1..p-1.  The engine reads it in search-level
-    coordinates (`_plan`), and runs the check once every cell of poly is
-    assigned; a check on no cell is a constant, decided before the search.
+    poly maps monomials (ascending tuples of flat cells i*n + j), listed in
+    ascending order as `_mod` makes them, to coefficients in 1..p-1: the
+    engine's canonical listing reads them in that order.  The engine reads
+    it in search-level coordinates (`_plan`), and runs the check once every
+    cell of poly is assigned; a check on no cell is a constant, decided
+    before the search.
     """
 
     poly: dict
@@ -355,7 +358,7 @@ def _surviving_ids(n, p, checks, budget):
     nn = n * n
     weight = p ** np.arange(nn - 1, -1, -1, dtype=np.int64)
     checks = sorted(checks, key=lambda check: (
-        check.nonzero, len(check.poly), sorted(check.poly.items())))
+        check.nonzero, len(check.poly), tuple(check.poly.items())))
     reads = [set(chain.from_iterable(check.poly)) for check in checks]
     if any((check.poly.get((), 0) % p == 0) == check.nonzero
            for check, cells in zip(checks, reads) if not cells):

@@ -13,11 +13,13 @@ A problem file is one JSON object:
     }
 
 Every scalar is a JSON string ("-4", "1/2"); bare numbers are rejected so
-floats can never sneak in.  Indices are 1-based.  In "brackets", entry
-[i, j, coeffs] gives [e_i, e_j] for i < j as a coefficient vector; the
-mirrored constants are filled in automatically.  Tensor entries may also use
-the dim-3 coefficient names x y z p q s t u v (dim 2: x y p q); a named
-alias and an explicit entry for the same cell is a duplicate and an error.
+floats can never sneak in.  The nonzero scalars of one tensor, and those of
+the algebra, have at most SCALAR_CAP characters in all.  Indices are
+1-based.  In "brackets", entry [i, j, coeffs] gives [e_i, e_j] for i < j as
+a coefficient vector; the mirrored constants are filled in automatically.
+Tensor entries may also use the dim-3 coefficient names x y z p q s t u v
+(dim 2: x y p q); a named alias and an explicit entry for the same cell is
+a duplicate and an error.
 """
 
 from __future__ import annotations
@@ -35,6 +37,16 @@ from .tensor import NAMED_CELLS, Tensor2
 # Larger dims are refused before any table is built: `check` of one tensor
 # on the abelian table takes 0.24 s at dim 16, 144 s at dim 80.
 MAX_DIM = 16
+
+# The nonzero scalars of one group (a tensor; the algebra's brackets or its
+# family's parameters; the generator parameters) have at most SCALAR_CAP
+# characters of text in all.  A value a report prints is a sum of at most
+# 12 n^3 products of at most two scalars of a tensor and two of the algebra
+# (a co-Jacobi entry; others have fewer, and a generated entry such as
+# s^2/z or alpha z is one product of at most three), so its numerator and
+# denominator each have at most 2 * 1000 + 2 * 1000 + 5 digits, within
+# Python's limit of 4,300 on str() of an int.
+SCALAR_CAP = 1000
 
 
 class ProblemError(ValueError):
@@ -61,15 +73,32 @@ def _only(obj, keys, what):
         raise ProblemError(f"unknown {what} keys: {clip(str(sorted(extra)))}")
 
 
-def _coeff(text, field, where):
-    if not isinstance(text, str):
-        raise ProblemError(
-            f"{where}: coefficients must be strings, got "
-            f"{type(text).__name__} ({clip(repr(text))})")
-    try:
-        return parse_scalar(text, field)
-    except FieldError as e:
-        raise ProblemError(f"{where}: {e}") from None
+class ScalarRoom:
+    """The characters of SCALAR_CAP left to the nonzero scalars of one
+    group, which `scalar` parses one by one."""
+
+    def __init__(self, group):
+        self.left, self.group = SCALAR_CAP, group
+
+    def scalar(self, text, field, where):
+        """text as a scalar of the field, its characters taken from the
+        room when it is nonzero.  A text longer than the room left is
+        refused before it is parsed."""
+        if not isinstance(text, str):
+            raise ProblemError(
+                f"{where}: coefficients must be strings, got "
+                f"{type(text).__name__} ({clip(repr(text))})")
+        if len(text) > self.left:
+            raise ProblemError(
+                f"{where}: {clip(repr(text))} takes the scalars of "
+                f"{self.group} past the cap of {SCALAR_CAP} characters")
+        try:
+            value = parse_scalar(text, field)
+        except FieldError as e:
+            raise ProblemError(f"{where}: {e}") from None
+        if value:
+            self.left -= len(text)
+        return value
 
 
 def parse_field(obj):
@@ -88,7 +117,7 @@ def parse_algebra(obj, field):
         _only(obj, {"family", "params"}, '"algebra"')
         params_in = obj.get("params", {})
         _expect_dict(params_in, '"algebra.params"')
-        params = {}
+        params, room = {}, ScalarRoom("the algebra")
         for name, val in params_in.items():
             if name == "dim":
                 # type() rather than isinstance(): JSON true is not an int
@@ -97,8 +126,8 @@ def parse_algebra(obj, field):
                         f'"dim" must be an integer from 1 to {MAX_DIM}')
                 params[name] = val
             else:
-                params[name] = _coeff(val, field,
-                                      f"algebra param {clip(name)}")
+                params[name] = room.scalar(val, field,
+                                           f"algebra param {clip(name)}")
         try:
             return make_family(obj["family"], field, **params)
         except (FieldError, ValueError, TypeError) as e:
@@ -114,6 +143,7 @@ def parse_algebra(obj, field):
             raise ProblemError('"algebra.brackets" must be a list')
         constants = []
         seen_pairs = set()
+        room = ScalarRoom("the algebra")
         for ent in brackets:
             if (not isinstance(ent, list) or len(ent) != 3
                     or type(ent[0]) is not int
@@ -129,7 +159,7 @@ def parse_algebra(obj, field):
             if len(coeffs) != n:
                 raise ProblemError(
                     f"bracket [{i}, {j}] needs {n} coefficients")
-            vec = [_coeff(cstr, field, f"bracket [{i}, {j}]")
+            vec = [room.scalar(cstr, field, f"bracket [{i}, {j}]")
                    for cstr in coeffs]
             if (i, j) in seen_pairs:
                 raise ProblemError(f"duplicate bracket for ({i}, {j})")
@@ -149,7 +179,7 @@ def parse_algebra(obj, field):
 def parse_tensor(obj, n, field):
     obj = _expect_dict(obj, "tensor")
     _only(obj, {"entries", "named"}, "tensor")
-    seen = {}
+    seen, room = {}, ScalarRoom("one tensor")
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise ProblemError('"entries" must be a list')
@@ -166,7 +196,7 @@ def parse_tensor(obj, n, field):
                                f"out of range for dim {n}")
         if (i, j) in seen:
             raise ProblemError(f"duplicate tensor entry ({i}, {j})")
-        seen[(i, j)] = _coeff(text, field, f"tensor entry ({i}, {j})")
+        seen[(i, j)] = room.scalar(text, field, f"tensor entry ({i}, {j})")
     named = obj.get("named", {})
     _expect_dict(named, '"named"')
     for name, text in named.items():
@@ -180,7 +210,7 @@ def parse_tensor(obj, n, field):
         if cell in seen:
             raise ProblemError(
                 f"duplicate tensor entry ({cell[0]}, {cell[1]}) via {name!r}")
-        seen[cell] = _coeff(text, field, f"coefficient {name}")
+        seen[cell] = room.scalar(text, field, f"coefficient {name}")
     return Tensor2.from_entries(
         n, field, {(i - 1, j - 1): v for (i, j), v in seen.items()})
 

@@ -13,14 +13,15 @@ For the integer kernels of `solve` and `bialgebra` both fields also map
 scalars to plain ints and back: ``lift(values)`` gives (ints, scale) with
 each value = int / scale (canonical residues and scale 1 over F_p;
 numerators over the least common denominator over Q); ``reduce(ints)``
-canonicalizes kernel output, zero exactly where the scalar is; and
-``unlift(v, scale)`` is the scalar v / scale.
+canonicalizes kernel output, zero exactly where the scalar is;
+``unlift(v, scale)`` is the scalar v / scale; and ``render(ints, scale)``
+writes the text str(unlift(v, scale)) of each v without making the scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -216,6 +217,12 @@ class RationalField:
     def unlift(self, v, scale):
         return Fraction(v, scale)
 
+    def render(self, ints, scale):
+        """The text of each v / scale, "n" or "n/d" in lowest terms as str
+        of the Fraction gives it, by one gcd each; scale >= 1."""
+        return [str(v // g) if (g := gcd(v, scale)) == scale
+                else f"{v // g}/{scale // g}" for v in ints]
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -272,6 +279,13 @@ class PrimeField:
 
     def unlift(self, v, scale):
         return ModP(v * pow(scale, -1, self.p), self.p)
+
+    def render(self, ints, scale):
+        """The text of each v / scale, its canonical residue, by one
+        inverse for them all."""
+        p = self.p
+        inv = pow(scale, -1, p)
+        return [str(v * inv % p) for v in ints]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

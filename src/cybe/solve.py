@@ -14,9 +14,11 @@ grid is lifted once to canonical residues over F_p, or over Q to numerators
 over one common denominator D, and the constants to ints over their own
 denominator C (see the fields' `lift` in `scalars`).  Each cell is
 homogeneous of degree 1 in the constants and 2 in r, so the int cube is
-C D^2 times the residual; only its nonzero entries are turned back into
-Fraction/ModP scalars (reduced mod p, or divided by C D^2).  Fraction and
-ModP stay at the API boundary and in the report.  The bialgebra check calls
+C D^2 times the residual; only its nonzero entries are kept, as their
+ints reduced in the field over the scale C D^2 (`_Entries`).  They become
+Fraction/ModP scalars when a caller of the API reads them, and a report
+writes their text straight from the ints (the fields' `render`).  The
+bialgebra check calls
 the same kernel, and the enumeration oracle runs it once on a grid of
 polynomials to get each cell as a quadratic form
 (`exhaustive._residual_checks`).
@@ -35,7 +37,10 @@ which classify_solution and the symmetry predicates both read, is made so
 here per (record, dimension, the parameters it names, field), and the
 last 8 are kept (`_record_forms`); the bialgebra axioms are made per
 table in `bialgebra`.  This holds up to FORMS_MAX_DIM = 3; above it the
-kernels and Condition.holds run as they are.
+kernels and Condition.holds run as they are.  A record's verdict on a
+tensor is decided once and kept on the tensor (`_holds`), so the
+classification and the symmetry predicates share one evaluation of each
+record they both read.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -67,6 +72,7 @@ from functools import cache, cached_property, lru_cache
 from itertools import (
     combinations,
     combinations_with_replacement,
+    compress,
     product,
 )
 from math import lcm
@@ -85,18 +91,46 @@ class SideConditionError(ValueError):
     """A solution-family case was requested with violated side conditions."""
 
 
+class _Entries(NamedTuple):
+    """The nonzero entries of a kernel's flat output: their 1-based cells,
+    their ints reduced in the field, and the scale every value is divided
+    by, so the value at cells[t] is ints[t] / scale."""
+
+    cells: tuple
+    ints: tuple
+    scale: int
+    field: object
+
+    def values(self):
+        """((cell, value as a field scalar), ...)."""
+        unlift, scale = self.field.unlift, self.scale
+        return tuple((cell, unlift(v, scale))
+                     for cell, v in zip(self.cells, self.ints))
+
+    def texts(self, cap=None):
+        """The text str() gives of each of the first cap values (all by
+        default), written from the ints (the field's `render`)."""
+        return self.field.render(self.ints[:cap], self.scale)
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """The CYBE residual of a tensor in dim n over the field, by its
-    nonzero entries."""
+    nonzero entries as kernel ints (`_Entries`); their scalars are built
+    when first read."""
 
-    nonzero_entries: tuple  # (((i, j, m), value), ...) 1-based positions
+    entries: _Entries
     n: int
     field: object
 
     @property
     def is_zero(self):
-        return not self.nonzero_entries
+        return not self.entries.cells
+
+    @cached_property
+    def nonzero_entries(self):
+        """(((i, j, m), value), ...), 1-based positions."""
+        return self.entries.values()
 
     @cached_property
     def residual(self):
@@ -144,11 +178,11 @@ def _grid_cells(n, rank):
 
 
 def _nonzero_entries(field, ints, scale, n, rank):
-    """((1-based cell, ints[idx] / scale), ...) for the entries of a flat
-    row-major rank-`rank` kernel output that are nonzero in the field."""
-    cells = _grid_cells(n, rank)
-    return tuple((cell, field.unlift(v, scale))
-                 for cell, v in zip(cells, field.reduce(ints)) if v)
+    """The `_Entries` of a flat row-major rank-`rank` kernel output ints
+    over scale: those nonzero in the field."""
+    ints = field.reduce(ints)
+    return _Entries(tuple(compress(_grid_cells(n, rank), ints)),
+                    tuple(filter(None, ints)), scale, field)
 
 
 def _residual_ints(n, consts, k):
@@ -495,11 +529,19 @@ class LabelRecord(NamedTuple):
     """One solution label: a tensor carries it iff it meets every
     condition.  A generator's grid meets all but those written in `text`,
     which it leaves to its free coefficients.
+
+    A record compares and hashes by identity.  Its conditions are
+    functions, which compare so anyway, and the caches keyed by records
+    then hash none of them.
     """
 
     label: SolutionLabel
     conditions: object      # a tuple, or a _Generated
     text: str
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def holds(self, c):
         return all(cond.holds(c) for cond in self.conditions)
@@ -685,26 +727,40 @@ def _record_forms(record, n, params, field):
     return _RecordForms(_straight_line(polys), *map(tuple, tests))
 
 
-@lru_cache(maxsize=8)
-def _table_record_forms(record, n, params, field):
-    """`_record_forms` on a table with parameters params, with None for
-    each one record's conditions do not name, so that every table that
-    agrees on the named ones shares one compiled record.  Its own cache
-    makes a hit one lookup."""
+@lru_cache(maxsize=64)
+def _named(record):
+    """Which of the table's parameters alpha, beta, delta the record's
+    conditions name; a grid record (`_Generated`) reads the grid alone."""
+    if isinstance(record.conditions, _Generated):
+        return False, False, False
     text = " ".join(cond.text for cond in record.conditions)
-    return _record_forms(record, n, tuple(
-        v if name in text else None
-        for v, name in zip(params, ("alpha", "beta", "delta"))), field)
+    return tuple(name in text for name in ("alpha", "beta", "delta"))
+
+
+def _evaluate(record, r, params):
+    """Whether r meets record's conditions, params the parameters they
+    name: compiled forms up to FORMS_MAX_DIM, the conditions on a
+    Coefficients view above."""
+    if r.n > FORMS_MAX_DIM:
+        return record.holds(Coefficients(r.n, r.k, r.field, params))
+    forms = _record_forms(record, r.n, params, r.field)
+    return forms is not None and forms.holds(r.field, r.lifted()[0])
 
 
 def _holds(record, r, params=(None, None, None)):
     """Whether r carries record's label, params the parameters (alpha,
-    beta, delta) of r's table: compiled forms up to FORMS_MAX_DIM, the
-    record's conditions on a Coefficients view above."""
-    if r.n > FORMS_MAX_DIM:
-        return record.holds(Coefficients(r.n, r.k, r.field, params))
-    forms = _table_record_forms(record, r.n, params, r.field)
-    return forms is not None and forms.holds(r.field, r.lifted()[0])
+    beta, delta) of r's table.  Those the record does not name are read as
+    None, so every table that agrees on the named ones shares its compiled
+    forms and its verdict.  The verdict is kept on r (`Tensor2.verdicts`)
+    with the parameters it was decided for: r's grid never changes."""
+    named = _named(record)
+    params = (tuple(v if name else None for v, name in zip(params, named))
+              if any(named) else (None, None, None))
+    verdicts = r.verdicts()
+    kept = verdicts.get(record)
+    if kept is None or kept[0] != params:
+        kept = verdicts[record] = params, _evaluate(record, r, params)
+    return kept[1]
 
 
 def classify_solution(L, r):

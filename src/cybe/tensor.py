@@ -27,13 +27,13 @@ NAMED_CELLS = {
 
 
 class Tensor2:
-    __slots__ = ("n", "k", "field", "_lifted")
+    __slots__ = ("n", "k", "field", "_lifted", "_verdicts")
 
     def __init__(self, n, k, field):
         self.n = n
         self.k = k  # tuple of tuples, 0-based
         self.field = field
-        self._lifted = None
+        self._lifted = self._verdicts = None
 
     def lifted(self):
         """The grid as flat row-major ints over their common denominator,
@@ -43,6 +43,13 @@ class Tensor2:
         if self._lifted is None:
             self._lifted = self.field.lift([v for row in self.k for v in row])
         return self._lifted
+
+    def verdicts(self):
+        """The dict in which `solve` keeps the label records' verdicts on
+        this grid, made once, so each record is decided once per grid."""
+        if self._verdicts is None:
+            self._verdicts = {}
+        return self._verdicts
 
     @classmethod
     def from_entries(cls, n, field, entries):

@@ -25,6 +25,8 @@ from cybe import (
     solvable_table,
 )
 from cybe.cli import run
+from cybe.problems import SCALAR_CAP
+from cybe.scalars import RationalField
 from cybe.exhaustive import decode_ids
 from cybe.problems import tensor_obj, tensor_objs
 from conftest import decoded_tensors
@@ -168,6 +170,26 @@ def test_witness_reports_match_golden_snapshots(capsys, stem, verb):
     # regimes, and sl2 with a central e4 (dim 4, past the compiled forms),
     # too.  Every tensor solves on the abelian table, so there both verbs
     # exit 0: the exit code is the one the golden report's "ok" gives.
+    code = run([verb, "-i", os.path.join(WITNESSES, stem + ".json")])
+    golden = os.path.join(WITNESSES, f"{stem}.{verb}.golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        want = fh.read()
+    assert capsys.readouterr().out == want
+    assert code == (0 if json.loads(want)["ok"] else 1)
+
+
+@pytest.mark.parametrize("verb", ["check", "bialgebra"])
+@pytest.mark.parametrize("stem", ["sl2_q", "ii_f101"])
+def test_witness_values_are_written_without_field_scalars(
+        capsys, monkeypatch, stem, verb):
+    # every residual and witness value is written straight from the
+    # kernel's ints (the fields' render): with unlift refused, the reports
+    # are still their goldens
+    def refuse(field, v, scale):
+        raise AssertionError(f"unlift({v}, {scale}) over {field!r}")
+
+    monkeypatch.setattr(RationalField, "unlift", refuse)
+    monkeypatch.setattr(PrimeField, "unlift", refuse)
     code = run([verb, "-i", os.path.join(WITNESSES, stem + ".json")])
     golden = os.path.join(WITNESSES, f"{stem}.{verb}.golden.json")
     with open(golden, encoding="utf-8") as fh:
@@ -532,6 +554,75 @@ def test_oversized_malformed_values_make_one_short_error_line(
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1 and len(captured.err) < 200
     assert "characters)" in captured.err
+
+
+SL2_Q = {"field": {"kind": "rational"},
+         "algebra": {"family": "II", "params": {"alpha": "4", "beta": "-4"}}}
+
+
+@pytest.mark.parametrize("verb", ["check", "bialgebra"])
+@pytest.mark.parametrize("over", [0, 1])
+def test_scalar_cap_of_a_tensor(capsys, tmp_path, monkeypatch, verb, over):
+    # at SCALAR_CAP characters the report is written: its longest value
+    # (co-Jacobi, about twice the tensor's digits) is far within the
+    # 4,300 digits str() of an int allows; one character more is refused
+    # with one error line naming the cap, before any table is checked
+    digits = SCALAR_CAP - 3 - 498 + over
+    doc = dict(SL2_Q, tensor={"entries": [
+        [1, 2, "7" * 498], [2, 3, "1/3"], [3, 3, "7" * digits]]})
+    path = write_problem(tmp_path, doc)
+    if over:
+        monkeypatch.setattr(cli, "check_jacobi", None)
+    code = run([verb, "-i", path])
+    captured = capsys.readouterr()
+    if over:
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("error: tensor entry (3, 3): ")
+        assert captured.err.count("\n") == 1
+        assert f"cap of {SCALAR_CAP} characters" in captured.err
+        return
+    rep = json.loads(captured.out)
+    assert code == 1 and not captured.err
+    values = [text for _, text in rep["results"][0].get(
+        "residual_entries", [])] + [
+        text for w in rep["results"][0].get("witnesses", {}).get(
+            "cojacobi", []) for _, text in w["entries"]]
+    assert values and max(map(len, values)) < 4300
+
+
+@pytest.mark.parametrize("doc, verb, where", [
+    ({"field": {"kind": "rational"}, "algebra": {
+        "family": "II", "params": {"alpha": "5" * 600, "beta": "3" * 401}},
+      "tensor": {"entries": []}}, "check", "algebra param beta"),
+    ({"field": {"kind": "prime", "p": 7}, "algebra": {"dim": 2, "brackets": [
+        [1, 2, ["1" * 999, "12"]]]}}, "enumerate", "bracket [1, 2]"),
+    ({"field": {"kind": "rational"}, "algebra": {"family": "sl2"},
+      "tensor": {"named": {"x": "1/" + "3" * 999}}}, "check",
+     "coefficient x"),
+    (dict(SL2_Q, options={"case": "strong-z", "params": {
+        "s": "2" * 500, "u": "1", "z": "1/" + "3" * 498}}), "generate",
+     "parameter z"),
+])
+def test_scalar_cap_of_each_group(capsys, tmp_path, doc, verb, where):
+    # the algebra's brackets or family parameters, each tensor, and the
+    # generator parameters each have SCALAR_CAP characters of nonzero
+    # scalars
+    code = run([verb, "-i", write_problem(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith(f"error: {where}: ")
+    assert f"cap of {SCALAR_CAP} characters" in captured.err
+
+
+def test_scalar_cap_counts_nonzero_scalars_of_each_tensor(capsys, tmp_path):
+    # zeros take no room, and each tensor has a room of its own
+    zeros = [[i, j, "0" * 20] for i in range(1, 4) for j in range(1, 4)]
+    doc = dict(SL2_Q, tensors=[
+        {"entries": zeros[:-1] + [[3, 3, "7" * (SCALAR_CAP - 10)]]},
+        {"entries": [[1, 1, "9" * SCALAR_CAP]]}])
+    code, rep = run_json(capsys, ["check", "-i",
+                                  write_problem(tmp_path, doc)])
+    assert code == 0 and len(rep["results"]) == 2
 
 
 def test_reports_are_byte_identical_across_runs(capsys, tmp_path):

@@ -17,6 +17,7 @@ digits than an int's str() allows.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -79,12 +80,14 @@ from cybe.solve import (
     _int_constants,
     _record_forms,
     _reduced,
+    _residual_ints,
     _straight_line,
-    _table_record_forms,
     regime_records,
     skew_record,
     strong_record,
 )
+from cybe import solve
+from cybe.cli import _bialgebra_entry, _check_entry
 from cybe.tensor import NAMED_CELLS
 from conftest import (
     all_tensors,
@@ -392,7 +395,8 @@ def test_axiom_forms_equal_the_kernels(field):
             k, _ = field.lift([v for row in r.k for v in row])
             imgs = _images(n, consts, k)
             kernels = (_coantisymmetry_ints(n, imgs) + _cojacobi_ints(n, imgs)
-                       + _compatibility_ints(n, consts, imgs))
+                       + _compatibility_ints(n, consts, imgs)
+                       + _residual_ints(n, consts, k))
             want = field.reduce(kernels)
             assert want == field.reduce(_axiom_ints(n, consts, k)), (L, r)
             assert list(field.reduce(forms(k))) == want, (L, r)
@@ -522,7 +526,6 @@ def test_a_record_is_compiled_once_for_the_parameters_it_names():
     alpha, beta = Fraction(2, 3), Fraction(-2, 3)
     L = family_ii(alpha, beta)
     r = generate_solution(L, "alpha-beta-skew", {"s": 1, "u": 1})
-    _table_record_forms.cache_clear()
     _record_forms.cache_clear()
     labels = classify_solution(L, r)
     flags = symmetry_flags(r, alpha, beta)
@@ -696,3 +699,45 @@ def test_checks_refuse_a_malformed_cobracket(check):
     for n, images in ((3, (w, w, w)), (2, (w,))):
         with pytest.raises(ValueError, match="dimension mismatch"):
             check(Cobracket(n, images))
+
+
+def test_each_record_is_evaluated_once_per_tensor(monkeypatch):
+    # check reads strong and skew symmetry (and alpha,beta-skew on a dim-3
+    # table with alpha, beta) for its symmetry flags, and the regime's
+    # records, strong symmetry and alpha,beta-skew among them, for its
+    # labels; bialgebra reads skew symmetry for the closed form's
+    # applicability and again in each closed form.  Each record is decided
+    # once per tensor, on the compiled forms and above FORMS_MAX_DIM alike
+    rng = random.Random(0x51)
+    cases = [(L, sample_grids(rng, L, 3))
+             for field in (QQ, PrimeField(7))
+             for L in builtin_tables(field) + [abelian(5, field)]]
+    seen, kept = Counter(), []    # tensors equal by value: keyed by id
+
+    def counted(record, r, params):
+        seen[record, id(r)] += 1
+        return evaluate(record, r, params)
+
+    evaluate = solve._evaluate
+
+    monkeypatch.setattr(solve, "_evaluate", counted)
+    for L, grids in cases:
+        table = recognize_table(L)
+        want = {strong_record(L.n), skew_record(L.n)}
+        if L.n == 3 and table.alpha is not None:
+            want.add(ALPHA_BETA_SKEW)
+        try:
+            want.update(regime_records(L, table))
+        except UncoveredRegime:
+            pass
+        for r in grids:
+            _check_entry(L, r, table)
+            assert {rec for rec, t in seen if t == id(r)} == want, (L, r)
+            fresh = Tensor2(r.n, r.k, r.field)
+            kept.append(fresh)
+            _bialgebra_entry(L, fresh, table)
+            assert {rec for rec, t in seen if t == id(fresh)} == {
+                skew_record(L.n)}, (L, r)
+            _bialgebra_entry(L, r, table)
+    assert seen and set(seen.values()) == {1}
+

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cybe import QQ, FieldError, ModP, PrimeField
@@ -159,3 +159,24 @@ def test_prime_round_trip(p, a):
     f = PrimeField(p)
     v = f.from_int(a)
     assert f.parse(str(v)) == v
+
+
+RENDER_FIELDS = [QQ, PrimeField(3), PrimeField(101), PrimeField(2**64 - 59)]
+
+
+@given(st.sampled_from(RENDER_FIELDS),
+       st.lists(st.integers(-10**30, 10**30).filter(bool), min_size=1,
+                max_size=8),
+       st.integers(1, 10**12), st.integers(0, 3))
+def test_render_writes_the_text_of_each_unlifted_value(field, ints, scale,
+                                                       shared):
+    # v / scale as str() of the scalar gives it, without making the scalar:
+    # over Q "n" or "n/d" in lowest terms, scales sharing factors with v
+    # included; over F_p the residue, for every scale the field inverts
+    if shared:
+        scale *= ints[0] ** shared
+    scale = abs(scale)
+    if field is not QQ:
+        assume(scale % field.p)
+    assert field.render(ints, scale) == [str(field.unlift(v, scale))
+                                         for v in ints]
