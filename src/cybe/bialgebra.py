@@ -25,8 +25,9 @@ Each check is an int kernel (its arithmetic, a flat output list) and a
 witness extraction.  bialgebra_check reads the three, and the CYBE
 residual that decides triangularity, as one flat list (`_axiom_ints`),
 which up to FORMS_MAX_DIM it gets from that list compiled once per table
-(`_axiom_forms`, see `solve`); on a Lie table, where x . r is a cocycle for
-every r, every compatibility entry is the literal 0.
+and kept on the table (`_axiom_forms`, see `solve`), so a caller that
+rotates over many tables compiles each once; on a Lie table, where x . r
+is a cocycle for every r, every compatibility entry is the literal 0.
 Above FORMS_MAX_DIM, and for the public checks on an arbitrary Cobracket,
 the kernels run on ints.
 
@@ -38,7 +39,7 @@ play them against the axiom checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .scalars import FieldError, show
 from .solve import (
@@ -197,16 +198,17 @@ def _axiom_ints(n, consts, k):
             + _residual_ints(n, consts, k))
 
 
-@lru_cache(maxsize=8)
 def _axiom_forms(L):
     """`_axiom_ints` run once on the grid of cell polynomials, compiled:
     a function of r's lifted grid k that returns `_axiom_ints` on k, each
     entry a form, linear (coantisymmetry, compatibility) or quadratic
-    (co-Jacobi, residual).  Made once per table (tables are immutable and
-    hash by identity)."""
-    consts, _ = _int_constants(L)
-    return _straight_line(_reduced(
-        _axiom_ints(L.n, consts, _cell_polys(L.n)), L.field))
+    (co-Jacobi, residual).  Made once per table and kept on it
+    (`LieAlgebra.axiom_forms`)."""
+    if L.axiom_forms is None:
+        consts, _ = _int_constants(L)
+        L.axiom_forms = _straight_line(_reduced(
+            _axiom_ints(L.n, consts, _cell_polys(L.n)), L.field))
+    return L.axiom_forms
 
 
 def _coantisymmetry_failures(n, flat):

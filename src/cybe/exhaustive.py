@@ -37,13 +37,12 @@ where every grid does (the abelian table).
 Ids are int64, so exhaustive scans need p**(n*n) < 2**63 (in dim 3,
 p <= 127; in dim 2, p < 55109) and refuse larger spaces up front.  Under
 that ceiling every step is exact in int64, whatever the budget: ids stay
-below p**(n*n); a check is evaluated with its coefficients and the digits as
-residues, so each term of degree 2 is below p**3 and a check of T terms
-below T p**3 (a product of more factors is reduced after each one past the
-second), far below 2**63 (p**3 < 2**48 in dim 2), so the digit rows are
-widened to int64 once per chunk; and a, b and c are reduced below p before
-the discriminant, so b**2 - 4ac stays within 5 p**2 (the engine adds the
-residue of -4a times c, below 2 p**2).
+below p**(n*n); every check has degree at most 2 (the engine refuses any
+other) and is evaluated with its coefficients and the digits as residues,
+so a check of T terms stays below T p**3, far below 2**63 (p**3 < 2**48 in
+dim 2), and the digit rows are widened to int64 once per chunk; and a, b
+and c are reduced below p before the discriminant, so b**2 - 4ac stays
+within 5 p**2 (the engine adds the residue of -4a times c, below 2 p**2).
 Dim 1 has no checks, since antisymmetry makes every one-dimensional algebra
 abelian.  The budget only caps the rows of a search level: parent rows
 times p, checked before each level (see `_surviving_ids`).
@@ -210,11 +209,10 @@ def _solve_cell(a, b, c, p, tables):
 
 
 def _split(poly, x):
-    """poly as a x^2 + b x + c: (rank, a, b, c) with the int a and the
-    polynomials b and c in the other positions, or None if its degree in x
-    exceeds 2 or a is not a constant.  Rank 1: a = 0 and b a nonzero
-    constant (one root on every row); 2: a != 0 (at most two); 3: any other
-    (some rows may take every digit)."""
+    """poly, of degree at most 2, as a x^2 + b x + c: (rank, a, b, c) with
+    the int a and the polynomials b and c in the other positions.  Rank 1:
+    a = 0 and b a nonzero constant (one root on every row); 2: a != 0 (at
+    most two); 3: any other (some rows may take every digit)."""
     a, b, c = 0, {}, {}
     for mono, coef in poly.items():
         if x not in mono:
@@ -224,28 +222,23 @@ def _split(poly, x):
         rest = mono[:at] + mono[at + 1:]
         if x not in rest:
             b[rest] = coef
-        elif rest == (x,):
-            a = coef
         else:
-            return None
+            a = coef
     return (2 if a else 1 if list(b) == [()] else 3), a, b, c
 
 
-def _value(poly, grid, p):
-    """poly on the columns of grid, whose row s holds position s, not
-    reduced: below p**3 times its number of terms, as coefficients and
-    factors are residues and a product of more than two factors is reduced
-    after each one past the second."""
+def _value(poly, grid):
+    """poly, of degree at most 2, on the columns of grid, whose row s
+    holds position s, not reduced: below p**3 times its number of terms,
+    as coefficients and factors are residues mod p."""
     acc, const = None, 0
     for mono, coef in poly.items():
         if not mono:
             const = coef
             continue
         term = grid[mono[0]] if coef == 1 else coef * grid[mono[0]]
-        for d, cell in enumerate(mono[1:], 1):
+        for cell in mono[1:]:
             term = term * grid[cell]
-            if d > 1:
-                term %= p
         acc = term if acc is None else acc + term
     if acc is None:
         return np.full(grid.shape[1], const, dtype=grid.dtype)
@@ -301,7 +294,7 @@ def _filter(out, checks, p):
     child = out.astype(np.int64)
     keep = None
     for poly, nonzero in checks:
-        val = _value(poly, child, p)
+        val = _value(poly, child)
         ok = (val % p == 0) != nonzero
         if not ok.all():
             child = child.compress(ok, axis=1)
@@ -327,8 +320,8 @@ def _extend(digits, p, level, tables):
         else:
             a, b, c = level.solver
             grid = part.astype(np.int64)
-            rows, xs, full = _solve_cell(a, _value(b, grid, p) % p,
-                                         _value(c, grid, p) % p, p, tables)
+            rows, xs, full = _solve_cell(a, _value(b, grid) % p,
+                                         _value(c, grid) % p, p, tables)
             if full.size:
                 rows = np.concatenate((rows, full.repeat(p)))
                 xs = np.concatenate((xs, np.tile(np.arange(p), full.size)))
@@ -354,9 +347,12 @@ def _surviving_ids(n, p, checks, budget):
     held; a level that keeps none ends the search.  Raises BudgetExceeded
     before a level whose parent rows times p exceed `budget` (None: no
     cap).  The other cells are then added to the ids by id arithmetic.
+    Raises ValueError on a check with a monomial of more than two cells.
     """
     nn = n * n
     weight = p ** np.arange(nn - 1, -1, -1, dtype=np.int64)
+    if any(len(mono) > 2 for check in checks for mono in check.poly):
+        raise ValueError("the engine takes checks of degree at most 2")
     checks = sorted(checks, key=lambda check: (
         check.nonzero, len(check.poly), tuple(check.poly.items())))
     reads = [set(chain.from_iterable(check.poly)) for check in checks]

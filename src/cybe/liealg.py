@@ -34,13 +34,16 @@ from .scalars import QQ, FieldError, clip, show
 class LieAlgebra:
     """Immutable structure-constant table; build via the module constructors."""
 
-    __slots__ = ("n", "c", "field", "label")
+    __slots__ = ("n", "c", "field", "label", "axiom_forms")
 
     def __init__(self, n, c, field, label=None):
         self.n = n
         self.c = c  # c[i][j][k], tuple of tuples of tuples, 0-based
         self.field = field
         self.label = label
+        # the bialgebra axioms compiled for this table, made by
+        # `bialgebra` when first needed: the constants never change
+        self.axiom_forms = None
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y of length n."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring
 from types import GeneratorType
 
-from .liealg import from_constants, make_family
+from .liealg import _table, make_family
 from .scalars import FieldError, clip, make_field, parse_scalar
 from .tensor import NAMED_CELLS, Tensor2
 
@@ -141,9 +141,7 @@ def parse_algebra(obj, field):
         brackets = obj.get("brackets", [])
         if not isinstance(brackets, list):
             raise ProblemError('"algebra.brackets" must be a list')
-        constants = []
-        seen_pairs = set()
-        room = ScalarRoom("the algebra")
+        entries, room = {}, ScalarRoom("the algebra")
         for ent in brackets:
             if (not isinstance(ent, list) or len(ent) != 3
                     or type(ent[0]) is not int
@@ -161,17 +159,10 @@ def parse_algebra(obj, field):
                     f"bracket [{i}, {j}] needs {n} coefficients")
             vec = [room.scalar(cstr, field, f"bracket [{i}, {j}]")
                    for cstr in coeffs]
-            if (i, j) in seen_pairs:
+            if (i - 1, j - 1) in entries:
                 raise ProblemError(f"duplicate bracket for ({i}, {j})")
-            seen_pairs.add((i, j))
-            for m, val in enumerate(vec):
-                if val:
-                    constants.append((i - 1, j - 1, m, val))
-                    constants.append((j - 1, i - 1, m, -val))
-        try:
-            return from_constants(n, constants, field, label="custom")
-        except ValueError as e:
-            raise ProblemError(str(e)) from None
+            entries[(i - 1, j - 1)] = vec
+        return _table(n, field, entries, "custom")
     raise ProblemError(
         '"algebra" needs either "family" or "dim"+"brackets"')
 

@@ -33,14 +33,16 @@ order, with the literal 0 for a form that vanishes identically, so it
 stands in for the kernel.  The table's parameters are coefficients, so
 every form is homogeneous in the grid and vanishes on the lifted grid
 exactly where it does on r; any other is refused.  Each label record,
-which classify_solution and the symmetry predicates both read, is made so
-here per (record, dimension, the parameters it names, field), and the
-last 8 are kept (`_record_forms`); the bialgebra axioms are made per
-table in `bialgebra`.  This holds up to FORMS_MAX_DIM = 3; above it the
-kernels and Condition.holds run as they are.  A record's verdict on a
-tensor is decided once and kept on the tensor (`_holds`), so the
-classification and the symmetry predicates share one evaluation of each
-record they both read.
+which classify_solution and the symmetry predicates both read, says which
+of the table's parameters it names (`LabelRecord.names`), and is made
+here into one predicate of the lifted grid per (record, dimension, the
+parameters it names, field); the last 8 are kept (`_record_forms`).  The
+bialgebra axioms are made per table in `bialgebra` and kept on the
+table.  This holds up to FORMS_MAX_DIM = 3; above it the kernels and
+Condition.holds run as they are.  A record's verdict on a tensor is
+decided once and kept on the tensor under (record, the parameters it
+names) (`_holds`), so the classification and the symmetry predicates
+share one evaluation of each record they both read.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -525,23 +527,26 @@ def _conditions(text):
     return tuple(conds)
 
 
-class LabelRecord(NamedTuple):
+class LabelRecord:
     """One solution label: a tensor carries it iff it meets every
     condition.  A generator's grid meets all but those written in `text`,
     which it leaves to its free coefficients.
 
-    A record compares and hashes by identity.  Its conditions are
-    functions, which compare so anyway, and the caches keyed by records
-    then hash none of them.
+    `names` says which of the table's parameters alpha, beta, delta the
+    conditions read; a grid record (`_Generated`) reads the grid alone.  A
+    record compares and hashes by identity, so the caches keyed by records
+    hash none of their conditions.
     """
 
-    label: SolutionLabel
-    conditions: object      # a tuple, or a _Generated
-    text: str
+    __slots__ = ("label", "conditions", "text", "names")
 
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
+    def __init__(self, label, conditions, text):
+        self.label = label
+        self.conditions = conditions    # a tuple, or a _Generated
+        self.text = text
+        read = ("" if isinstance(conditions, _Generated)
+                else " ".join(cond.text for cond in conditions))
+        self.names = tuple(name in read for name in ("alpha", "beta", "delta"))
 
     def holds(self, c):
         return all(cond.holds(c) for cond in self.conditions)
@@ -696,45 +701,21 @@ def _condition_polys(conditions, n, params):
     return polys
 
 
-class _RecordForms(NamedTuple):
-    """One label record compiled (`_record_forms`): run(k) gives the
-    lhs - rhs of its conditions in order, `zeros` the positions of the
-    ones that must vanish and `nonzeros` of those that must not."""
-
-    run: Callable
-    zeros: tuple
-    nonzeros: tuple
-
-    def holds(self, field, k):
-        """Whether the record holds on the lifted grid k."""
-        vals = field.reduce(self.run(k))
-        return (not any(vals[i] for i in self.zeros)
-                and all(vals[i] for i in self.nonzeros))
-
-
 @lru_cache(maxsize=8)
 def _record_forms(record, n, params, field):
     """record compiled in dim n, the table's parameters params as integer
-    coefficients and the forms reduced in the field, or None when one of
-    its != 0 conditions vanishes identically, so that it never holds."""
+    coefficients and the forms reduced in the field: the predicate of a
+    lifted grid k that says whether the record holds there.  A != 0
+    condition that vanishes identically reads the literal 0, so the
+    predicate is then false on every grid."""
     conds = tuple(record.conditions)
     polys = _reduced(_condition_polys(conds, n, params), field)
-    if any(cond.nonzero and not poly for cond, poly in zip(conds, polys)):
-        return None
-    tests = ([], [])
-    for i, cond in enumerate(conds):
-        tests[cond.nonzero].append(i)
-    return _RecordForms(_straight_line(polys), *map(tuple, tests))
+    run, reduce = _straight_line(polys), field.reduce
+    nonzero = [cond.nonzero for cond in conds]
 
-
-@lru_cache(maxsize=64)
-def _named(record):
-    """Which of the table's parameters alpha, beta, delta the record's
-    conditions name; a grid record (`_Generated`) reads the grid alone."""
-    if isinstance(record.conditions, _Generated):
-        return False, False, False
-    text = " ".join(cond.text for cond in record.conditions)
-    return tuple(name in text for name in ("alpha", "beta", "delta"))
+    def holds(k):
+        return list(map(bool, reduce(run(k)))) == nonzero
+    return holds
 
 
 def _evaluate(record, r, params):
@@ -743,8 +724,7 @@ def _evaluate(record, r, params):
     Coefficients view above."""
     if r.n > FORMS_MAX_DIM:
         return record.holds(Coefficients(r.n, r.k, r.field, params))
-    forms = _record_forms(record, r.n, params, r.field)
-    return forms is not None and forms.holds(r.field, r.lifted()[0])
+    return _record_forms(record, r.n, params, r.field)(r.lifted()[0])
 
 
 def _holds(record, r, params=(None, None, None)):
@@ -752,15 +732,15 @@ def _holds(record, r, params=(None, None, None)):
     beta, delta) of r's table.  Those the record does not name are read as
     None, so every table that agrees on the named ones shares its compiled
     forms and its verdict.  The verdict is kept on r (`Tensor2.verdicts`)
-    with the parameters it was decided for: r's grid never changes."""
-    named = _named(record)
-    params = (tuple(v if name else None for v, name in zip(params, named))
-              if any(named) else (None, None, None))
+    under the record and the parameters it names: r's grid never
+    changes."""
+    key = record, *compress(params, record.names)
     verdicts = r.verdicts()
-    kept = verdicts.get(record)
-    if kept is None or kept[0] != params:
-        kept = verdicts[record] = params, _evaluate(record, r, params)
-    return kept[1]
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _evaluate(record, r, tuple(
+            v if name else None for v, name in zip(params, record.names)))
+    return verdict
 
 
 def classify_solution(L, r):

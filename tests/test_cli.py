@@ -669,6 +669,48 @@ def test_text_format(capsys):
     assert code == 0 and "generator cases:" in out
 
 
+QQ_SPEC, F3_SPEC = {"kind": "rational"}, {"kind": "prime", "p": 3}
+
+
+@pytest.mark.parametrize("verb, doc, extra, want, code", [
+    ("check", {"field": QQ_SPEC, "algebra": {"family": "sl2"},
+               "tensor": {"entries": [[1, 2, "1"]]}}, [],
+     ["  solution: False", "  nonzero residual at: [(1, 3, 2)]",
+      "  labels: (none)"], 1),
+    ("check", {"field": QQ_SPEC, "algebra": {
+        "family": "IV", "params": {"beta": "1", "delta": "2"}},
+        "tensor": {"entries": [[1, 2, "1"]]}}, [],
+     ["  labels: uncovered regime (solvable table with beta=1, delta=2 is "
+      "outside the classified regimes (need beta=0, or beta!=0 with "
+      "delta=1))"], 0),
+    ("bialgebra", {"field": QQ_SPEC, "algebra": {"family": "I"},
+                   "tensors": [{"entries": [[1, 1, "1"]]},
+                               {"entries": [[1, 2, "1"], [2, 1, "-1"]]}]}, [],
+     ["  closed form: n/a (tensor not skew)",
+      "  closed form: uncovered (no closed form for table 'abelian')"], 0),
+    ("enumerate", {"field": F3_SPEC, "algebra": {"family": "VI"}},
+     ["--budget", "1"],
+     ["error: a search level of 3 rows exceeds the budget of 1"], 1),
+    ("check", {"field": QQ_SPEC, "algebra": {"dim": 3, "brackets": [
+        [1, 2, ["1", "0", "0"]], [1, 3, ["0", "1", "0"]],
+        [2, 3, ["1", "0", "0"]]]}, "tensor": {"entries": []}}, [],
+     ["jacobi:  VIOLATED", "  triple (1, 2, 3): residual ['0', '1', '0']"],
+     1),
+], ids=["residual", "uncovered-labels", "closed-form", "budget", "jacobi"])
+def test_text_format_failure_lines(capsys, tmp_path, verb, doc, extra, want,
+                                   code):
+    # the lines the text summary gives where a verdict fails or a regime is
+    # not covered, each as a line of its own
+    got = run([verb, "-i", write_problem(tmp_path, doc), "--format", "text",
+               *extra])
+    out = capsys.readouterr()
+    assert got == code and not out.err
+    lines = out.out.splitlines()
+    for line in want:
+        assert line in lines, line
+    assert lines[-1] == f"ok: {code == 0}"
+
+
 def test_families_report(capsys):
     code, rep = run_json(capsys, ["families"])
     assert code == 0 and rep["ok"]

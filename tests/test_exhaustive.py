@@ -310,6 +310,24 @@ def test_checks_on_no_cell_are_decided(constant, holds):
         assert np.array_equal(ids, want if holds else every[:0]), checks
 
 
+def test_a_level_that_keeps_no_rows_ends_the_search():
+    # k[0][0] = 0 and k[0][0] != 0 leave the first level no row: the
+    # search ends there, before the level of k[0][1]
+    checks = [Check({(0,): 1}), Check({(0,): 1}, True), Check({(1,): 1})]
+    ids = _surviving_ids(2, 3, checks, None)
+    assert ids.size == 0 and ids.dtype == np.int64
+
+
+def test_a_cubic_check_is_refused():
+    # each cell is solved from an equation of degree at most 2 in it, and
+    # every residual and label check has degree at most 2
+    with pytest.raises(ValueError, match="degree at most 2"):
+        _surviving_ids(2, 3, [Check({(0, 1, 2): 1})], None)
+    with pytest.raises(ValueError, match="degree at most 2"):
+        _surviving_ids(2, 3, [Check({(0,): 1}), Check({(1, 1, 1): 1}, True)],
+                       None)
+
+
 def test_int64_id_ceiling():
     # 131^9 >= 2^63 > 127^9
     with pytest.raises(ValueError, match="int64"):

@@ -86,7 +86,7 @@ from cybe.solve import (
     skew_record,
     strong_record,
 )
-from cybe import solve
+from cybe import bialgebra, solve
 from cybe.cli import _bialgebra_entry, _check_entry
 from cybe.tensor import NAMED_CELLS
 from conftest import (
@@ -402,6 +402,24 @@ def test_axiom_forms_equal_the_kernels(field):
             assert list(field.reduce(forms(k))) == want, (L, r)
 
 
+def test_axiom_forms_are_compiled_once_per_table(monkeypatch):
+    # a caller rotating bialgebra_check over nine tables finds each one's
+    # axioms compiled on the second round
+    compiled = []
+
+    def counted(forms, real=bialgebra._straight_line):
+        compiled.append(len(forms))
+        return real(forms)
+    monkeypatch.setattr(bialgebra, "_straight_line", counted)
+    tables = [family_ii(alpha, 1, QQ) for alpha in range(1, 10)]
+    r = Tensor2.from_entries(3, QQ, {(0, 1): Fraction(1),
+                                     (1, 0): Fraction(-1)})
+    want = [bialgebra_check(L, r) for L in tables]
+    assert len(compiled) == 9
+    assert [bialgebra_check(L, r) for L in tables] == want
+    assert len(compiled) == 9
+
+
 def test_compatibility_forms_vanish_exactly_on_lie_tables():
     # x . r is a cocycle for every r exactly when ad is a representation
     for field in FORM_FIELDS:
@@ -461,12 +479,12 @@ def test_straight_line_names_a_monomial_after_its_prefix():
     assert run([2, 3, 5]) == (30, 6)
     rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("xyz = 0, xy = 0"),
                       "")
-    forms = _record_forms(rec, 3, (None, None, None), QQ)
+    holds = _record_forms(rec, 3, (None, None, None), QQ)
     for diag in ((2, 3, 0), (2, 0, 5), (0, 0, 0)):
         r = Tensor2.from_rows([[Fraction(v if i == j else 0)
                                 for j, v in enumerate(diag)]
                                for i in range(3)], QQ)
-        assert forms.holds(QQ, r.lifted()[0]) == rec.holds(r), diag
+        assert holds(r.lifted()[0]) == rec.holds(r), diag
 
 
 def test_dimension_records_are_compiled_once_per_dimension():
@@ -481,18 +499,19 @@ def test_dimension_records_are_compiled_once_per_dimension():
 
 
 def test_a_vanishing_nonzero_condition_never_holds():
-    # p - p != 0 vanishes identically: the record compiles to None and
+    # p - p != 0 vanishes identically: the record's compiled predicate
     # holds on no grid, as its Condition.holds says
     rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("p - p != 0"),
                       "p - p != 0")
     rng = random.Random(0x99)
     for field in (QQ, PrimeField(5)):
         for n in (2, 3):
-            assert _record_forms(rec, n, (None, None, None), field) is None
+            holds = _record_forms(rec, n, (None, None, None), field)
             L = abelian(n, field)
             for _ in range(6):
                 r = rand_grid(rng, L, lambda: zero_heavy(rng, field))
                 c = Coefficients(n, r.k, field, (None, None, None))
+                assert not holds(r.lifted()[0])
                 assert not _holds(rec, r) and not rec.holds(c)
 
 
