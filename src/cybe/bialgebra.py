@@ -27,13 +27,18 @@ residual that decides triangularity, as one flat list (`_axiom_ints`),
 which up to FORMS_MAX_DIM it gets from that list compiled once per table
 and kept on the table (`_axiom_forms`, see `solve`), so a caller that
 rotates over many tables compiles each once; on a Lie table, where x . r
-is a cocycle for every r, every compatibility entry is the literal 0.
-Above FORMS_MAX_DIM, and for the public checks on an arbitrary Cobracket,
-the kernels run on ints.
+is a cocycle for every r, every compatibility entry is the literal 0.  On
+an abelian table every form vanishes identically, so bialgebra_check
+returns its all-true verdicts without reading any.  Above FORMS_MAX_DIM,
+and for the public checks on an arbitrary Cobracket, the kernels run on
+ints.
 
 coboundary_predicate / triangular_predicate are the independent closed forms
 for the classified regimes, kept deliberately separate so the test suite can
-play them against the axiom checker.
+play them against the axiom checker.  Which regime's form applies, or why
+none does, is decided once per table and kept on the table
+(`_closed_form_regimes`), so a skew tensor pays only the forms' Fraction
+or ModP arithmetic.
 """
 
 from __future__ import annotations
@@ -305,9 +310,15 @@ def bialgebra_check(L, r):
     never consults the closed-form predicates below.  r and the constants
     are lifted once; up to FORMS_MAX_DIM the axioms are the table's
     compiled forms on r's lifted grid, above it the kernels on the int
-    images."""
+    images.  A table with no nonzero constant (an abelian one) reads
+    neither: there every form is 0."""
     n, field = L.n, L.field
     consts, c_scale = _int_constants(L)
+    if not consts:
+        # every axiom form vanishes identically, as does the residual
+        _same_space(L, r)
+        return BialgebraReport(True, True, True, True, True, True, {
+            "coantisymmetry": (), "cojacobi": (), "compatibility": ()})
     k, d_scale = _lift_grid(L, r)
     vals = field.reduce(_axiom_forms(L)(k) if n <= FORMS_MAX_DIM
                         else _axiom_ints(n, consts, k))
@@ -337,23 +348,44 @@ def bialgebra_check(L, r):
     )
 
 
-def _closed_form_regime(L, r):
-    """L's Table when a closed form covers it: "vi", "ii" with alpha, beta
-    both zero or both nonzero, or "solvable".  Raises ValueError or
-    FieldError if r does not live on L, ValueError if r is not skew, else
-    UncoveredRegime.  The "ii" and "solvable" tables are dim 3, so there r
-    has the named coefficients p, s and u."""
+def _closed_form_regimes(L):
+    """L's closed-form regimes, decided once per table and kept on it
+    (`LieAlgebra.closed_forms`): (its Table, why no coboundary form covers
+    it, why no triangular one does), a reason None where a form covers L.
+    The coboundary form covers "vi", "ii" with alpha, beta both zero or
+    both nonzero, and "solvable"; the triangular one all of these but
+    "solvable" with beta != 0, delta != 1."""
+    if L.closed_forms is None:
+        table = recognize_table(L)
+        kind, alpha, beta, delta = table
+        why = None
+        if kind is None:
+            why = f"no closed form for {L!r}"
+        elif kind == "ii" and bool(alpha) != bool(beta):
+            why = "no closed form when exactly one of alpha, beta is zero"
+        elif kind not in ("vi", "ii", "solvable"):
+            why = f"no closed form for table {kind!r}"
+        why_triangular = why
+        if kind == "solvable" and beta and delta != L.field.one():
+            why_triangular = (f"no triangular closed form for "
+                              f"beta={show(beta)}, delta={show(delta)}")
+        L.closed_forms = table, why, why_triangular
+    return L.closed_forms
+
+
+def _closed_form_table(L, r, triangular=False):
+    """L's Table when a closed form (a triangular one if asked) covers it.
+    Raises ValueError or FieldError if r does not live on L, ValueError if
+    r is not skew, else UncoveredRegime.  The "ii" and "solvable" tables
+    are dim 3, so there r has the named coefficients p, s and u."""
     _same_space(L, r)
     if not is_skew_symmetric(r):
         raise ValueError("closed-form predicates apply to skew tensors only")
-    table = recognize_table(L)
-    if table.kind is None:
-        raise UncoveredRegime(f"no closed form for {L!r}")
-    if table.kind == "ii" and bool(table.alpha) != bool(table.beta):
-        raise UncoveredRegime(
-            "no closed form when exactly one of alpha, beta is zero")
-    if table.kind not in ("vi", "ii", "solvable"):
-        raise UncoveredRegime(f"no closed form for table {table.kind!r}")
+    table, why, why_triangular = _closed_form_regimes(L)
+    if triangular:
+        why = why_triangular
+    if why is not None:
+        raise UncoveredRegime(why)
     return table
 
 
@@ -364,7 +396,7 @@ def coboundary_predicate(L, r):
     with alpha*beta != 0 or alpha = beta = 0 (always a bialgebra); the dim-3
     solvable table for every (beta, delta); the dim-2 table (always).
     """
-    kind, _, beta, delta = _closed_form_regime(L, r)
+    kind, _, beta, delta = _closed_form_table(L, r)
     if kind == "solvable":
         one, s = L.field.one(), r.s
         return not ((delta + one) * ((delta - one) * r.u + beta * s) * s)
@@ -379,15 +411,11 @@ def triangular_predicate(L, r):
     beta = 0 (condition (1-delta)us = 0) or beta != 0, delta = 1 (s = 0);
     the dim-2 table (always).
     """
-    kind, alpha, beta, delta = _closed_form_regime(L, r)
+    kind, alpha, beta, delta = _closed_form_table(L, r, triangular=True)
     if kind == "ii":
         return not (beta * r.s * r.s + alpha * r.u * r.u + r.p * r.p)
     if kind == "solvable":
         if not beta:
             return not ((L.field.one() - delta) * r.u * r.s)
-        if delta == L.field.one():
-            return not r.s
-        raise UncoveredRegime(
-            f"no triangular closed form for beta={show(beta)}, "
-            f"delta={show(delta)}")
+        return not r.s
     return True

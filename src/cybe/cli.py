@@ -73,6 +73,13 @@ def _cells(entries, cap=None):
 
 def _check_entry(L, r, table):
     res = cybe_residual(L, r)
+    # the labels first: the symmetry flags then find the verdicts of the
+    # records they share, decided by the predicates the table keeps
+    try:
+        labels = sorted(lab.value for lab in classify_solution(L, r))
+        reason = None
+    except UncoveredRegime as e:
+        labels, reason = None, str(e)
     entry = {
         "tensor": tensor_obj(r),
         "is_solution": res.is_zero,
@@ -80,14 +87,10 @@ def _check_entry(L, r, table):
     }
     if not res.is_zero:
         entry["residual_entries"] = _cells(res.entries, RESIDUAL_WITNESS_CAP)
-    try:
-        labels = classify_solution(L, r)
-        entry["covered"] = True
-        entry["labels"] = sorted(lab.value for lab in labels)
-    except UncoveredRegime as e:
-        entry["covered"] = False
-        entry["labels"] = None
-        entry["uncovered_reason"] = str(e)
+    entry["covered"] = reason is None
+    entry["labels"] = labels
+    if reason is not None:
+        entry["uncovered_reason"] = reason
     return entry, res.is_zero
 
 
@@ -111,8 +114,9 @@ def _bialgebra_entry(L, r, table):
     closed = {"applicable": is_skew_symmetric(r)}
     if closed["applicable"]:
         try:
-            cf_cob = coboundary_predicate(L, r)
+            # triangular first: where it is covered, so is coboundary
             cf_tri = triangular_predicate(L, r)
+            cf_cob = coboundary_predicate(L, r)
             closed["coboundary"] = cf_cob
             closed["triangular"] = cf_tri
             closed["agrees"] = (cf_cob == b.is_coboundary

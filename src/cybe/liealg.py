@@ -34,16 +34,19 @@ from .scalars import QQ, FieldError, clip, show
 class LieAlgebra:
     """Immutable structure-constant table; build via the module constructors."""
 
-    __slots__ = ("n", "c", "field", "label", "axiom_forms")
+    __slots__ = ("n", "c", "field", "label", "axiom_forms", "regime",
+                 "closed_forms")
 
     def __init__(self, n, c, field, label=None):
         self.n = n
         self.c = c  # c[i][j][k], tuple of tuples of tuples, 0-based
         self.field = field
         self.label = label
-        # the bialgebra axioms compiled for this table, made by
-        # `bialgebra` when first needed: the constants never change
-        self.axiom_forms = None
+        # made for this table when first needed and kept, since the
+        # constants never change: the bialgebra axioms compiled and the
+        # closed-form regimes (`bialgebra`), the regime's label records
+        # with their compiled predicates (`solve`)
+        self.axiom_forms = self.regime = self.closed_forms = None
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y of length n."""

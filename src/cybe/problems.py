@@ -287,7 +287,10 @@ def dumps_report(report):
     """The report as JSON text: byte for byte
     json.dumps(report, indent=2, ensure_ascii=False) + "\n", so two-space
     indent, non-ASCII characters as they are, keys in insertion order and
-    a trailing newline, written by `_write_json` into one buffer.
+    a trailing newline, written by `_write_json` into one buffer.  The
+    text of a tuple (a witness cell, a listing entry) and the head of a
+    [tuple, str] pair (a residual or witness entry) are made once per
+    (tuple, indent) of one report, and each pair is written in one piece.
 
     Under any indent json runs its pure-Python generator, which takes
     about 2.6 times as long as `_write_json` on report-shaped values.
@@ -313,11 +316,27 @@ def _tuple_text(obj, nl, memo):
     return hit[1]
 
 
+def _pair_text(pair, nl, memo):
+    """The text of a [tuple, str] pair starting on the line of newline and
+    indent nl: a residual or witness entry [cell, "value"].  Its head, up
+    to the str, is made once per (tuple, nl) of one report and kept in
+    memo as `_tuple_text` keeps the tuple's own text."""
+    cell, value = pair
+    key = (id(cell), nl, "pair")
+    hit = memo.get(key)
+    if hit is None:
+        inner = nl + "  "
+        hit = memo[key] = (cell, "[" + inner + _tuple_text(cell, inner, memo)
+                           + "," + inner, nl + "]")
+    return hit[1] + encode_basestring(value) + hit[2]
+
+
 def _write_json(obj, nl, add, memo):
     """Write the text of `obj` through `add` in pieces: a dict with str
     keys, or a list, tuple or generator, as an array; `nl` is the newline
     and indent of the line `obj` starts on, and `memo` holds the text of
-    the tuples inside it (`_tuple_text`).  Scalars are the texts json
+    the tuples inside it (`_tuple_text`) and the heads of its
+    [tuple, str] pairs (`_pair_text`).  Scalars are the texts json
     writes: str through its C string encoder, int through int.__repr__,
     float through json.dumps (NaN and the infinities as json spells
     them).  Raises TypeError on a non-str key or on any other type, and
@@ -341,6 +360,9 @@ def _write_json(obj, nl, add, memo):
                 add(head + json.dumps(v))
             elif t is tuple:
                 add(head + _tuple_text(v, inner, memo))
+            elif (t is list and len(v) == 2 and type(v[0]) is tuple
+                  and type(v[1]) is str):
+                add(head + _pair_text(v, inner, memo))
             else:
                 add(head)
                 _write_json(v, inner, add, memo)

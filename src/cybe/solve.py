@@ -36,13 +36,19 @@ exactly where it does on r; any other is refused.  Each label record,
 which classify_solution and the symmetry predicates both read, says which
 of the table's parameters it names (`LabelRecord.names`), and is made
 here into one predicate of the lifted grid per (record, dimension, the
-parameters it names, field); the last 8 are kept (`_record_forms`).  The
-bialgebra axioms are made per table in `bialgebra` and kept on the
-table.  This holds up to FORMS_MAX_DIM = 3; above it the kernels and
-Condition.holds run as they are.  A record's verdict on a tensor is
-decided once and kept on the tensor under (record, the parameters it
-names) (`_holds`), so the classification and the symmetry predicates
-share one evaluation of each record they both read.
+parameters it names, field) (`_record_forms`, which keeps the last 8).
+A table keeps its regime's records with their predicates
+(`LieAlgebra.regime`, made by `_regime`), so classify_solution finds
+each predicate without a lookup and never compiles one twice for a
+table; the symmetry predicates, which have no table, find theirs in
+`_record_forms`.  The bialgebra axioms and closed-form regimes are made
+per table in `bialgebra` and kept on the table too.  This holds up to
+FORMS_MAX_DIM = 3; above it the kernels and Condition.holds run as they
+are.  A record's verdict on a tensor is decided once and kept on the
+tensor, keyed by the record alone when it names no parameter and else
+by the record and the values of those it names (`_key`, `_verdict`), so
+the classification and the symmetry predicates share one evaluation of
+each record they both read, and find it by one lookup.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -703,44 +709,82 @@ def _condition_polys(conditions, n, params):
 
 @lru_cache(maxsize=8)
 def _record_forms(record, n, params, field):
-    """record compiled in dim n, the table's parameters params as integer
-    coefficients and the forms reduced in the field: the predicate of a
-    lifted grid k that says whether the record holds there.  A != 0
-    condition that vanishes identically reads the literal 0, so the
-    predicate is then false on every grid."""
+    """record compiled in dim n, the parameters it names params (None for
+    the others) as integer coefficients and the forms reduced in the
+    field: the predicate of a lifted grid k that says whether the record
+    holds there.  A != 0 condition that vanishes identically reads the
+    literal 0, so the predicate is then false on every grid.  The last 8
+    are kept; a table keeps those of its regime (`_regime`)."""
     conds = tuple(record.conditions)
     polys = _reduced(_condition_polys(conds, n, params), field)
     run, reduce = _straight_line(polys), field.reduce
     nonzero = [cond.nonzero for cond in conds]
+    if any(nonzero):
+        return lambda k: list(map(bool, reduce(run(k)))) == nonzero
+    return lambda k: not any(reduce(run(k)))
 
-    def holds(k):
-        return list(map(bool, reduce(run(k)))) == nonzero
-    return holds
 
-
-def _evaluate(record, r, params):
+def _evaluate(record, r, params, holds=None):
     """Whether r meets record's conditions, params the parameters they
-    name: compiled forms up to FORMS_MAX_DIM, the conditions on a
-    Coefficients view above."""
+    name (None for the others): its compiled predicate holds on r's
+    lifted grid up to FORMS_MAX_DIM, found in `_record_forms` when the
+    caller keeps none, and the conditions on a Coefficients view above."""
     if r.n > FORMS_MAX_DIM:
         return record.holds(Coefficients(r.n, r.k, r.field, params))
-    return _record_forms(record, r.n, params, r.field)(r.lifted()[0])
+    if holds is None:
+        holds = _record_forms(record, r.n, params, r.field)
+    return holds(r.lifted()[0])
+
+
+def _key(record, params):
+    """The key of record's verdicts: the record alone when it names no
+    parameter, else the record and the values params gives those it
+    names, so every table that agrees on them shares the verdict."""
+    if any(record.names):
+        return (record, *compress(params, record.names))
+    return record
+
+
+def _verdict(r, key, record, params, holds=None):
+    """r's verdict on record under key (`_key`), kept on r
+    (`Tensor2.verdicts`), so found by one lookup and decided once per
+    tensor: r's grid never changes."""
+    verdicts = r.verdicts()
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _evaluate(record, r, params, holds)
+    return verdict
 
 
 def _holds(record, r, params=(None, None, None)):
     """Whether r carries record's label, params the parameters (alpha,
-    beta, delta) of r's table.  Those the record does not name are read as
-    None, so every table that agrees on the named ones shares its compiled
-    forms and its verdict.  The verdict is kept on r (`Tensor2.verdicts`)
-    under the record and the parameters it names: r's grid never
-    changes."""
-    key = record, *compress(params, record.names)
-    verdicts = r.verdicts()
-    verdict = verdicts.get(key)
-    if verdict is None:
-        verdict = verdicts[key] = _evaluate(record, r, tuple(
-            v if name else None for v, name in zip(params, record.names)))
-    return verdict
+    beta, delta) of r's table, None for each the record does not name."""
+    return _verdict(r, _key(record, params), record, params)
+
+
+def _regime(L):
+    """What classify_solution reads of L, made once per table and kept on
+    it (`LieAlgebra.regime`): the text of the UncoveredRegime L raises,
+    or for each record of its regime (label, verdict key, record, the
+    parameters it names, its compiled predicate or None above
+    FORMS_MAX_DIM), so a caller that rotates over many tables compiles
+    each one's records once."""
+    if L.regime is None:
+        table = recognize_table(L)
+        try:
+            records = regime_records(L, table)
+        except UncoveredRegime as e:
+            L.regime = str(e)
+            return L.regime
+        entries = []
+        for rec in records:
+            params = tuple(v if name else None
+                           for v, name in zip(table[1:], rec.names))
+            entries.append((rec.label, _key(rec, params), rec, params,
+                            _record_forms(rec, L.n, params, L.field)
+                            if L.n <= FORMS_MAX_DIM else None))
+        L.regime = tuple(entries)
+    return L.regime
 
 
 def classify_solution(L, r):
@@ -751,9 +795,10 @@ def classify_solution(L, r):
     FieldError when r does not live on L.
     """
     _same_space(L, r)
-    table = recognize_table(L)
-    return {rec.label for rec in regime_records(L, table)
-            if _holds(rec, r, table[1:])}
+    regime = _regime(L)
+    if type(regime) is str:
+        raise UncoveredRegime(regime)
+    return {label for label, *how in regime if _verdict(r, *how)}
 
 
 def is_strongly_symmetric(r):
@@ -771,7 +816,9 @@ def is_alpha_beta_skew(r, alpha, beta):
     alpha beta z^2 + beta s^2 + alpha u^2 + p^2 = 0.  alpha and beta are
     ints or scalars of r's field; others raise FieldError.  Like every
     label record, the class is compiled per (record, dimension,
-    parameters, field), in about 0.3 ms, and the last 8 are kept."""
+    parameters, field), in about 0.3 ms; the verdict is kept on r under
+    (record, alpha, beta), where classify_solution on an II table with
+    these parameters finds it too."""
     if r.n != 3:
         raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
     field = r.field

@@ -167,9 +167,11 @@ def test_witness_reports_match_golden_snapshots(capsys, stem, verb):
     # and coantisymmetry witnesses, and on ii_q (alpha = 1/4, beta = -1)
     # alpha,beta-skew ones, byte for byte as recorded in
     # tests/data/witnesses (<stem>.<verb>.golden.json); the abelian and VI
-    # regimes, and sl2 with a central e4 (dim 4, past the compiled forms),
-    # too.  Every tensor solves on the abelian table, so there both verbs
-    # exit 0: the exit code is the one the golden report's "ok" gives.
+    # regimes, sl2 with a central e4 (dim 4, past the compiled forms), and
+    # IV(beta=-1, delta=-2) over Q (iv_q, whose labels and triangular
+    # closed form are uncovered), too.  Every tensor solves on the abelian
+    # table, so there both verbs exit 0: the exit code is the one the
+    # golden report's "ok" gives.
     code = run([verb, "-i", os.path.join(WITNESSES, stem + ".json")])
     golden = os.path.join(WITNESSES, f"{stem}.{verb}.golden.json")
     with open(golden, encoding="utf-8") as fh:

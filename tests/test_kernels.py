@@ -420,6 +420,48 @@ def test_axiom_forms_are_compiled_once_per_table(monkeypatch):
     assert len(compiled) == 9
 
 
+def test_label_predicates_are_compiled_once_per_table(monkeypatch):
+    # each table keeps its regime's compiled predicates, so a caller
+    # rotating classify_solution over ten II tables, more than
+    # `_record_forms` keeps, compiles nothing on the second round
+    compiled = []
+
+    def counted(forms, real=solve._straight_line):
+        compiled.append(len(forms))
+        return real(forms)
+    monkeypatch.setattr(solve, "_straight_line", counted)
+    rng = random.Random(0x57)
+    tables = [family_ii(Fraction(alpha), Fraction(1)) for alpha in range(1, 11)]
+    grids = [(L, sample_grids(rng, L, 2)) for L in tables]
+    want = [[classify_solution(L, r) for r in rs] for L, rs in grids]
+    assert compiled
+    del compiled[:]
+    assert [[classify_solution(L, Tensor2(r.n, r.k, r.field)) for r in rs]
+            for L, rs in grids] == want
+    assert not compiled
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_abelian_bialgebra_verdicts_read_no_form(monkeypatch, field):
+    # every axiom form of an abelian table vanishes identically, so
+    # bialgebra_check neither runs nor scans them: all verdicts are true
+    # and no axiom has a witness
+    scanned = []
+    for name in ("_axiom_forms", "_axiom_ints", "_witnesses",
+                 "_coantisymmetry_failures"):
+        monkeypatch.setattr(bialgebra, name,
+                            lambda *args, name=name: scanned.append(name))
+    L = abelian(3, field)
+    for r in sample_grids(random.Random(0x47), L, 4):
+        b = bialgebra_check(L, r)
+        assert b.is_coboundary and b.is_triangular and b.cybe_solution, r
+        assert b.witnesses == {"coantisymmetry": (), "cojacobi": (),
+                               "compatibility": ()}
+    assert not scanned
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        bialgebra_check(abelian(2, field), r)
+
+
 def test_compatibility_forms_vanish_exactly_on_lie_tables():
     # x . r is a cocycle for every r exactly when ad is a representation
     for field in FORM_FIELDS:
@@ -733,9 +775,9 @@ def test_each_record_is_evaluated_once_per_tensor(monkeypatch):
              for L in builtin_tables(field) + [abelian(5, field)]]
     seen, kept = Counter(), []    # tensors equal by value: keyed by id
 
-    def counted(record, r, params):
+    def counted(record, r, *how):
         seen[record, id(r)] += 1
-        return evaluate(record, r, params)
+        return evaluate(record, r, *how)
 
     evaluate = solve._evaluate
 

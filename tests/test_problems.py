@@ -272,6 +272,32 @@ def test_dumps_report_writes_a_shared_tuple_at_each_depth():
     assert dumps_report(report) == want
 
 
+# [tuple, str] pairs, as the residual and witness entries are, written in
+# one piece from a head kept per (tuple, indent): shared cells at several
+# depths, among the shapes that only look like such a pair
+pair_cells = st.sampled_from([(1, 2, 3), (2, 1), (), (1, "2", None),
+                              ((1, 2), 3)])
+pair_like = st.builds(lambda cell, text: [cell, text], pair_cells, json_text)
+near_pairs = (st.builds(lambda c, v: [c, v], pair_cells, st.integers())
+              | st.builds(lambda c, v: [c, v, v], pair_cells, json_text)
+              | st.builds(lambda c, v: [list(c), v], pair_cells, json_text)
+              | st.builds(lambda c, v: (c, v), pair_cells, json_text))
+pair_reports = st.recursive(
+    pair_like | near_pairs,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(["a", "b", "c"]), kids,
+                                    max_size=3)),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pair_reports)
+def test_dumps_report_writes_pairs_as_json_dumps(value):
+    for report in ({"entries": value}, [value, [value]]):
+        want = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        assert dumps_report(report) == want
+
+
 def test_dumps_report_raises_on_other_values():
     loop = {"a": []}
     loop["a"].append(loop)
