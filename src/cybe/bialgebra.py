@@ -24,19 +24,19 @@ instead (scales E^2 and C E).
 Each check is an int kernel (its arithmetic, a flat output list) and a
 witness extraction.  bialgebra_check reads the three, and the CYBE
 residual that decides triangularity, as one flat list (`_axiom_ints`),
-which up to FORMS_MAX_DIM it gets from that list compiled once per table
-and kept on the table (`_axiom_forms`, see `solve`), so a caller that
-rotates over many tables compiles each once; on a Lie table, where x . r
-is a cocycle for every r, every compatibility entry is the literal 0.  On
-an abelian table every form vanishes identically, so bialgebra_check
-returns its all-true verdicts without reading any.  Above FORMS_MAX_DIM,
-and for the public checks on an arbitrary Cobracket, the kernels run on
-ints.
+from one evaluator per table kept in the table's memo
+(`liealg.per_table`): up to FORMS_MAX_DIM that list compiled (see
+`solve`), above it the kernels on ints (`_axiom_forms`), so a caller
+that rotates over many tables compiles each once; on a Lie table, where
+x . r is a cocycle for every r, every compatibility entry is the literal
+0.  On an abelian table every form vanishes identically, so
+bialgebra_check returns its all-true verdicts without reading any.  The
+public checks on an arbitrary Cobracket run the kernels on ints.
 
 coboundary_predicate / triangular_predicate are the independent closed forms
 for the classified regimes, kept deliberately separate so the test suite can
 play them against the axiom checker.  Which regime's form applies, or why
-none does, is decided once per table and kept on the table
+none does, is decided once per table and kept in the same memo
 (`_closed_form_regimes`), so a skew tensor pays only the forms' Fraction
 or ModP arithmetic.
 """
@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .liealg import per_table
 from .scalars import FieldError, show
 from .solve import (
     FORMS_MAX_DIM,
@@ -203,17 +204,18 @@ def _axiom_ints(n, consts, k):
             + _residual_ints(n, consts, k))
 
 
+@per_table
 def _axiom_forms(L):
-    """`_axiom_ints` run once on the grid of cell polynomials, compiled:
-    a function of r's lifted grid k that returns `_axiom_ints` on k, each
-    entry a form, linear (coantisymmetry, compatibility) or quadratic
-    (co-Jacobi, residual).  Made once per table and kept on it
-    (`LieAlgebra.axiom_forms`)."""
-    if L.axiom_forms is None:
-        consts, _ = _int_constants(L)
-        L.axiom_forms = _straight_line(_reduced(
-            _axiom_ints(L.n, consts, _cell_polys(L.n)), L.field))
-    return L.axiom_forms
+    """The function of r's lifted grid k that returns `_axiom_ints` on k
+    for L: up to FORMS_MAX_DIM `_axiom_ints` run once on the grid of cell
+    polynomials and compiled, each entry a form, linear (coantisymmetry,
+    compatibility) or quadratic (co-Jacobi, residual); above it the
+    kernels themselves."""
+    n, (consts, _) = L.n, _int_constants(L)
+    if n > FORMS_MAX_DIM:
+        return lambda k: _axiom_ints(n, consts, k)
+    return _straight_line(_reduced(_axiom_ints(n, consts, _cell_polys(n)),
+                                   L.field))
 
 
 def _coantisymmetry_failures(n, flat):
@@ -308,10 +310,9 @@ class BialgebraReport:
 def bialgebra_check(L, r):
     """Axiom-by-axiom verdict for delta = x . r.  Pure computation: this
     never consults the closed-form predicates below.  r and the constants
-    are lifted once; up to FORMS_MAX_DIM the axioms are the table's
-    compiled forms on r's lifted grid, above it the kernels on the int
-    images.  A table with no nonzero constant (an abelian one) reads
-    neither: there every form is 0."""
+    are lifted once, and the axioms are the table's evaluator
+    (`_axiom_forms`) on r's lifted grid.  A table with no nonzero
+    constant (an abelian one) reads none: there every form is 0."""
     n, field = L.n, L.field
     consts, c_scale = _int_constants(L)
     if not consts:
@@ -320,8 +321,7 @@ def bialgebra_check(L, r):
         return BialgebraReport(True, True, True, True, True, True, {
             "coantisymmetry": (), "cojacobi": (), "compatibility": ()})
     k, d_scale = _lift_grid(L, r)
-    vals = field.reduce(_axiom_forms(L)(k) if n <= FORMS_MAX_DIM
-                        else _axiom_ints(n, consts, k))
+    vals = field.reduce(_axiom_forms(L)(k))
     cut = n * n * (n + 1) // 2
     co, jac = vals[:cut], vals[cut:cut + n ** 4]
     comp, res = vals[cut + n ** 4:cut + 2 * n ** 4], vals[cut + 2 * n ** 4:]
@@ -348,29 +348,27 @@ def bialgebra_check(L, r):
     )
 
 
+@per_table
 def _closed_form_regimes(L):
-    """L's closed-form regimes, decided once per table and kept on it
-    (`LieAlgebra.closed_forms`): (its Table, why no coboundary form covers
+    """L's closed-form regimes: (its Table, why no coboundary form covers
     it, why no triangular one does), a reason None where a form covers L.
     The coboundary form covers "vi", "ii" with alpha, beta both zero or
     both nonzero, and "solvable"; the triangular one all of these but
     "solvable" with beta != 0, delta != 1."""
-    if L.closed_forms is None:
-        table = recognize_table(L)
-        kind, alpha, beta, delta = table
-        why = None
-        if kind is None:
-            why = f"no closed form for {L!r}"
-        elif kind == "ii" and bool(alpha) != bool(beta):
-            why = "no closed form when exactly one of alpha, beta is zero"
-        elif kind not in ("vi", "ii", "solvable"):
-            why = f"no closed form for table {kind!r}"
-        why_triangular = why
-        if kind == "solvable" and beta and delta != L.field.one():
-            why_triangular = (f"no triangular closed form for "
-                              f"beta={show(beta)}, delta={show(delta)}")
-        L.closed_forms = table, why, why_triangular
-    return L.closed_forms
+    table = recognize_table(L)
+    kind, alpha, beta, delta = table
+    why = None
+    if kind is None:
+        why = f"no closed form for {L!r}"
+    elif kind == "ii" and bool(alpha) != bool(beta):
+        why = "no closed form when exactly one of alpha, beta is zero"
+    elif kind not in ("vi", "ii", "solvable"):
+        why = f"no closed form for table {kind!r}"
+    why_triangular = why
+    if kind == "solvable" and beta and delta != L.field.one():
+        why_triangular = (f"no triangular closed form for "
+                          f"beta={show(beta)}, delta={show(delta)}")
+    return table, why, why_triangular
 
 
 def _closed_form_table(L, r, triangular=False):

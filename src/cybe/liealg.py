@@ -21,11 +21,18 @@ Custom tables are accepted from input files; antisymmetry is enforced at
 construction, the Jacobi identity via check_jacobi (callers must treat a
 nonempty violation list as fatal: nothing downstream is meaningful on a
 non-Lie table).
+
+A table never changes, so whatever is derived from it alone (its lifted
+constants, its recognized family, its regime's compiled label predicates,
+its compiled bialgebra axioms, its closed-form regime) is made when first
+needed by a function marked `per_table`, and kept in the table's one memo
+(`LieAlgebra.derived`): it lives exactly as long as the table.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import wraps
 from typing import NamedTuple
 
 from .scalars import QQ, FieldError, clip, show
@@ -34,19 +41,14 @@ from .scalars import QQ, FieldError, clip, show
 class LieAlgebra:
     """Immutable structure-constant table; build via the module constructors."""
 
-    __slots__ = ("n", "c", "field", "label", "axiom_forms", "regime",
-                 "closed_forms")
+    __slots__ = ("n", "c", "field", "label", "derived")
 
     def __init__(self, n, c, field, label=None):
         self.n = n
         self.c = c  # c[i][j][k], tuple of tuples of tuples, 0-based
         self.field = field
         self.label = label
-        # made for this table when first needed and kept, since the
-        # constants never change: the bialgebra axioms compiled and the
-        # closed-form regimes (`bialgebra`), the regime's label records
-        # with their compiled predicates (`solve`)
-        self.axiom_forms = self.regime = self.closed_forms = None
+        self.derived = {}  # per_table function -> its value on this table
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y of length n."""
@@ -84,6 +86,20 @@ class LieAlgebra:
     def __repr__(self):
         tag = self.label or "custom"
         return f"LieAlgebra({tag}, n={self.n}, {self.field!r})"
+
+
+def per_table(derive):
+    """derive(L), made once per table and kept in L.derived, so it lives
+    as long as L.  derive must read nothing but L, and its value must not
+    refer to L, or L would outlive its last user until a gc pass."""
+    @wraps(derive)
+    def memo(L):
+        try:
+            return L.derived[derive]
+        except KeyError:
+            value = L.derived[derive] = derive(L)
+            return value
+    return memo
 
 
 def _table(n, field, entries, label):

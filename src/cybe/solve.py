@@ -37,18 +37,19 @@ which classify_solution and the symmetry predicates both read, says which
 of the table's parameters it names (`LabelRecord.names`), and is made
 here into one predicate of the lifted grid per (record, dimension, the
 parameters it names, field) (`_record_forms`, which keeps the last 8).
-A table keeps its regime's records with their predicates
-(`LieAlgebra.regime`, made by `_regime`), so classify_solution finds
+What a table derives from its constants alone is kept in the table's
+one memo (`liealg.per_table`): here its lifted constants
+(`_int_constants`), its Table (`recognize_table`) and its regime's
+records with their predicates (`_regime`), so classify_solution finds
 each predicate without a lookup and never compiles one twice for a
 table; the symmetry predicates, which have no table, find theirs in
-`_record_forms`.  The bialgebra axioms and closed-form regimes are made
-per table in `bialgebra` and kept on the table too.  This holds up to
-FORMS_MAX_DIM = 3; above it the kernels and Condition.holds run as they
-are.  A record's verdict on a tensor is decided once and kept on the
-tensor, keyed by the record alone when it names no parameter and else
-by the record and the values of those it names (`_key`, `_verdict`), so
-the classification and the symmetry predicates share one evaluation of
-each record they both read, and find it by one lookup.
+`_record_forms`.  `bialgebra` keeps its compiled axioms and closed-form
+regime in the same memo.  This holds up to FORMS_MAX_DIM = 3; above it
+the kernels and Condition.holds run as they are.  A record's verdict on
+a tensor is decided once (`_verdict`) and kept on the tensor under the
+record and the values of the parameters it names, so the classification
+and the symmetry predicates share one evaluation of each record they
+both read, and find it by one lookup.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -86,7 +87,7 @@ from itertools import (
 from math import lcm
 from typing import NamedTuple
 
-from .liealg import _as_scalar, family_ii, family_vi, solvable_table
+from .liealg import _as_scalar, family_ii, family_vi, per_table, solvable_table
 from .scalars import FieldError, ModP, clip, show
 from .tensor import NAMED_CELLS, Tensor2, Tensor3
 
@@ -151,11 +152,10 @@ class ResidualReport:
                                 for plane in t), self.field)
 
 
-@lru_cache(maxsize=64)
+@per_table
 def _int_constants(L):
     """L's nonzero structure constants as (i, j, m, int) over their common
-    denominator C, with C.  A LieAlgebra is immutable and hashes by
-    identity, so the lift is made once per table."""
+    denominator C, with C."""
     nz = L.nonzero_constants()
     ints, scale = L.field.lift([val for *_, val in nz])
     return tuple((i, j, m, v) for (i, j, m, _), v in zip(nz, ints)), scale
@@ -408,14 +408,13 @@ class Table(NamedTuple):
     delta: object = None
 
 
-@lru_cache(maxsize=64)
+@per_table
 def recognize_table(L):
     """Identify which constructor table L is, with its parameters, as a
     Table.
 
     Recognition is structural (grid comparison), so custom input tables
     that happen to match a family are classified like that family.
-    Memoized per table (tables are immutable and hash by identity).
     """
     if not L.nonzero_constants():
         return Table("abelian")
@@ -736,55 +735,40 @@ def _evaluate(record, r, params, holds=None):
     return holds(r.lifted()[0])
 
 
-def _key(record, params):
-    """The key of record's verdicts: the record alone when it names no
-    parameter, else the record and the values params gives those it
-    names, so every table that agrees on them shares the verdict."""
-    if any(record.names):
-        return (record, *compress(params, record.names))
-    return record
-
-
-def _verdict(r, key, record, params, holds=None):
-    """r's verdict on record under key (`_key`), kept on r
-    (`Tensor2.verdicts`), so found by one lookup and decided once per
-    tensor: r's grid never changes."""
+def _verdict(record, r, params=(None, None, None), holds=None):
+    """Whether r carries record's label, params the parameters (alpha,
+    beta, delta) of r's table, None for each the record does not name.
+    Decided once per tensor (r's grid never changes) and kept on r
+    (`Tensor2.verdicts`) under the record and params, so every table that
+    agrees on the values the record names shares the verdict, found by
+    one lookup."""
     verdicts = r.verdicts()
+    key = record, params
     verdict = verdicts.get(key)
     if verdict is None:
         verdict = verdicts[key] = _evaluate(record, r, params, holds)
     return verdict
 
 
-def _holds(record, r, params=(None, None, None)):
-    """Whether r carries record's label, params the parameters (alpha,
-    beta, delta) of r's table, None for each the record does not name."""
-    return _verdict(r, _key(record, params), record, params)
-
-
+@per_table
 def _regime(L):
-    """What classify_solution reads of L, made once per table and kept on
-    it (`LieAlgebra.regime`): the text of the UncoveredRegime L raises,
-    or for each record of its regime (label, verdict key, record, the
+    """What classify_solution reads of L: the text of the UncoveredRegime
+    L raises, or for each record of its regime (the record, the
     parameters it names, its compiled predicate or None above
     FORMS_MAX_DIM), so a caller that rotates over many tables compiles
     each one's records once."""
-    if L.regime is None:
-        table = recognize_table(L)
-        try:
-            records = regime_records(L, table)
-        except UncoveredRegime as e:
-            L.regime = str(e)
-            return L.regime
-        entries = []
-        for rec in records:
-            params = tuple(v if name else None
-                           for v, name in zip(table[1:], rec.names))
-            entries.append((rec.label, _key(rec, params), rec, params,
-                            _record_forms(rec, L.n, params, L.field)
-                            if L.n <= FORMS_MAX_DIM else None))
-        L.regime = tuple(entries)
-    return L.regime
+    table = recognize_table(L)
+    try:
+        records = regime_records(L, table)
+    except UncoveredRegime as e:
+        return str(e)
+    entries = []
+    for rec in records:
+        params = tuple(v if name else None
+                       for v, name in zip(table[1:], rec.names))
+        entries.append((rec, params, _record_forms(rec, L.n, params, L.field)
+                        if L.n <= FORMS_MAX_DIM else None))
+    return tuple(entries)
 
 
 def classify_solution(L, r):
@@ -798,17 +782,18 @@ def classify_solution(L, r):
     regime = _regime(L)
     if type(regime) is str:
         raise UncoveredRegime(regime)
-    return {label for label, *how in regime if _verdict(r, *how)}
+    return {rec.label for rec, params, holds in regime
+            if _verdict(rec, r, params, holds)}
 
 
 def is_strongly_symmetric(r):
     """Symmetric grid with k[i][j]k[l][m] = k[i][l]k[j][m] for all index
     quadruples, checked through the 2x2 minors (see strong_record)."""
-    return _holds(strong_record(r.n), r)
+    return _verdict(strong_record(r.n), r)
 
 
 def is_skew_symmetric(r):
-    return _holds(skew_record(r.n), r)
+    return _verdict(skew_record(r.n), r)
 
 
 def is_alpha_beta_skew(r, alpha, beta):
@@ -817,13 +802,13 @@ def is_alpha_beta_skew(r, alpha, beta):
     ints or scalars of r's field; others raise FieldError.  Like every
     label record, the class is compiled per (record, dimension,
     parameters, field), in about 0.3 ms; the verdict is kept on r under
-    (record, alpha, beta), where classify_solution on an II table with
-    these parameters finds it too."""
+    the record and (alpha, beta), where classify_solution on an II table
+    with these parameters finds it too."""
     if r.n != 3:
         raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
     field = r.field
-    return _holds(ALPHA_BETA_SKEW, r, (_as_scalar(alpha, field),
-                                       _as_scalar(beta, field), None))
+    return _verdict(ALPHA_BETA_SKEW, r, (_as_scalar(alpha, field),
+                                         _as_scalar(beta, field), None))
 
 
 def symmetry_flags(r, alpha=None, beta=None):

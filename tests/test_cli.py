@@ -495,6 +495,16 @@ def test_missing_and_malformed_inputs_exit_2(capsys, tmp_path):
                    "algebra": {"family": "sl2"}}, "nt.json")
     code = run(["check", "-i", notensor])
     assert code == 2 and "needs a tensor" in capsys.readouterr().err
+    for verb, doc, err in (
+            ("generate", {"options": {"case": "strong-y", "params": []}},
+             '"options.params" must be an object'),
+            ("check", {"tensor": {"entries": {}}}, '"entries" must be a list')):
+        doc = {"field": {"kind": "rational"}, "algebra": {"family": "sl2"},
+               **doc}
+        code = run([verb, "-i", write_problem(tmp_path, doc, "o.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == f"error: {err}\n"
 
 
 # output handling

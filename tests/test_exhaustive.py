@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -30,7 +31,10 @@ from cybe.exhaustive import (
 )
 from cybe.solve import (
     Coefficients,
+    LabelRecord,
+    SolutionLabel,
     UncoveredRegime,
+    _conditions,
     recognize_table,
     regime_records,
     strong_record,
@@ -308,6 +312,18 @@ def test_checks_on_no_cell_are_decided(constant, holds):
                          ([beside, constant], every[every // 9 % 3 == 0])):
         ids = _surviving_ids(2, 3, checks, None)
         assert np.array_equal(ids, want if holds else every[:0]), checks
+
+
+@pytest.mark.parametrize("alpha, count", [
+    (F3.from_int(0), 81), (F3.one(), 0), (Fraction(1, 2), 0)])
+def test_a_condition_on_the_parameters_alone_is_decided(alpha, count):
+    # alpha = 0 reads no cell: it becomes a constant polynomial, true for
+    # every dim-2 grid over F_3 or for none
+    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("alpha = 0"), "")
+    checks = _label_checks(rec, 2, 3, (alpha, None, None))
+    assert [check.poly for check in checks] == [{(): 1} if count == 0 else {}]
+    ids = _surviving_ids(2, 3, checks, None)
+    assert np.array_equal(ids, np.arange(count))
 
 
 def test_a_level_that_keeps_no_rows_ends_the_search():

@@ -16,6 +16,7 @@ tables above FORMS_MAX_DIM and on one whose lifted constants have more
 digits than an int's str() allows.
 """
 
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,7 @@ from cybe import (
     QQ,
     Cobracket,
     FieldError,
+    LieAlgebra,
     PrimeField,
     SideConditionError,
     SolutionLabel,
@@ -58,6 +60,7 @@ from cybe import (
     solvable_table,
     symmetry_flags,
     triangular_predicate,
+    verify_classification,
 )
 from cybe.bialgebra import (
     _axiom_forms,
@@ -76,12 +79,12 @@ from cybe.solve import (
     _cell_polys,
     _condition_polys,
     _conditions,
-    _holds,
     _int_constants,
     _record_forms,
     _reduced,
     _residual_ints,
     _straight_line,
+    _verdict,
     regime_records,
     skew_record,
     strong_record,
@@ -441,6 +444,32 @@ def test_label_predicates_are_compiled_once_per_table(monkeypatch):
     assert not compiled
 
 
+def test_derived_state_lives_as_long_as_its_table():
+    # what the checks derive from a table is kept on the table alone, so
+    # once the caller drops it no cache keeps it, or its compiled forms,
+    # alive
+    label = "II(alpha=1, beta=2) over F_3, dropped"
+    F3 = PrimeField(3)
+
+    def alive():
+        gc.collect()
+        return [obj for obj in gc.get_objects()
+                if isinstance(obj, LieAlgebra) and obj.label == label]
+
+    L = LieAlgebra(3, family_ii(1, 2, F3).c, F3, label)
+    r = generate_solution(L, "alpha-beta-skew", {"s": 1, "u": 1})
+    table = recognize_table(L)
+    assert table.kind == "ii"
+    assert classify_solution(L, r) == {SolutionLabel.ALPHA_BETA_SKEW}
+    assert symmetry_flags(r, table.alpha, table.beta)["alpha_beta_skew"]
+    assert bialgebra_check(L, r).is_triangular
+    assert coboundary_predicate(L, r) and triangular_predicate(L, r)
+    assert verify_classification(L).confirmed
+    assert len(alive()) == 1
+    del L
+    assert not alive()
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 def test_abelian_bialgebra_verdicts_read_no_form(monkeypatch, field):
     # every axiom form of an abelian table vanishes identically, so
@@ -554,7 +583,7 @@ def test_a_vanishing_nonzero_condition_never_holds():
                 r = rand_grid(rng, L, lambda: zero_heavy(rng, field))
                 c = Coefficients(n, r.k, field, (None, None, None))
                 assert not holds(r.lifted()[0])
-                assert not _holds(rec, r) and not rec.holds(c)
+                assert not _verdict(rec, r) and not rec.holds(c)
 
 
 def test_a_form_that_vanishes_identically_reads_zero():
@@ -575,7 +604,7 @@ def test_a_vanishing_condition_keeps_the_others_in_place():
             held = set()
             for r in sample_grids(rng, L, 6):
                 c = Coefficients(n, r.k, field, (None, None, None))
-                assert _holds(rec, r) == rec.holds(c), (field, r)
+                assert _verdict(rec, r) == rec.holds(c), (field, r)
                 held.add(rec.holds(c))
             assert held == {True, False}, (field, n)
 
@@ -647,6 +676,13 @@ def test_an_equation_reads_as_lhs_minus_the_whole_rhs(text, want, grids):
             for name, (i, j) in NAMED_CELLS.items() if name in vals})
         c = Coefficients(3, r.k, QQ, (None, None, None))
         assert cond.holds(c) == holds, vals
+
+
+def test_a_product_drops_the_monomials_that_cancel():
+    # (k0 + k1)(k0 - k1): the two k0 k1 terms cancel, and no zero
+    # coefficient is stored in their place
+    k0, k1 = _cell_polys(2)[:2]
+    assert (k0 + k1) * (k0 - k1) == {(0, 0): 1, (1, 1): -1}
 
 
 def test_compatibility_on_a_table_that_is_not_lie():

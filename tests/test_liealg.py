@@ -112,6 +112,8 @@ def test_bracket_bilinear_and_antisymmetric():
     lhs = L.bracket(tuple(a + b for a, b in zip(x, z)), y)
     rhs = tuple(a + b for a, b in zip(xy, L.bracket(z, y)))
     assert lhs == rhs
+    with pytest.raises(ValueError, match="vectors of length 3"):
+        L.bracket(x[:2], y)
     scaled = L.bracket(tuple(Fraction(5) * a for a in x), y)
     assert scaled == tuple(Fraction(5) * v for v in xy)
 

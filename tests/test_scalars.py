@@ -1,3 +1,4 @@
+import operator
 import time
 from fractions import Fraction
 
@@ -90,6 +91,19 @@ def test_modp_mixed_moduli_rejected():
         ModP(1, 3) + ModP(1, 5)
     with pytest.raises(FieldError):
         ModP(1, 3) * ModP(1, 5)
+
+
+@pytest.mark.parametrize("other", [Fraction(1), 1.0],
+                         ids=["Fraction", "float"])
+def test_modp_refuses_what_it_cannot_coerce(other):
+    # every arithmetic operator, in both orders, and equality: a residue
+    # has no value in Q or in the floats, not even 1
+    x = ModP(1, 5)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert (x == other) is False
 
 
 def test_modp_hash_and_bool():
