@@ -10,11 +10,11 @@ checks.  A check (`Check`) is a sparse integer polynomial in the grid cells
 oracle (`scan_solution_ids`) gets one check per residual cell, from a single
 run of the residual kernel of `solve` on a grid whose entries are the
 polynomials k[i][j] (`solve._Poly`): it knows nothing about the
-classification.  `verify_classification` gets the conditions of each label
-record of the regime (`solve.regime_records`, the very conditions
-`classify_solution` evaluates on exact scalars) as their lhs - rhs on the
-same polynomial grid (`solve._condition_polys`), and compares the sorted id
-arrays.  The check is independent because the oracle never sees a label.
+classification.  `verify_classification` gets the equations of each label
+record of the regime (`solve.regime_records`, the very equations
+`classify_solution` evaluates) as their lhs - rhs on the same polynomial
+grid (`solve._equations`), and compares the sorted id arrays.  The check
+is independent because the oracle never sees a label.
 
 The engine lists the checks by a key of each check alone: equalities
 first, then fewer terms, then the sorted terms.  Every tie below breaks by
@@ -58,15 +58,15 @@ import numpy as np
 
 from .scalars import PrimeField
 from .solve import (
+    STRONG,
     UncoveredRegime,
     _cell_polys,
-    _condition_polys,
+    _equations,
     _int_constants,
     _Poly,
     _residual_ints,
     recognize_table,
     regime_records,
-    strong_record,
 )
 from .tensor import Tensor2
 
@@ -136,11 +136,10 @@ def _residual_checks(L, p):
 
 
 def _label_checks(record, n, p, params):
-    """lhs - rhs of each condition of the record, on the grid of cell
-    polynomials and the table's parameters (see `_condition_polys`)."""
-    conds = tuple(record.conditions)
-    return [Check(_mod(poly, p), cond.nonzero)
-            for cond, poly in zip(conds, _condition_polys(conds, n, params))]
+    """lhs - rhs of each equation of the record, on the grid of cell
+    polynomials and the table's parameters (see `solve._equations`)."""
+    return [Check(_mod(poly, p), nonzero)
+            for poly, nonzero in zip(*_equations(record, n, params))]
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +465,7 @@ def verify_classification(L, budget=DEFAULT_BUDGET):
         empirical_only = False
     except UncoveredRegime:
         # strong symmetry is sufficient on every table: a partial check
-        records = (strong_record(L.n),)
+        records = (STRONG,)
         empirical_only = True
     total = candidate_count(L.n, p)
 

@@ -149,8 +149,11 @@ class ModP:
         return ModP(-self.val, self.p)
 
     def __pow__(self, e):
+        # raised here: returning NotImplemented would let Fraction.__rpow__
+        # compute x ** Fraction(2) as if x were rational
         if not isinstance(e, int) or e < 0:
-            return NotImplemented
+            raise TypeError(f"a power in F_{self.p} needs an int exponent "
+                            f">= 0, not {type(e).__name__}")
         return ModP(pow(self.val, e, self.p), self.p)
 
     def __eq__(self, other):
@@ -314,10 +317,3 @@ def make_field(kind, p=None):
             raise FieldError("prime field needs p")
         return PrimeField(p)
     raise FieldError(f"unknown field kind {clip(repr(kind))}")
-
-
-def parse_scalar(text, field):
-    """Parse scalar text in the given field (see its parse method)."""
-    if not isinstance(text, str):
-        raise FieldError(f"scalar must be a string, got {type(text).__name__}")
-    return field.parse(text)

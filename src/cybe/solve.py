@@ -45,11 +45,15 @@ each predicate without a lookup and never compiles one twice for a
 table; the symmetry predicates, which have no table, find theirs in
 `_record_forms`.  `bialgebra` keeps its compiled axioms and closed-form
 regime in the same memo.  This holds up to FORMS_MAX_DIM = 3; above it
-the kernels and Condition.holds run as they are.  A record's verdict on
-a tensor is decided once (`_verdict`) and kept on the tensor under the
-record and the values of the parameters it names, so the classification
-and the symmetry predicates share one evaluation of each record they
-both read, and find it by one lookup.
+the kernels run as they are on the lifted grid, and only the abelian
+regime's records are read: the abelian label, which has no equations,
+and strong and skew symmetry, which are two kernels of the flat grid
+(`_strong_ints`, `_skew_ints`) with one record each for every dimension
+(STRONG, SKEW).  A record's verdict on a tensor is decided once
+(`_verdict`) and kept on the tensor under the record and the values of
+the parameters it names, so the classification and the symmetry
+predicates share one evaluation of each record they both read, and find
+it by one lookup.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -77,7 +81,7 @@ import enum
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -439,12 +443,15 @@ def recognize_table(L):
 # Each label of the classification is written once, as a LabelRecord whose
 # conditions are text in the paper's notation ("p != 0, p^2 = xy",
 # "xu = yu = u(q+p) = 0") over the named coefficients x..v and the table's
-# parameters alpha, beta, delta; the strong and skew symmetry of a grid of
-# any dimension are generated over its entries k[i][j] instead.  The text is
-# compiled into functions of a Coefficients view, and those functions give
-# the scalar check (classify_solution, the symmetry predicates), each
-# label's truth set over GF(p) (exhaustive.verify_classification) and the
-# generators' side checks, while `cybe families` prints the text itself.
+# parameters alpha, beta, delta.  The text is compiled into functions of a
+# Coefficients view, and those functions give the compiled predicates of
+# classify_solution, each label's truth set over GF(p)
+# (exhaustive.verify_classification) and the generators' side checks,
+# while `cybe families` prints the text itself.  Strong and skew symmetry,
+# which hold in every dimension, are two kernels of the flat grid instead,
+# with one record each (STRONG, SKEW) that carries its kernel: run on ints,
+# scalars or cell polynomials, each gives its equations in one order.
+# `_equations` reads either kind on the grid of cell polynomials.
 # What checks the records stays independent of them: the enumeration oracle
 # and the naive residual in the tests evaluate the CYBE through the
 # structure constants alone.
@@ -469,7 +476,7 @@ class Coefficients(Tensor2):
     """What conditions read: a grid k with the parameters of its table.
 
     k holds exact scalars, or the polynomials k[i][j] in the grid cells
-    (`_condition_polys` turns conditions into polynomials), so x..v read
+    (`_equations` turns conditions into polynomials), so x..v read
     either.
     """
 
@@ -537,23 +544,27 @@ class LabelRecord:
     condition.  A generator's grid meets all but those written in `text`,
     which it leaves to its free coefficients.
 
-    `names` says which of the table's parameters alpha, beta, delta the
-    conditions read; a grid record (`_Generated`) reads the grid alone.  A
-    record compares and hashes by identity, so the caches keyed by records
-    hash none of their conditions.
+    A grid record (STRONG, SKEW) has a kernel in place of conditions:
+    `kernel(n, k)` gives its equations, each = 0, on the flat grid k of
+    any dimension n.  `names` says which of the table's parameters alpha,
+    beta, delta the conditions read.  A record compares and hashes by
+    identity, so the caches keyed by records hash none of their
+    conditions.
     """
 
-    __slots__ = ("label", "conditions", "text", "names")
+    __slots__ = ("label", "conditions", "text", "names", "kernel")
 
-    def __init__(self, label, conditions, text):
+    def __init__(self, label, conditions, text, kernel=None):
         self.label = label
-        self.conditions = conditions    # a tuple, or a _Generated
+        self.conditions = conditions
         self.text = text
-        read = ("" if isinstance(conditions, _Generated)
-                else " ".join(cond.text for cond in conditions))
+        self.kernel = kernel
+        read = " ".join(cond.text for cond in conditions)
         self.names = tuple(name in read for name in ("alpha", "beta", "delta"))
 
     def holds(self, c):
+        if self.kernel:
+            return not any(self.kernel(c.n, [v for row in c.k for v in row]))
         return all(cond.holds(c) for cond in self.conditions)
 
 
@@ -561,66 +572,33 @@ def _record(label, shape, side=""):
     return LabelRecord(label, _conditions(shape) + _conditions(side), side)
 
 
-class _Generated:
-    """Conditions made afresh on each pass over them: a grid record has
-    O(n^4), too many to keep on a large abelian table (305,370 at n = 40)."""
-
-    def __init__(self, make, n):
-        self.make, self.n = make, n
-
-    def __iter__(self):
-        return self.make(self.n)
-
-
-def _difference(i, j):
-    return lambda c: c.k[i][j] - c.k[j][i]
-
-
-def _sum(i, j):
-    return lambda c: c.k[i][j] + c.k[j][i]
-
-
-def _minor(i, j, l, m):
-    return lambda c: c.k[i][j] * c.k[l][m] - c.k[i][m] * c.k[l][j]
-
-
-def _strong_conditions(n):
-    pairs = list(combinations(range(n), 2))
-    for i, j in pairs:
-        yield Condition("k[i][j] = k[j][i]", _difference(i, j))
-    for (i, l), (j, m) in combinations_with_replacement(pairs, 2):
-        yield Condition("k[i][j] k[l][m] = k[i][m] k[l][j]",
-                        _minor(i, j, l, m))
-
-
-def _skew_conditions(n):
-    for i in range(n):
-        for j in range(i, n):
-            yield Condition("k[i][j] = -k[j][i]", _sum(i, j))
-
-
-@cache
-def strong_record(n):
-    """Strong symmetry in dim n: k[i][j]k[l][m] = k[i][l]k[j][m] for all
-    index quadruples.
+def _strong_ints(n, k):
+    """Strong symmetry on the flat grid k in dim n (ints, scalars or cell
+    polynomials): k[i][j]k[l][m] = k[i][l]k[j][m] for all index
+    quadruples.
 
     That says exactly: the grid is symmetric and of rank <= 1, i.e. every
     2x2 minor k[i][j]k[l][m] - k[i][m]k[l][j] with i<l, j<m vanishes.
     Symmetry makes the minor on rows (i, l) and columns (j, m) equal to the
     one on rows (j, m) and columns (i, l), so only pairs (i, l) <= (j, m)
-    are kept: 6 minors for n = 3.  The quadruple form itself is the oracle
-    strongly_symmetric_by_definition in tests/conftest.py.  One lazy
-    record (`_Generated`) is kept per dimension, as for skew_record.
+    are kept: the differences k[i][j] - k[j][i] for i < j, then 6 minors
+    for n = 3.  The quadruple form itself is the oracle
+    strongly_symmetric_by_definition in tests/conftest.py.
     """
-    return LabelRecord(SolutionLabel.STRONGLY_SYMMETRIC,
-                       _Generated(_strong_conditions, n), "")
+    pairs = list(combinations(range(n), 2))
+    return ([k[i * n + j] - k[j * n + i] for i, j in pairs]
+            + [k[i * n + j] * k[l * n + m] - k[i * n + m] * k[l * n + j]
+               for (i, l), (j, m) in combinations_with_replacement(pairs, 2)])
 
 
-@cache
-def skew_record(n):
-    """Skew symmetry in dim n: k[i][j] = -k[j][i] everywhere."""
-    return LabelRecord(SolutionLabel.SKEW_SYMMETRIC,
-                       _Generated(_skew_conditions, n), "")
+def _skew_ints(n, k):
+    """Skew symmetry on the flat grid k in dim n: k[i][j] + k[j][i] for
+    i <= j."""
+    return [k[i * n + j] + k[j * n + i] for i in range(n) for j in range(i, n)]
+
+
+STRONG = LabelRecord(SolutionLabel.STRONGLY_SYMMETRIC, (), "", _strong_ints)
+SKEW = LabelRecord(SolutionLabel.SKEW_SYMMETRIC, (), "", _skew_ints)
 
 
 ABELIAN = _record(SolutionLabel.ABELIAN, "")
@@ -662,22 +640,22 @@ def regime_records(L, table):
         raise UncoveredRegime(f"unrecognized table for {L!r}")
     if kind == "abelian":
         if L.n >= 2:
-            return ABELIAN, strong_record(L.n), skew_record(L.n)
+            return ABELIAN, STRONG, SKEW
         return (ABELIAN,)
     if kind == "vi":
-        return strong_record(2), skew_record(2)
+        return STRONG, SKEW
     if kind == "ii":
         if alpha and beta:
-            return strong_record(3), ALPHA_BETA_SKEW
+            return STRONG, ALPHA_BETA_SKEW
         if not alpha and not beta:
             return HEISENBERG_CASE1, HEISENBERG_CASE2
         raise UncoveredRegime(
             "II table with exactly one of alpha, beta zero has no known "
             "complete classification")
     if not beta and delta:
-        return strong_record(3), IV_DIAGONAL_CASE2
+        return STRONG, IV_DIAGONAL_CASE2
     if beta and delta == 1:
-        return strong_record(3), IV_JORDAN_CASE2
+        return STRONG, IV_JORDAN_CASE2
     if not beta and not delta:
         return V_CASE1, V_CASE2
     raise UncoveredRegime(
@@ -686,16 +664,21 @@ def regime_records(L, table):
         "delta=1)")
 
 
-def _condition_polys(conditions, n, params):
-    """lhs - rhs of each condition on the grid of cell polynomials, as a
-    _Poly with int coefficients.  The table's parameters params become
-    int coefficients here: a ModP its residue, and the denominators of
-    Fractions are cleared, which keeps each polynomial's zeros."""
+def _equations(record, n, params):
+    """lhs - rhs of each of record's equations on the grid of cell
+    polynomials, as a _Poly with int coefficients, and whether each must
+    be nonzero, in order: its kernel's values, or its conditions'.  The
+    table's parameters params become int coefficients here: a ModP its
+    residue, and the denominators of Fractions are cleared, which keeps
+    each polynomial's zeros."""
     cells = _cell_polys(n)
+    if record.kernel:
+        polys = record.kernel(n, cells)
+        return polys, [False] * len(polys)
     c = Coefficients(n, [cells[i * n:i * n + n] for i in range(n)], None,
                      [int(v) if isinstance(v, ModP) else v for v in params])
     polys = []
-    for cond in conditions:
+    for cond in record.conditions:
         val = cond.expr(c)
         if type(val) is not _Poly:  # the condition reads no cell
             val = _Poly() + val
@@ -703,7 +686,7 @@ def _condition_polys(conditions, n, params):
             den = lcm(*(coef.denominator for coef in val.values()))
             val = _Poly({mono: int(coef * den) for mono, coef in val.items()})
         polys.append(val)
-    return polys
+    return polys, [cond.nonzero for cond in record.conditions]
 
 
 @lru_cache(maxsize=8)
@@ -714,24 +697,34 @@ def _record_forms(record, n, params, field):
     holds there.  A != 0 condition that vanishes identically reads the
     literal 0, so the predicate is then false on every grid.  The last 8
     are kept; a table keeps those of its regime (`_regime`)."""
-    conds = tuple(record.conditions)
-    polys = _reduced(_condition_polys(conds, n, params), field)
-    run, reduce = _straight_line(polys), field.reduce
-    nonzero = [cond.nonzero for cond in conds]
+    polys, nonzero = _equations(record, n, params)
+    run, reduce = _straight_line(_reduced(polys, field)), field.reduce
     if any(nonzero):
         return lambda k: list(map(bool, reduce(run(k)))) == nonzero
     return lambda k: not any(reduce(run(k)))
 
 
+def _predicate(record, n, params, field):
+    """The predicate of a lifted grid k in dim n that says whether record
+    holds there, params the parameters it names (None for the others):
+    its compiled forms up to FORMS_MAX_DIM (`_record_forms`), and above
+    it its kernel on k, where only the abelian regime's records are read.
+    A record with conditions has no kernel and raises ValueError there."""
+    if n <= FORMS_MAX_DIM:
+        return _record_forms(record, n, params, field)
+    if record.conditions:
+        raise ValueError(f"the {record.label} record has conditions and no "
+                         f"kernel: it cannot be read in dim {n}")
+    kernel, reduce = record.kernel, field.reduce
+    return lambda k: not (kernel and any(reduce(kernel(n, k))))
+
+
 def _evaluate(record, r, params, holds=None):
-    """Whether r meets record's conditions, params the parameters they
-    name (None for the others): its compiled predicate holds on r's
-    lifted grid up to FORMS_MAX_DIM, found in `_record_forms` when the
-    caller keeps none, and the conditions on a Coefficients view above."""
-    if r.n > FORMS_MAX_DIM:
-        return record.holds(Coefficients(r.n, r.k, r.field, params))
+    """Whether r meets record's equations, params the parameters they
+    name (None for the others): its predicate (`_predicate`, unless the
+    caller keeps it) on r's lifted grid."""
     if holds is None:
-        holds = _record_forms(record, r.n, params, r.field)
+        holds = _predicate(record, r.n, params, r.field)
     return holds(r.lifted()[0])
 
 
@@ -754,9 +747,8 @@ def _verdict(record, r, params=(None, None, None), holds=None):
 def _regime(L):
     """What classify_solution reads of L: the text of the UncoveredRegime
     L raises, or for each record of its regime (the record, the
-    parameters it names, its compiled predicate or None above
-    FORMS_MAX_DIM), so a caller that rotates over many tables compiles
-    each one's records once."""
+    parameters it names, its predicate), so a caller that rotates over
+    many tables compiles each one's records once."""
     table = recognize_table(L)
     try:
         records = regime_records(L, table)
@@ -766,8 +758,7 @@ def _regime(L):
     for rec in records:
         params = tuple(v if name else None
                        for v, name in zip(table[1:], rec.names))
-        entries.append((rec, params, _record_forms(rec, L.n, params, L.field)
-                        if L.n <= FORMS_MAX_DIM else None))
+        entries.append((rec, params, _predicate(rec, L.n, params, L.field)))
     return tuple(entries)
 
 
@@ -788,12 +779,12 @@ def classify_solution(L, r):
 
 def is_strongly_symmetric(r):
     """Symmetric grid with k[i][j]k[l][m] = k[i][l]k[j][m] for all index
-    quadruples, checked through the 2x2 minors (see strong_record)."""
-    return _verdict(strong_record(r.n), r)
+    quadruples, checked through the 2x2 minors (see `_strong_ints`)."""
+    return _verdict(STRONG, r)
 
 
 def is_skew_symmetric(r):
-    return _verdict(skew_record(r.n), r)
+    return _verdict(SKEW, r)
 
 
 def is_alpha_beta_skew(r, alpha, beta):

@@ -30,6 +30,7 @@ from cybe.exhaustive import (
     decode_ids,
 )
 from cybe.solve import (
+    STRONG,
     Coefficients,
     LabelRecord,
     SolutionLabel,
@@ -37,7 +38,6 @@ from cybe.solve import (
     _conditions,
     recognize_table,
     regime_records,
-    strong_record,
 )
 from conftest import (
     all_tensors,
@@ -568,7 +568,7 @@ def test_search_depends_only_on_the_set_of_checks(monkeypatch, make, p):
     try:
         records = regime_records(L, table)
     except UncoveredRegime:
-        records = (strong_record(3),)
+        records = (STRONG,)
     params = tuple(None if v is None else int(v) for v in table[1:])
     searches = [exhaustive._residual_checks(L, p)] + [
         _label_checks(rec, 3, p, params) for rec in records]

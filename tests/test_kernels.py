@@ -74,11 +74,13 @@ from cybe.solve import (
     ALPHA_BETA_SKEW,
     FORMS_MAX_DIM,
     GENERATORS,
+    SKEW,
+    STRONG,
     Coefficients,
     LabelRecord,
     _cell_polys,
-    _condition_polys,
     _conditions,
+    _equations,
     _int_constants,
     _record_forms,
     _reduced,
@@ -86,8 +88,6 @@ from cybe.solve import (
     _straight_line,
     _verdict,
     regime_records,
-    skew_record,
-    strong_record,
 )
 from cybe import bialgebra, solve
 from cybe.cli import _bialgebra_entry, _check_entry
@@ -521,8 +521,8 @@ def test_label_forms_equal_the_conditions(field):
             else:
                 assert classify_solution(L, r) == want, (L, r)
                 hits |= want
-            assert is_strongly_symmetric(r) == strong_record(L.n).holds(r)
-            assert is_skew_symmetric(r) == skew_record(L.n).holds(r)
+            assert is_strongly_symmetric(r) == STRONG.holds(r)
+            assert is_skew_symmetric(r) == SKEW.holds(r)
             if L.n == 3:
                 for alpha, beta in ((table.alpha, table.beta),
                                     (field.from_int(2), field.from_int(-1))):
@@ -628,31 +628,33 @@ def test_a_record_is_compiled_once_for_the_parameters_it_names():
 def test_large_abelian_tables_keep_the_dim3_grid_records():
     # each dimension has one grid record, and records above FORMS_MAX_DIM
     # are never compiled, so classifying abelian tables in dims 5..13 (two
-    # grid records each) keeps strong_record(3), and the next dim-3 check
-    # finds its forms
+    # grid records each) keeps STRONG's dim-3 forms, and the next dim-3
+    # check finds them
     vec = [Fraction(1), Fraction(2), Fraction(0)]
     r3 = Tensor2.from_rows([[a * b for b in vec] for a in vec], QQ)
     assert is_strongly_symmetric(r3)
-    kept = strong_record(3)
+    kept = STRONG
     misses = _record_forms.cache_info().misses
     for n in range(5, 14):
         r = Tensor2.from_entries(n, QQ, {(0, 1): Fraction(1)})
         assert SolutionLabel.ABELIAN in classify_solution(abelian(n, QQ), r)
-    assert strong_record(3) is kept
+    assert STRONG is kept
     assert is_strongly_symmetric(r3)
     assert _record_forms.cache_info().misses == misses
 
 
-def test_one_lazy_grid_record_per_dimension():
-    # a rebuilt record would compare unequal to the kept one and compile
-    # again; its conditions stay generated, even on a dim-40 table
-    for n in (2, 3, 5, 40):
-        assert strong_record(n) is strong_record(n)
-        assert skew_record(n) is skew_record(n)
+def test_one_grid_record_for_every_dimension():
+    # strong and skew symmetry are one record each, read in every
+    # dimension through their kernels: they keep no condition list, which
+    # in dim 40 would hold 305,370 conditions of strong symmetry
+    for rec, label in ((STRONG, SolutionLabel.STRONGLY_SYMMETRIC),
+                       (SKEW, SolutionLabel.SKEW_SYMMETRIC)):
+        assert rec.label is label and rec.kernel is not None
+        assert rec.conditions == () and rec.names == (False, False, False)
+    L = abelian(40, QQ)
+    assert regime_records(L, recognize_table(L))[1:] == (STRONG, SKEW)
     r = Tensor2.from_entries(40, QQ, {(0, 1): Fraction(1)})
-    assert classify_solution(abelian(40, QQ), r) == {SolutionLabel.ABELIAN}
-    assert not isinstance(strong_record(40).conditions, tuple)
-    assert not isinstance(skew_record(40).conditions, tuple)
+    assert classify_solution(L, r) == {SolutionLabel.ABELIAN}
 
 
 @pytest.mark.parametrize("text, want, grids", [
@@ -669,7 +671,8 @@ def test_an_equation_reads_as_lhs_minus_the_whole_rhs(text, want, grids):
     cells = _cell_polys(3)
     polys = [cells[(i - 1) * 3 + j - 1] for i, j in
              (NAMED_CELLS[name] for name in "xyzpuv")]
-    assert _condition_polys((cond,), 3, (None, None, None)) == [want(*polys)]
+    rec = LabelRecord(SolutionLabel.ABELIAN, (cond,), "")
+    assert _equations(rec, 3, (None, None, None)) == ([want(*polys)], [False])
     for vals, holds in grids:
         r = Tensor2.from_entries(3, QQ, {
             (i - 1, j - 1): Fraction(vals[name])
@@ -705,7 +708,7 @@ def test_compatibility_on_a_table_that_is_not_lie():
 
 def test_kernels_match_oracles_above_forms_max_dim():
     # sl2 + a centre in dim 4, the first dimension past the forms, and
-    # sl2 + VI in dim 5: the kernels and Condition.holds run, not forms
+    # sl2 + VI in dim 5: the kernels run, not forms
     assert FORMS_MAX_DIM == 3
     rng = random.Random(0x5)
     for field in (QQ, PrimeField(101)):
@@ -735,6 +738,53 @@ def test_kernels_match_oracles_above_forms_max_dim():
                 if is_skew_symmetric(r):
                     want.add(SolutionLabel.SKEW_SYMMETRIC)
                 assert classify_solution(flat, r) == want
+
+
+def test_verdicts_above_forms_max_dim_touch_no_scalars(monkeypatch):
+    # above FORMS_MAX_DIM a verdict is a record's kernel on the lifted
+    # grid: with the scalar view of the conditions refused, the labels and
+    # the symmetry predicates still agree with the definitions, on
+    # rank-1 and rank-2 symmetric, skew, zero and random grids
+    def refuse(*args):
+        raise AssertionError("a verdict built a Coefficients view")
+
+    monkeypatch.setattr(solve, "Coefficients", refuse)
+    rng = random.Random(0x456)
+    seen = set()
+    for field in (QQ, PrimeField(7)):
+        def vector(n):
+            return [zero_heavy(rng, field) for _ in range(n)]
+
+        for n in (4, 5, 6):
+            L = abelian(n, field)
+            u, v, a, b = vector(n), vector(n), vector(n), vector(n)
+            grids = [[[x * y for y in u] for x in u],
+                     [[x * y + z * w for y, w in zip(u, v)]
+                      for x, z in zip(u, v)],
+                     [[x * y - z * w for y, w in zip(b, a)]
+                      for x, z in zip(a, b)],
+                     [[field.zero()] * n for _ in range(n)],
+                     [vector(n) for _ in range(n)]]
+            for rows in grids:
+                r = Tensor2.from_rows(rows, field)
+                strong = strongly_symmetric_by_definition(r)
+                skew = all(r.k[i][j] + r.k[j][i] == 0
+                           for i in range(n) for j in range(n))
+                want = {SolutionLabel.ABELIAN}
+                if strong:
+                    want.add(SolutionLabel.STRONGLY_SYMMETRIC)
+                if skew:
+                    want.add(SolutionLabel.SKEW_SYMMETRIC)
+                assert classify_solution(L, r) == want, (L, r)
+                assert is_strongly_symmetric(r) == strong, r
+                assert is_skew_symmetric(r) == skew, r
+                seen.add((strong, skew))
+    assert len(seen) == 4
+    # a record with conditions has no kernel to read there, and refuses
+    rec = LabelRecord(SolutionLabel.ABELIAN, _conditions("p = 0"), "")
+    r = Tensor2.from_entries(4, QQ, {(0, 1): Fraction(1)})
+    with pytest.raises(ValueError, match="no kernel"):
+        _verdict(rec, r)
 
 
 def test_kernels_match_oracles_past_the_int_str_limit():
@@ -820,7 +870,7 @@ def test_each_record_is_evaluated_once_per_tensor(monkeypatch):
     monkeypatch.setattr(solve, "_evaluate", counted)
     for L, grids in cases:
         table = recognize_table(L)
-        want = {strong_record(L.n), skew_record(L.n)}
+        want = {STRONG, SKEW}
         if L.n == 3 and table.alpha is not None:
             want.add(ALPHA_BETA_SKEW)
         try:
@@ -834,7 +884,7 @@ def test_each_record_is_evaluated_once_per_tensor(monkeypatch):
             kept.append(fresh)
             _bialgebra_entry(L, fresh, table)
             assert {rec for rec, t in seen if t == id(fresh)} == {
-                skew_record(L.n)}, (L, r)
+                SKEW}, (L, r)
             _bialgebra_entry(L, r, table)
     assert seen and set(seen.values()) == {1}
 
