@@ -38,7 +38,7 @@ for the classified regimes, kept deliberately separate so the test suite can
 play them against the axiom checker.  Which regime's form applies, or why
 none does, is decided once per table and kept in the same memo
 (`_closed_form_regimes`), so a skew tensor pays only the forms' Fraction
-or ModP arithmetic.
+or ModP arithmetic on the table's parameters and r's lifted ints.
 """
 
 from __future__ import annotations
@@ -387,6 +387,15 @@ def _closed_form_table(L, r, triangular=False):
     return table
 
 
+def _psu(r):
+    """The named coefficients p, s and u of a dim-3 r as its lifted ints:
+    D times the scalars over Q, the residues over F_p.  Every closed form
+    is homogeneous in them, so it vanishes on these exactly where it does
+    on the scalars."""
+    k = r.lifted()[0]
+    return k[1], k[2], k[5]
+
+
 def coboundary_predicate(L, r):
     """Closed form: does skew r induce a Lie bialgebra on L?
 
@@ -396,8 +405,8 @@ def coboundary_predicate(L, r):
     """
     kind, _, beta, delta = _closed_form_table(L, r)
     if kind == "solvable":
-        one, s = L.field.one(), r.s
-        return not ((delta + one) * ((delta - one) * r.u + beta * s) * s)
+        _, s, u = _psu(r)
+        return not ((delta + 1) * ((delta - 1) * u + beta * s) * s)
     return True
 
 
@@ -411,9 +420,11 @@ def triangular_predicate(L, r):
     """
     kind, alpha, beta, delta = _closed_form_table(L, r, triangular=True)
     if kind == "ii":
-        return not (beta * r.s * r.s + alpha * r.u * r.u + r.p * r.p)
+        p, s, u = _psu(r)
+        return not (beta * s * s + alpha * u * u + p * p)
     if kind == "solvable":
+        _, s, u = _psu(r)
         if not beta:
-            return not ((L.field.one() - delta) * r.u * r.s)
-        return not r.s
+            return not ((1 - delta) * u * s)
+        return not s
     return True

@@ -229,8 +229,11 @@ def check_jacobi(L):
 
     Returns [] iff the table is a Lie algebra (antisymmetry is already
     enforced structurally).  Each violation is ((i, j, k), residual vector)
-    with 1-based indices, i < j < k.
+    with 1-based indices, i < j < k.  A table with no nonzero constant
+    has none, found without a bracket.
     """
+    if not L.nonzero_constants():
+        return []
     out = []
     for i in range(L.n):
         for j in range(i + 1, L.n):

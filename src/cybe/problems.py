@@ -20,6 +20,11 @@ a coefficient vector; the mirrored constants are filled in automatically.
 Tensor entries may also use the dim-3 coefficient names x y z p q s t u v
 (dim 2: x y p q); a named alias and an explicit entry for the same cell is
 a duplicate and an error.
+
+A tensor's texts are read straight to ints (the field's `parse_ints`) and
+the tensor is born lifted (`Tensor2.from_ints`), so no scalar of it is
+made: its verdicts read those ints, and its echo (`tensor_obj`) writes
+each value's text from them (the field's `render`).
 """
 
 from __future__ import annotations
@@ -27,16 +32,20 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from itertools import compress
 from json.encoder import encode_basestring
+from math import lcm
 from types import GeneratorType
 
 from .liealg import _table, make_family
 from .scalars import FieldError, clip, make_field
+from .solve import _grid_cells
 from .tensor import NAMED_CELLS, Tensor2
 
-# Larger dims are refused before any table is built: `check` of one tensor
-# on the abelian table at dim 16 takes 48 ms in process (2-CPU VM, Python
-# 3.11), 42 ms of it `check_jacobi`.
+# Larger dims are refused before any table is built.  In process (2-CPU
+# VM, Python 3.11), `check` of one tensor at dim 16 takes 2.9 ms on the
+# abelian table, whose `check_jacobi` returns at once, and 44 ms on a
+# custom table with [e1, e_j] = e_j, 43.5 ms of it `check_jacobi`.
 MAX_DIM = 16
 
 # The nonzero scalars of one group (a tensor; the algebra's brackets or its
@@ -76,24 +85,38 @@ def _only(obj, keys, what):
 
 class ScalarRoom:
     """The characters of SCALAR_CAP left to the nonzero scalars of one
-    group, which `scalar` parses one by one."""
+    group, which `ints` reads one by one."""
 
     def __init__(self, group):
         self.left, self.group = SCALAR_CAP, group
 
-    def scalar(self, text, field, where):
-        """text as a scalar of the field, its characters taken from the
-        room when it is nonzero.  A text longer than the room left is
-        refused before it is parsed."""
+    def _fits(self, text):
+        """Refuse a text that is no str, or longer than the room left,
+        before it is read, by a FieldError with the reason."""
         if not isinstance(text, str):
-            raise ProblemError(
-                f"{where}: coefficients must be strings, got "
+            raise FieldError(
+                f"coefficients must be strings, got "
                 f"{type(text).__name__} ({clip(repr(text))})")
         if len(text) > self.left:
-            raise ProblemError(
-                f"{where}: {clip(repr(text))} takes the scalars of "
+            raise FieldError(
+                f"{clip(repr(text))} takes the scalars of "
                 f"{self.group} past the cap of {SCALAR_CAP} characters")
+
+    def ints(self, text, field):
+        """text as the ints (n, d) of the scalar n / d of the field (its
+        `parse_ints`), its characters taken from the room when it is
+        nonzero.  Raises FieldError with the reason, which the caller
+        prefixes with where the text was."""
+        self._fits(text)
+        n, d = field.parse_ints(text)
+        if n:
+            self.left -= len(text)
+        return n, d
+
+    def scalar(self, text, field, where):
+        """text as a scalar of the field, as `ints` reads it."""
         try:
+            self._fits(text)
             value = field.parse(text)
         except FieldError as e:
             raise ProblemError(f"{where}: {e}") from None
@@ -188,7 +211,10 @@ def parse_tensor(obj, n, field):
                                f"out of range for dim {n}")
         if (i, j) in seen:
             raise ProblemError(f"duplicate tensor entry ({i}, {j})")
-        seen[(i, j)] = room.scalar(text, field, f"tensor entry ({i}, {j})")
+        try:
+            seen[(i, j)] = room.ints(text, field)
+        except FieldError as e:
+            raise ProblemError(f"tensor entry ({i}, {j}): {e}") from None
     named = obj.get("named", {})
     _expect_dict(named, '"named"')
     for name, text in named.items():
@@ -202,9 +228,15 @@ def parse_tensor(obj, n, field):
         if cell in seen:
             raise ProblemError(
                 f"duplicate tensor entry ({cell[0]}, {cell[1]}) via {name!r}")
-        seen[cell] = room.scalar(text, field, f"coefficient {name}")
-    return Tensor2.from_entries(
-        n, field, {(i - 1, j - 1): v for (i, j), v in seen.items()})
+        try:
+            seen[cell] = room.ints(text, field)
+        except FieldError as e:
+            raise ProblemError(f"coefficient {name}: {e}") from None
+    scale = lcm(*(d for _, d in seen.values()))
+    ints = [0] * (n * n)
+    for (i, j), (v, d) in seen.items():
+        ints[i * n + j - n - 1] = v * (scale // d)
+    return Tensor2.from_ints(n, field, ints, scale)
 
 
 def parse_problem(doc):
@@ -251,8 +283,12 @@ def load_problem(path):
 # canonical echo / serialization
 
 def tensor_obj(r):
-    return {"entries": [[i + 1, j + 1, str(v)]
-                        for (i, j), v in r.entries()]}
+    """r's nonzero entries as [i, j, "value"], 1-based and row-major, each
+    value's text written from r's lifted ints (the field's `render`)."""
+    ints, scale = r.lifted()
+    texts = r.field.render(list(filter(None, ints)), scale)
+    return {"entries": [[i, j, text] for (i, j), text in
+                        zip(compress(_grid_cells(r.n, 2), ints), texts)]}
 
 
 def algebra_obj(L):
@@ -291,7 +327,9 @@ def dumps_report(report):
     a trailing newline, written by `_write_json` into one buffer.  The
     text of a tuple (a witness cell, a listing entry) and the head of a
     [tuple, str] pair (a residual or witness entry) are made once per
-    (tuple, indent) of one report, and each pair is written in one piece.
+    (tuple, indent) of one report, the head of an [int, int, str] tensor
+    entry once per (i, j, indent), and each pair and entry is written in
+    one piece.
 
     Under any indent json runs its pure-Python generator, which takes
     about 2.6 times as long as `_write_json` on report-shaped values.
@@ -332,12 +370,26 @@ def _pair_text(pair, nl, memo):
     return hit[1] + encode_basestring(value) + hit[2]
 
 
+def _entry_text(entry, nl, memo):
+    """The text of an [int, int, str] list starting on the line of newline
+    and indent nl: a tensor entry [i, j, "value"].  Its head, up to the
+    str, is made once per (i, j, nl) of one report and kept in memo."""
+    i, j, value = entry
+    key = (i, j, nl)
+    hit = memo.get(key)
+    if hit is None:
+        inner = nl + "  "
+        hit = memo[key] = (f"[{inner}{i},{inner}{j},{inner}", nl + "]")
+    return hit[0] + encode_basestring(value) + hit[1]
+
+
 def _write_json(obj, nl, add, memo):
     """Write the text of `obj` through `add` in pieces: a dict with str
     keys, or a list, tuple or generator, as an array; `nl` is the newline
     and indent of the line `obj` starts on, and `memo` holds the text of
     the tuples inside it (`_tuple_text`) and the heads of its
-    [tuple, str] pairs (`_pair_text`).  Scalars are the texts json
+    [tuple, str] pairs (`_pair_text`) and [int, int, str] entries
+    (`_entry_text`).  Scalars are the texts json
     writes: str through its C string encoder, int through int.__repr__,
     float through json.dumps (NaN and the infinities as json spells
     them).  Raises TypeError on a non-str key or on any other type, and
@@ -364,6 +416,9 @@ def _write_json(obj, nl, add, memo):
             elif (t is list and len(v) == 2 and type(v[0]) is tuple
                   and type(v[1]) is str):
                 add(head + _pair_text(v, inner, memo))
+            elif (t is list and len(v) == 3 and type(v[0]) is int
+                  and type(v[1]) is int and type(v[2]) is str):
+                add(head + _entry_text(v, inner, memo))
             else:
                 add(head)
                 _write_json(v, inner, add, memo)

@@ -5,7 +5,9 @@ Prime-field scalars are ``ModP`` instances carrying the least non-negative
 residue.  Every other module treats scalars opaquely through a field
 object, ``QQ`` (the one ``RationalField``) or a ``PrimeField``: both offer
 zero, one, from_int, parse, contains and to_spec, so the same code runs over
-both ground fields.
+both ground fields.  ``parse`` wraps ``parse_ints``, the one grammar of
+scalar text, which reads a text straight to the ints (n, d) of n / d:
+lowest terms over Q, the canonical residue and 1 over F_p.
 
 The characteristic-2 exclusion is baked in: ``PrimeField(2)`` raises.
 
@@ -192,8 +194,9 @@ class RationalField:
     def from_int(self, n):
         return Fraction(n)
 
-    def parse(self, text):
-        """Parse "-?digits(/digits)?" into a reduced Fraction."""
+    def parse_ints(self, text):
+        """Read "-?digits(/digits)?" as (n, d): the value n / d in lowest
+        terms, d >= 1."""
         text = text.strip()
         num, slash, den = text.partition("/")
         try:
@@ -205,7 +208,14 @@ class RationalField:
         # keep the accepted grammar strict: denominator is digits only
         if d is None or d < 0:
             raise FieldError(f"malformed rational {clip(repr(text))}")
-        return Fraction(n, d)
+        if d == 1:
+            return n, 1
+        g = gcd(n, d)
+        return n // g, d // g
+
+    def parse(self, text):
+        """Parse "-?digits(/digits)?" into a reduced Fraction."""
+        return Fraction(*self.parse_ints(text))
 
     def contains(self, value):
         return isinstance(value, Fraction)
@@ -260,15 +270,19 @@ class PrimeField:
     def from_int(self, n):
         return ModP(n, self.p)
 
-    def parse(self, text):
-        """Parse "-?digits" into the canonical residue mod p."""
+    def parse_ints(self, text):
+        """Read "-?digits" as (its canonical residue mod p, 1)."""
         text = text.strip()
         try:
             n = int(text)
         except ValueError:
             raise FieldError(f"malformed residue {clip(repr(text))} "
                              f"for F_{self.p}") from None
-        return ModP(n, self.p)
+        return n % self.p, 1
+
+    def parse(self, text):
+        """Parse "-?digits" into the canonical residue mod p."""
+        return ModP(self.parse_ints(text)[0], self.p)
 
     def contains(self, value):
         return isinstance(value, ModP) and value.p == self.p

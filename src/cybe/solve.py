@@ -51,9 +51,10 @@ and strong and skew symmetry, which are two kernels of the flat grid
 (`_strong_ints`, `_skew_ints`) with one record each for every dimension
 (STRONG, SKEW).  A record's verdict on a tensor is decided once
 (`_verdict`) and kept on the tensor under the record and the values of
-the parameters it names, so the classification and the symmetry
+the parameters it names, as ints (`_verdict_key`, made once per table
+for classify_solution), so the classification and the symmetry
 predicates share one evaluation of each record they both read, and find
-it by one lookup.
+it by one lookup that hashes no Fraction.
 
 Everything else in this module (the closed-form solution families, the
 classification predicates) is checked against that expansion by the test
@@ -728,15 +729,31 @@ def _evaluate(record, r, params, holds=None):
     return holds(r.lifted()[0])
 
 
-def _verdict(record, r, params=(None, None, None), holds=None):
+def _verdict_key(record, params):
+    """The key of record's verdicts with the parameters params (None for
+    each it does not name): the record and each value as ints, a Fraction
+    its numerator and denominator and a ModP its residue, so a lookup
+    hashes no scalar."""
+    return record, tuple(
+        v if v is None else v.val if type(v) is ModP
+        else (v.numerator, v.denominator) for v in params)
+
+
+_NO_PARAMS = (None, None, None)
+_STRONG_KEY = _verdict_key(STRONG, _NO_PARAMS)
+_SKEW_KEY = _verdict_key(SKEW, _NO_PARAMS)
+
+
+def _verdict(record, r, params=_NO_PARAMS, holds=None, key=None):
     """Whether r carries record's label, params the parameters (alpha,
     beta, delta) of r's table, None for each the record does not name.
     Decided once per tensor (r's grid never changes) and kept on r
-    (`Tensor2.verdicts`) under the record and params, so every table that
-    agrees on the values the record names shares the verdict, found by
-    one lookup."""
+    (`Tensor2.verdicts`) under key, `_verdict_key(record, params)` unless
+    the caller keeps it, so every table that agrees on the values the
+    record names shares the verdict, found by one lookup."""
     verdicts = r.verdicts()
-    key = record, params
+    if key is None:
+        key = _verdict_key(record, params)
     verdict = verdicts.get(key)
     if verdict is None:
         verdict = verdicts[key] = _evaluate(record, r, params, holds)
@@ -747,8 +764,9 @@ def _verdict(record, r, params=(None, None, None), holds=None):
 def _regime(L):
     """What classify_solution reads of L: the text of the UncoveredRegime
     L raises, or for each record of its regime (the record, the
-    parameters it names, its predicate), so a caller that rotates over
-    many tables compiles each one's records once."""
+    parameters it names, its verdict key, its predicate), so a caller that
+    rotates over many tables compiles each one's records and makes each
+    key once."""
     table = recognize_table(L)
     try:
         records = regime_records(L, table)
@@ -758,7 +776,8 @@ def _regime(L):
     for rec in records:
         params = tuple(v if name else None
                        for v, name in zip(table[1:], rec.names))
-        entries.append((rec, params, _predicate(rec, L.n, params, L.field)))
+        entries.append((rec, params, _verdict_key(rec, params),
+                        _predicate(rec, L.n, params, L.field)))
     return tuple(entries)
 
 
@@ -773,18 +792,18 @@ def classify_solution(L, r):
     regime = _regime(L)
     if type(regime) is str:
         raise UncoveredRegime(regime)
-    return {rec.label for rec, params, holds in regime
-            if _verdict(rec, r, params, holds)}
+    return {rec.label for rec, params, key, holds in regime
+            if _verdict(rec, r, params, holds, key)}
 
 
 def is_strongly_symmetric(r):
     """Symmetric grid with k[i][j]k[l][m] = k[i][l]k[j][m] for all index
     quadruples, checked through the 2x2 minors (see `_strong_ints`)."""
-    return _verdict(STRONG, r)
+    return _verdict(STRONG, r, key=_STRONG_KEY)
 
 
 def is_skew_symmetric(r):
-    return _verdict(SKEW, r)
+    return _verdict(SKEW, r, key=_SKEW_KEY)
 
 
 def is_alpha_beta_skew(r, alpha, beta):
@@ -798,8 +817,8 @@ def is_alpha_beta_skew(r, alpha, beta):
     if r.n != 3:
         raise ValueError("alpha,beta-skew symmetry is a dim-3 notion")
     field = r.field
-    return _verdict(ALPHA_BETA_SKEW, r, (_as_scalar(alpha, field),
-                                         _as_scalar(beta, field), None))
+    params = _as_scalar(alpha, field), _as_scalar(beta, field), None
+    return _verdict(ALPHA_BETA_SKEW, r, params)
 
 
 def symmetry_flags(r, alpha=None, beta=None):

@@ -4,6 +4,12 @@ Tensor2 holds r = sum k[i][j] e_i (x) e_j as a dense n x n grid; Tensor3 the
 analogous n x n x n grid.  Grids are 0-based internally; anything that names
 basis vectors in reports is 1-based (e_1..e_n).
 
+A Tensor2 has two forms of its grid: the scalars k, and the lifted ints
+(`Tensor2.lifted`) that every kernel of `solve` and `bialgebra` reads.  One
+made from its scalars (`Tensor2(n, k, field)`) lifts them when first asked;
+one made from its ints (`Tensor2.from_ints`, as a problem file's tensors
+are) has them from birth and builds k only when something reads it.
+
 For n = 3 a tensor exposes the conventional single-letter view of its grid
     x=k11 y=k22 z=k33 p=k12 q=k21 s=k13 t=k31 u=k23 v=k32
 read-only, so reports and tests can speak that language.  NAMED_CELLS is
@@ -27,13 +33,34 @@ NAMED_CELLS = {
 
 
 class Tensor2:
-    __slots__ = ("n", "k", "field", "_lifted", "_verdicts")
+    __slots__ = ("n", "_k", "field", "_lifted", "_verdicts")
 
     def __init__(self, n, k, field):
         self.n = n
-        self.k = k  # tuple of tuples, 0-based
+        self._k = k  # tuple of tuples, 0-based
         self.field = field
         self._lifted = self._verdicts = None
+
+    @classmethod
+    def from_ints(cls, n, field, ints, scale):
+        """The tensor whose flat row-major grid is ints / scale, lifted
+        from birth: ints and scale must be what the field's `lift` gives
+        of that grid (canonical residues and 1 over F_p; over Q the
+        numerators over the lcm of the reduced denominators).  Its scalar
+        grid k is built when first read."""
+        r = cls(n, None, field)
+        r._lifted = ints, scale
+        return r
+
+    @property
+    def k(self):
+        """The grid as a tuple of rows of field scalars, 0-based."""
+        if self._k is None:
+            ints, scale = self._lifted
+            n, unlift = self.n, self.field.unlift
+            vals = [unlift(v, scale) for v in ints]
+            self._k = tuple(tuple(vals[i:i + n]) for i in range(0, n * n, n))
+        return self._k
 
     def lifted(self):
         """The grid as flat row-major ints over their common denominator,
@@ -75,7 +102,7 @@ class Tensor2:
         ]
 
     def is_zero(self):
-        return not any(any(row) for row in self.k)
+        return not any(self.lifted()[0])
 
     def __eq__(self, other):
         if not isinstance(other, Tensor2):

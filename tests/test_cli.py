@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cybe import (
     PrimeField,
+    Tensor2,
     abelian,
     cli,
     enumerate_solutions,
@@ -21,6 +22,7 @@ from cybe import (
     family_ii,
     family_iii,
     family_vi,
+    problems,
     scan_solution_ids,
     solvable_table,
 )
@@ -197,6 +199,44 @@ def test_witness_values_are_written_without_field_scalars(
     with open(golden, encoding="utf-8") as fh:
         want = fh.read()
     assert capsys.readouterr().out == want
+    assert code == (0 if json.loads(want)["ok"] else 1)
+
+
+@pytest.mark.parametrize("verb", ["check", "bialgebra"])
+@pytest.mark.parametrize("stem", WITNESS_STEMS)
+def test_witness_tensors_stay_ints_from_problem_file_to_report(
+        capsys, monkeypatch, stem, verb):
+    # a problem file's tensors are read straight to ints and born lifted,
+    # and every verdict and echo reads those ints: from the first tensor
+    # parsed on, with the fields' parse and unlift refused and no tensor's
+    # scalar grid built, the reports are still their goldens
+    armed = []
+
+    def refusing(name, orig, only_if=lambda *args: True):
+        def refused(*args):
+            if armed and only_if(*args):
+                raise AssertionError(f"{name}{args[1:]} on the tensor path")
+            return orig(*args)
+        return refused
+
+    for field_type in (RationalField, PrimeField):
+        for name in ("parse", "unlift"):
+            monkeypatch.setattr(field_type, name,
+                                refusing(name, getattr(field_type, name)))
+    monkeypatch.setattr(Tensor2, "k", property(refusing(
+        "Tensor2.k", Tensor2.k.fget, lambda r: r._k is None)))
+    parse_tensor = problems.parse_tensor
+
+    def arming(*args):
+        armed.append(True)
+        return parse_tensor(*args)
+
+    monkeypatch.setattr(problems, "parse_tensor", arming)
+    code = run([verb, "-i", os.path.join(WITNESSES, stem + ".json")])
+    golden = os.path.join(WITNESSES, f"{stem}.{verb}.golden.json")
+    with open(golden, encoding="utf-8") as fh:
+        want = fh.read()
+    assert armed and capsys.readouterr().out == want
     assert code == (0 if json.loads(want)["ok"] else 1)
 
 
@@ -627,8 +667,10 @@ def test_scalar_cap_of_each_group(capsys, tmp_path, doc, verb, where):
 
 
 def test_scalar_cap_counts_nonzero_scalars_of_each_tensor(capsys, tmp_path):
-    # zeros take no room, and each tensor has a room of its own
-    zeros = [[i, j, "0" * 20] for i in range(1, 4) for j in range(1, 4)]
+    # zeros take no room, signed ones too, and each tensor has a room of
+    # its own
+    zeros = [[i, j, ("0" * 20, "-" + "0" * 19)[i % 2]]
+             for i in range(1, 4) for j in range(1, 4)]
     doc = dict(SL2_Q, tensors=[
         {"entries": zeros[:-1] + [[3, 3, "7" * (SCALAR_CAP - 10)]]},
         {"entries": [[1, 1, "9" * SCALAR_CAP]]}])

@@ -470,6 +470,35 @@ def test_derived_state_lives_as_long_as_its_table():
     assert not alive()
 
 
+def test_a_warm_verdict_lookup_hashes_no_fraction(monkeypatch):
+    # a verdict's key holds the parameters its record names as ints, made
+    # once per table for the classification, so once the table's records
+    # are compiled, deciding a tensor and finding its verdicts again hash
+    # no Fraction
+    L = family_ii(1, 1, QQ)
+    table = recognize_table(L)
+    rng = random.Random(0x61)
+    warm, *grids = sample_grids(rng, L, 2)
+    classify_solution(L, warm)
+    symmetry_flags(warm, table.alpha, table.beta)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(x):
+        hashed.append(x)
+        return fraction_hash(x)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert hash(Fraction(1, 2)) and hashed    # the counter counts
+    del hashed[:]
+    for r in [warm] + grids + grids:
+        labels = classify_solution(L, r)
+        flags = symmetry_flags(r, table.alpha, table.beta)
+        assert (SolutionLabel.ALPHA_BETA_SKEW in labels) == flags[
+            "alpha_beta_skew"]
+    assert not hashed
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
 def test_abelian_bialgebra_verdicts_read_no_form(monkeypatch, field):
     # every axiom form of an abelian table vanishes identically, so

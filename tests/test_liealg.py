@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cybe import (
     QQ,
+    LieAlgebra,
     PrimeField,
     abelian,
     check_jacobi,
@@ -214,3 +215,20 @@ def test_jacobi_violation_is_reported_with_its_triple():
     (triple, residual), = violations
     assert triple == (1, 2, 3)
     assert residual == (1, 0, 0)
+
+
+def test_jacobi_of_an_abelian_table_makes_no_bracket(monkeypatch):
+    # a table with no nonzero constant satisfies the identity outright, so
+    # even the largest accepted abelian table is checked without a bracket
+    calls = []
+    bracket = LieAlgebra.bracket
+
+    def counted(L, x, y):
+        calls.append(L.n)
+        return bracket(L, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    for field in (QQ, F5):
+        assert check_jacobi(abelian(16, field)) == []
+    assert not calls
+    assert check_jacobi(sl2()) == [] and calls

@@ -298,6 +298,37 @@ def test_dumps_report_writes_pairs_as_json_dumps(value):
         assert dumps_report(report) == want
 
 
+# [int, int, str] lists, as the entries of an echoed tensor are, written in
+# one piece from a head kept per (i, j, indent): shared heads at several
+# depths, among the shapes that only look like such an entry
+entry_like = st.builds(lambda i, j, text: [i, j, text], st.integers(0, 3),
+                       st.integers(-1, 12), json_text)
+near_entries = (st.builds(lambda i, text: [True, i, text], st.integers(0, 2),
+                          json_text)
+                | st.builds(lambda i, j: [i, j, i], st.integers(0, 2),
+                            st.integers(0, 2))
+                | st.builds(lambda i, text: [i, i, text, text],
+                            st.integers(0, 2), json_text)
+                | st.builds(lambda i, text: (i, i, text), st.integers(0, 2),
+                            json_text)
+                | st.builds(lambda i, text: [i, float(i), text],
+                            st.integers(0, 2), json_text))
+entry_reports = st.recursive(
+    entry_like | near_entries | pair_like,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(["a", "b", "c"]), kids,
+                                    max_size=3)),
+    max_leaves=16)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(entry_reports)
+def test_dumps_report_writes_entries_as_json_dumps(value):
+    for report in ({"entries": value}, [value, [value]]):
+        want = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        assert dumps_report(report) == want
+
+
 def test_dumps_report_raises_on_other_values():
     loop = {"a": []}
     loop["a"].append(loop)
@@ -309,3 +340,49 @@ def test_dumps_report_raises_on_other_values():
         dumps_report({"x": Fraction(1, 2)})
     with pytest.raises(TypeError):
         dumps_report({"x": {1: "y"}})
+
+
+# a problem file's tensors are born lifted (Tensor2.from_ints): their ints
+# and scale must be what the field's lift gives of their scalar grid, the
+# scale the lcm of the reduced denominators, and the echo the str of each
+# scalar
+
+tensor_texts = st.sampled_from(
+    ["0", "-0", "+3", " 5 ", "4/2", "1/2", "-1/4", "3 / 6", "1/+3", "2/12",
+     "1_0", "٣", "7", "-8", "100", "5/15", "-9/27", "1/7", "22/7"])
+
+
+@st.composite
+def tensor_docs(draw):
+    field = draw(st.sampled_from([QQ, F5, PrimeField(101)]))
+    texts = tensor_texts
+    if field is not QQ:
+        texts = texts.filter(lambda text: "/" not in text)
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          unique=True, max_size=n * n))
+    return field, n, {"entries": [[i, j, draw(texts)] for i, j in cells]}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(tensor_docs())
+def test_parsed_tensors_are_lifted_as_their_scalars(case):
+    field, n, obj = case
+    r = parse_tensor(obj, n, field)
+    k = [v for row in r.k for v in row]
+    assert r.lifted() == field.lift(k)
+    values = {(i, j): field.parse(text) for i, j, text in obj["entries"]}
+    assert k == [values.get((i, j), field.zero())
+                 for i in range(1, n + 1) for j in range(1, n + 1)]
+    assert tensor_obj(r) == {"entries": [
+        [i, j, str(values[i, j])] for i, j in sorted(values)
+        if values[i, j]]}
+
+
+def test_parsed_tensor_scale_is_the_lcm_of_its_denominators():
+    r = parse_tensor({"entries": [[1, 1, "1/2"], [1, 2, "1/4"],
+                                  [2, 1, "2/6"], [2, 2, "0/9"]]}, 2, QQ)
+    assert r.lifted() == ([6, 3, 4, 0], 12)
+    r = parse_tensor({"entries": [[1, 2, "-4"], [2, 2, "6"]]}, 2, F5)
+    assert r.lifted() == ([0, 1, 0, 1], 1)
+    assert parse_tensor({}, 3, QQ).lifted() == ([0] * 9, 1)

@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cybe import QQ, FieldError, ModP, PrimeField
-from cybe.scalars import is_prime, make_field
+from cybe.scalars import clip, is_prime, make_field
 
 primes = st.sampled_from([3, 5, 7, 11, 13, 97])
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -188,3 +188,95 @@ def test_render_writes_the_text_of_each_unlifted_value(field, ints, scale,
         assume(scale % field.p)
     assert field.render(ints, scale) == [str(field.unlift(v, scale))
                                          for v in ints]
+
+
+# parse_ints, the one grammar of scalar text, against the parsers it
+# replaced, kept here as written before it: the same texts accepted with
+# the same values, the same refused with the same messages
+
+def reference_rational_parse(text):
+    text = text.strip()
+    num, slash, den = text.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        d = None
+    if d == 0:
+        raise FieldError(f"zero denominator in {clip(repr(text))}")
+    if d is None or d < 0:
+        raise FieldError(f"malformed rational {clip(repr(text))}")
+    return Fraction(n, d)
+
+
+def reference_prime_parse(text, p):
+    text = text.strip()
+    try:
+        n = int(text)
+    except ValueError:
+        raise FieldError(f"malformed residue {clip(repr(text))} "
+                         f"for F_{p}") from None
+    return ModP(n, p)
+
+
+# what int() quietly accepts (signs, blanks, underscores, non-ASCII
+# digits), what the grammar refuses, and residues outside 0..p-1
+TRICKY_TEXTS = ["-0", "+3", " 3 ", "3 / 4", "1/+2", "1_000", "٣",
+                "٣/٤", "4/2", "-6/4", "1/-2", "1/0", "0/5", "-0/7",
+                "1/2/3", "", " ", "/", "1/", "/2", "0.5", "1e3", "a", "_1",
+                "1__0", "7", "-7", "97", "-98", "10000000000000000000001",
+                "\t-12\n", " 5"]
+scalar_texts = (st.sampled_from(TRICKY_TEXTS)
+                | st.text(st.sampled_from("0123456789-+/ _٣x."),
+                          max_size=8)
+                | st.builds(lambda n, d, s: f"{n}{s}{d}", ints,
+                            st.integers(-30, 10 ** 6),
+                            st.sampled_from(["/", " / ", "/+"]))
+                | ints.map(str))
+
+
+def outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except FieldError as e:
+        return "refused", str(e)
+
+
+def reads_as_the_reference_rational(text):
+    kind, want = outcome(reference_rational_parse, text)
+    got = outcome(QQ.parse_ints, text)
+    if kind == "refused":
+        assert got == (kind, want)
+        return
+    assert got == ("ok", (want.numerator, want.denominator))
+    assert QQ.parse(text) == want
+    assert QQ.render([want.numerator], want.denominator) == [str(want)]
+
+
+def reads_as_the_reference_residue(p, text):
+    f = PrimeField(p)
+    kind, want = outcome(lambda t: reference_prime_parse(t, p), text)
+    got = outcome(f.parse_ints, text)
+    if kind == "refused":
+        assert got == (kind, want)
+        return
+    assert got == ("ok", (want.val, 1)) and 0 <= want.val < p
+    assert f.parse(text) == want
+    assert f.render([want.val], 1) == [str(want)]
+
+
+@given(scalar_texts)
+def test_rational_parse_ints_is_the_reference_grammar(text):
+    reads_as_the_reference_rational(text)
+
+
+@given(primes, scalar_texts)
+def test_prime_parse_ints_is_the_reference_grammar(p, text):
+    reads_as_the_reference_residue(p, text)
+
+
+@pytest.mark.parametrize("text", TRICKY_TEXTS)
+def test_tricky_texts_read_as_the_reference_reads_them(text):
+    # each of the examples, whatever the property tests draw
+    reads_as_the_reference_rational(text)
+    for p in (5, 97):
+        reads_as_the_reference_residue(p, text)
